@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,9 +19,9 @@ import numpy as np
 
 from . import algebra, orbits, verify
 from .algebra import Kind, TAU_ALG, TAU_ZERO
-from .errors import FixesEverythingError, HypermoebiusError
+from .errors import DomainError, FixesEverythingError, HypermoebiusError, InvalidLiteralError
 from .matrix2 import parse_mat, render_mat
-from .moebius import MoebiusMap, classify_map, fixed_points, kernel_check
+from .moebius import MoebiusMap, classify_map, fixed_points, kernel_labels
 from .projline import (
     ClassTag,
     canonicalize,
@@ -28,14 +29,7 @@ from .projline import (
     parse_entry,
     parse_point,
 )
-from .subgroups import (
-    DoubleGL,
-    DoubleSL,
-    classify_spec,
-    eval_subgroup,
-    parse_spec,
-    render_spec,
-)
+from .subgroups import classify_spec, eval_subgroup, parse_spec, render_spec
 
 USAGE_EXIT = 64
 DOMAIN_EXIT = 2
@@ -119,12 +113,18 @@ def build_parser() -> _Parser:
 
 
 def _parse_t(arg: str) -> list[float]:
-    if ":" in arg:
-        parts = arg.split(":")
-        if len(parts) != 3:
-            raise HypermoebiusError(f"grid must be start:end:step, got {arg!r}")
-        return orbits.t_grid(float(parts[0]), float(parts[1]), float(parts[2]))
-    return [float(arg)]
+    try:
+        values = [float(part) for part in arg.split(":")]
+    except ValueError:
+        raise InvalidLiteralError(
+            f"t must be a real or a start:end:step grid, got {arg!r}") from None
+    if len(values) == 3:
+        return orbits.t_grid(*values)
+    if len(values) != 1:
+        raise HypermoebiusError(f"grid must be start:end:step, got {arg!r}")
+    if not math.isfinite(values[0]):
+        raise DomainError(f"t must be finite, got {arg!r}")
+    return values
 
 
 def _fmt(v: float) -> str:
@@ -203,10 +203,10 @@ def _cmd_subgroup_eval(args) -> int:
 
 def _cmd_orbit(args) -> int:
     spec = parse_spec(args.spec)
-    if isinstance(spec, (DoubleSL, DoubleGL)):
-        make_start = orbits.start_double
-    else:
-        make_start = orbits.start_dual
+    starts = {"double": orbits.start_double, "dual": orbits.start_dual}
+    make_start = starts.get(spec.family.partition("-")[0])
+    if make_start is None:
+        raise DomainError(f"orbits are sampled over the double or dual numbers, not {spec.family}")
     try:
         c1, c2 = (float(v) for v in args.start.split(","))
     except ValueError:
@@ -225,8 +225,12 @@ def _cmd_orbit(args) -> int:
             lines.append(f"t={_fmt(row.t)}: {row.cls.label()}{uv}{res}")
         text = "\n".join(lines) + "\n"
     if args.out_file:
-        with open(args.out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out_file, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise HypermoebiusError(
+                f"cannot write {args.out_file}: {exc.strerror or exc}") from None
         print(f"wrote {args.out_file}")
     else:
         sys.stdout.write(text)
@@ -242,13 +246,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_kernel(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    mats = kernel_check(args.algebra, n_probes=100, seed=seed)
-    from .moebius import _scalar_label
-
-    labels = []
-    for m in mats:
-        u = m[0, 0] if isinstance(m, np.ndarray) else m.a
-        labels.append(_scalar_label(u))
+    labels = kernel_labels(args.algebra, n_probes=100, seed=seed)
     # fold u and -u into one +- entry
     folded = []
     seen = set()

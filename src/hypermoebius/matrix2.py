@@ -205,10 +205,14 @@ def det_split_double(a_plus: np.ndarray, a_minus: np.ndarray) -> Hypercomplex:
     return algebra.recompose(float(np.linalg.det(a_plus)), float(np.linalg.det(a_minus)))
 
 
+def adj_real(m: np.ndarray) -> np.ndarray:
+    """Adjugate [[d, -b], [-c, a]] of a real 2x2 matrix."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
 def det_dual_formula(a1: np.ndarray, a2: np.ndarray) -> Hypercomplex:
     """det(A1 + eps*A2) = det(A1) + eps * tr(A1 @ adj(A2))."""
-    adj2 = np.array([[a2[1, 1], -a2[0, 1]], [-a2[1, 0], a2[0, 0]]])
-    eps_part = float(np.trace(a1 @ adj2))
+    eps_part = float(np.trace(a1 @ adj_real(a2)))
     return Hypercomplex(Kind.DUAL, float(np.linalg.det(a1)), eps_part)
 
 

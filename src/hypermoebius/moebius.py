@@ -51,6 +51,7 @@ from .projline import (
     ProjPoint,
     canonical_ratio,
     canonicalize,
+    real_projective_equal,
 )
 
 TAU_CLASS = 1e-9  # half-width of the parabolic band around tr^2 = 4
@@ -161,7 +162,7 @@ def kernel_check(kind: "Kind | str", n_probes: int = 100, seed: int = 7):
         for u in (1.0, -1.0):
             m = u * np.eye(2)
             probes = [rng.uniform(-3, 3, size=2) for _ in range(n_probes)]
-            if all(_real_same_class(m @ v, v) for v in probes):
+            if all(real_projective_equal(m @ v, v) for v in probes):
                 kernel.append(m)
         return kernel
     k = kind if isinstance(kind, Kind) else Kind.from_name(kind)
@@ -193,11 +194,6 @@ def _scalar_label(u) -> str:
         return "I" if u.a1 > 0 else "-I"
     sym = u.kind.symbol
     return f"{sym}I" if u.a2 > 0 else f"-{sym}I"
-
-
-def _real_same_class(v, w, tol: float = TAU_ALG) -> bool:
-    cross = v[0] * w[1] - v[1] * w[0]
-    return abs(cross) <= tol * (1.0 + math.hypot(*v) * math.hypot(*w))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,8 @@ class OrbitSample:
 
 def t_grid(t_start: float, t_end: float, step: float) -> list[float]:
     """Inclusive grid from start to end; the endpoint joins within half a step."""
+    if not all(math.isfinite(v) for v in (t_start, t_end, step)):
+        raise DomainError("grid start, end and step must be finite")
     if step <= 0:
         raise DomainError("grid step must be positive")
     ts = []

@@ -33,6 +33,7 @@ from .algebra import (
     TAU_ZERO,
     Hypercomplex,
     Kind,
+    _DEC,
     decompose,
     invert,
 )
@@ -349,7 +350,6 @@ def real_apply(m: np.ndarray, v: tuple[float, float]) -> tuple[float, float]:
 # text form
 
 _POINT_RE = re.compile(r"^\[([^:\[\]]+):([^:\[\]]+)\]$")
-_DEC = r"(?:\d+(?:\.\d*)?|\.\d+)"
 _P_SUGAR_RE = re.compile(rf"^(?P<coef>[+-]?{_DEC})?P(?P<sign>[+-])$")
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import Hypercomplex, Kind
-from .matrix2 import Mat2, double_from_components, dual_from_parts
+from .matrix2 import Mat2, adj_real, double_from_components, dual_from_parts
 from .projline import ProjPoint, point
 
 
@@ -179,8 +179,7 @@ def random_sl(kind: Kind, rng: np.random.Generator, span: float = 2.0) -> Mat2:
     if kind is Kind.DUAL:
         a1 = random_sl_real(rng, span)
         a2 = rng.uniform(-span, span, size=(2, 2))
-        adj = np.array([[a2[1, 1], -a2[0, 1]], [-a2[1, 0], a2[0, 0]]])
-        drift = float(np.trace(a1 @ adj))
+        drift = float(np.trace(a1 @ adj_real(a2)))
         a2 = a2 - (drift / 2.0) * a1  # tr(A1 @ adj(A1)) = 2 det(A1) = 2
         return dual_from_parts(a1, a2)
     from .matrix2 import normalize_to_sl

@@ -29,7 +29,7 @@ verification suite reproduces that discrepancy numerically (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -50,6 +50,7 @@ from .errors import (
 )
 from .matrix2 import (
     Mat2,
+    adj_real,
     det,
     double_from_components,
     dual_from_parts,
@@ -108,14 +109,10 @@ class RealGL:
     sigma: SigmaKind
     lam: float = 0.0
 
+    family = "real-gl"
 
-@dataclass(frozen=True, slots=True)
-class DoubleSL:
-    """t -> H_{sigma+}(t) P+ + H_{sigma-}(a*t) P-, determinant one."""
-
-    sigma_plus: SigmaKind
-    sigma_minus: SigmaKind
-    a: float = 1.0
+    def eval(self, t: float) -> np.ndarray:
+        return rotation_real(self.sigma, t, self.lam)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,6 +125,29 @@ class DoubleGL:
     lam_minus: float
     a: float = 1.0
 
+    family = "double-gl"
+
+    def eval(self, t: float) -> Mat2:
+        plus = rotation_real(self.sigma_plus, t, self.lam_plus)
+        minus = rotation_real(self.sigma_minus, self.a * t, self.lam_minus)
+        return double_from_components(plus, minus)
+
+
+@dataclass(frozen=True, slots=True)
+class DoubleSL:
+    """t -> H_{sigma+}(t) P+ + H_{sigma-}(a*t) P-, determinant one.
+
+    This is the double-gl family with both exponential rates zero.
+    """
+
+    sigma_plus: SigmaKind
+    sigma_minus: SigmaKind
+    a: float = 1.0
+
+    family = "double-sl"
+    lam_plus = lam_minus = 0.0
+    eval = DoubleGL.eval
+
 
 @dataclass(frozen=True, slots=True)
 class DualGL:
@@ -138,19 +158,35 @@ class DualGL:
     lam: float
     t0: float = 0.0
 
+    family = "dual-gl"
+
     def __post_init__(self):
         if self.lam == 0.0:
             raise DomainError("the eps-deformation strength lam must be nonzero")
 
+    def eval(self, t: float) -> Mat2:
+        a1 = rotation_real(self.sigma, t, self.lam1)
+        # rotation_real already carries exp(lam1*(t+t0)) at the shifted time
+        a2 = self.lam * t * rotation_real(self.sigma, t + self.t0, self.lam1)
+        return dual_from_parts(a1, a2)
+
 
 @dataclass(frozen=True, slots=True)
 class DualSL:
-    """Determinant-one dual family (see module docstring for the form)."""
+    """Determinant-one dual family (see module docstring for the form).
+
+    When sin_sigma(t0) = 0, that is at t0 = 0 and, in the circular regime,
+    at t0 = k*pi, H(t+t0) = cos_sigma(t0) H(t) and the eps-part vanishes:
+    the family is the undeformed H_sigma(t).  It is accepted and keeps its
+    dual-sl label.
+    """
 
     sigma: SigmaKind
     lam: float
     lam1: float = 0.0
     t0: float = 0.0
+
+    family = "dual-sl"
 
     def __post_init__(self):
         if self.sigma is SigmaKind.TRIVIAL:
@@ -158,37 +194,20 @@ class DualSL:
         if self.lam == 0.0:
             raise DomainError("the eps-deformation strength lam must be nonzero")
 
+    def eval(self, t: float) -> Mat2:
+        h_t = rotation_real(self.sigma, t)
+        h_shift = rotation_real(self.sigma, t + self.t0)
+        a2 = self.lam * t * math.exp(self.lam1 * self.t0) \
+            * (h_shift - cos_sigma(self.sigma.sigma, self.t0) * h_t)
+        return dual_from_parts(h_t, a2)
+
 
 SubgroupSpec = RealGL | DoubleSL | DoubleGL | DualGL | DualSL
 
 
 def eval_subgroup(spec, t: float):
     """The subgroup matrix at parameter t (numpy for real, Mat2 otherwise)."""
-    if hasattr(spec, "eval"):
-        return spec.eval(t)
-    if isinstance(spec, RealGL):
-        return rotation_real(spec.sigma, t, spec.lam)
-    if isinstance(spec, DoubleSL):
-        plus = rotation_real(spec.sigma_plus, t)
-        minus = rotation_real(spec.sigma_minus, spec.a * t)
-        return double_from_components(plus, minus)
-    if isinstance(spec, DoubleGL):
-        plus = rotation_real(spec.sigma_plus, t, spec.lam_plus)
-        minus = rotation_real(spec.sigma_minus, spec.a * t, spec.lam_minus)
-        return double_from_components(plus, minus)
-    if isinstance(spec, DualGL):
-        a1 = rotation_real(spec.sigma, t, spec.lam1)
-        # rotation_real already carries exp(lam1*(t+t0)) at the shifted time
-        a2 = spec.lam * t * rotation_real(spec.sigma, t + spec.t0, spec.lam1)
-        return dual_from_parts(a1, a2)
-    if isinstance(spec, DualSL):
-        s = spec.sigma.sigma
-        h_t = rotation_real(spec.sigma, t)
-        h_shift = rotation_real(spec.sigma, t + spec.t0)
-        a2 = spec.lam * t * math.exp(spec.lam1 * spec.t0) \
-            * (h_shift - cos_sigma(s, spec.t0) * h_t)
-        return dual_from_parts(h_t, a2)
-    raise TypeError(f"not a subgroup description: {spec!r}")
+    return spec.eval(t)
 
 
 def _entry_gap(x, y) -> float:
@@ -220,10 +239,7 @@ def sl_membership_check(spec, t: float) -> Hypercomplex:
 
 def dual_gl_det_closed_form(spec: DualGL, t: float) -> Hypercomplex:
     """exp(2*lam1*t) + eps * 2*lam*t*exp(lam1*(2t+t0)) * cos_sigma(t0)."""
-    c = 1.0 if spec.sigma is SigmaKind.TRIVIAL else cos_sigma(spec.sigma.sigma, spec.t0)
-    real = math.exp(2.0 * spec.lam1 * t)
-    eps = 2.0 * spec.lam * t * math.exp(spec.lam1 * (2.0 * t + spec.t0)) * c
-    return Hypercomplex(Kind.DUAL, real, eps)
+    return _dual_gl_det(spec, t, spec.t0)
 
 
 def dual_gl_det_printed_form(spec: DualGL, t: float) -> Hypercomplex:
@@ -232,7 +248,11 @@ def dual_gl_det_printed_form(spec: DualGL, t: float) -> Hypercomplex:
     Kept so the verification report can quantify the discrepancy against the
     determinant actually computed from the matrix.
     """
-    c = 1.0 if spec.sigma is SigmaKind.TRIVIAL else cos_sigma(spec.sigma.sigma, 2.0 * t + spec.t0)
+    return _dual_gl_det(spec, t, 2.0 * t + spec.t0)
+
+
+def _dual_gl_det(spec: DualGL, t: float, angle: float) -> Hypercomplex:
+    c = 1.0 if spec.sigma is SigmaKind.TRIVIAL else cos_sigma(spec.sigma.sigma, angle)
     real = math.exp(2.0 * spec.lam1 * t)
     eps = 2.0 * spec.lam * t * math.exp(spec.lam1 * (2.0 * t + spec.t0)) * c
     return Hypercomplex(Kind.DUAL, real, eps)
@@ -315,8 +335,7 @@ def conjugate_spec(spec, k) -> ConjugatedSubgroup:
         d = float(np.linalg.det(k))
         if abs(d) <= TAU_ZERO:
             raise SingularMatrixError(None, "conjugating matrix is singular")
-        k_inv = np.array([[k[1, 1], -k[0, 1]], [-k[1, 0], k[0, 0]]]) / d
-        return ConjugatedSubgroup(spec, k, k_inv)
+        return ConjugatedSubgroup(spec, k, adj_real(k) / d)
     from .matrix2 import invert_mat
 
     return ConjugatedSubgroup(spec, k, invert_mat(k))
@@ -338,19 +357,17 @@ def swap_double(spec):
     """Mirror of a double spec under the component-swap homomorphism.
 
     Returns (mirrored spec, time_scale) with
-    eval(mirrored, time_scale * t) == swap-image of eval(spec, t).
+    eval(mirrored, time_scale * t) == swap-image of eval(spec, t).  A trivial
+    minus component (or a = 0) grows at the constant rate lam_minus * a, so
+    it mirrors to a trivial plus component at that rate and unit time scale.
     """
-    if isinstance(spec, DoubleSL):
-        if spec.sigma_minus is SigmaKind.TRIVIAL or spec.a == 0.0:
-            return DoubleSL(SigmaKind.TRIVIAL, spec.sigma_plus, 1.0), 1.0
-        return DoubleSL(spec.sigma_minus, spec.sigma_plus, 1.0 / spec.a), spec.a
-    if isinstance(spec, DoubleGL):
-        if spec.sigma_minus is SigmaKind.TRIVIAL or spec.a == 0.0:
-            return DoubleGL(SigmaKind.TRIVIAL, spec.lam_minus,
-                            spec.sigma_plus, spec.lam_plus, 1.0), 1.0
-        return (DoubleGL(spec.sigma_minus, spec.lam_minus,
-                         spec.sigma_plus, spec.lam_plus, 1.0 / spec.a), spec.a)
-    raise TypeError("component swap applies to the double families only")
+    if spec.sigma_minus is SigmaKind.TRIVIAL or spec.a == 0.0:
+        plus, rate, a, scale = SigmaKind.TRIVIAL, spec.lam_minus * spec.a, 1.0, 1.0
+    else:
+        plus, rate, a, scale = spec.sigma_minus, spec.lam_minus, 1.0 / spec.a, spec.a
+    mirror = {"sigma_plus": plus, "lam_plus": rate, "sigma_minus": spec.sigma_plus,
+              "lam_minus": spec.lam_plus, "a": a}
+    return type(spec)(**{f.name: mirror[f.name] for f in fields(spec)}), scale
 
 
 def swap_image(m: Mat2) -> Mat2:
@@ -389,29 +406,24 @@ def classify_spec(spec) -> TypeDescriptor:
     the component swap, and the rescale is reported as |a| with its sign;
     a trivial second component reports a = 0.
     """
-    if isinstance(spec, RealGL):
-        label = _component_name(spec.sigma, "t")
+    if spec.family.startswith("double"):
+        return _classify_double(spec)
+    label = _component_name(spec.sigma, "t")
+    if spec.family == "real-gl":
         if spec.lam != 0.0:
             label = f"exp({_fmt(spec.lam)}t){label}"
-        return TypeDescriptor("real-gl", (spec.sigma,), None, None,
-                              (spec.lam,), None, label)
-    if isinstance(spec, (DoubleSL, DoubleGL)):
-        return _classify_double(spec)
-    if isinstance(spec, DualGL):
-        base = _component_name(spec.sigma, "t")
-        label = f"{base}' + eps-deformation(lam={_fmt(spec.lam)}, t0={_fmt(spec.t0)})"
-        return TypeDescriptor("dual-gl", (spec.sigma,), None, None,
-                              (spec.lam1, spec.lam), spec.t0, label)
-    if isinstance(spec, DualSL):
-        base = _component_name(spec.sigma, "t")
-        label = f"{base} + eps-deformation(lam={_fmt(spec.lam)}, t0={_fmt(spec.t0)})"
-        return TypeDescriptor("dual-sl", (spec.sigma,), None, None,
-                              (spec.lam, spec.lam1), spec.t0, label)
-    raise TypeError(f"not a subgroup description: {spec!r}")
+        return TypeDescriptor(spec.family, (spec.sigma,), None, None, _rates(spec), None, label)
+    prime = "'" if spec.family == "dual-gl" else ""
+    label = f"{label}{prime} + eps-deformation(lam={_fmt(spec.lam)}, t0={_fmt(spec.t0)})"
+    return TypeDescriptor(spec.family, (spec.sigma,), None, None, _rates(spec), spec.t0, label)
+
+
+def _rates(spec) -> tuple[float, ...]:
+    """The exponential-rate parameters (lam*) in field order."""
+    return tuple(getattr(spec, f.name) for f in fields(spec) if f.name.startswith("lam"))
 
 
 def _classify_double(spec) -> TypeDescriptor:
-    is_sl = isinstance(spec, DoubleSL)
     sp, sm = spec.sigma_plus, spec.sigma_minus
     trivial_minus = sm is SigmaKind.TRIVIAL or spec.a == 0.0
     trivial_plus = sp is SigmaKind.TRIVIAL
@@ -422,22 +434,14 @@ def _classify_double(spec) -> TypeDescriptor:
             and _SIGMA_ORDER[sm] < _SIGMA_ORDER[sp]:
         spec, _ = swap_double(spec)
         return _classify_double(spec)
-    sp, sm = spec.sigma_plus, spec.sigma_minus
-    trivial_minus = sm is SigmaKind.TRIVIAL or spec.a == 0.0
     a_abs = 0.0 if trivial_minus else abs(spec.a)
     a_sign = None if trivial_minus else (1 if spec.a > 0 else -1)
-    minus_time = "at" if not trivial_minus else "t"
-    minus_name = "I" if trivial_minus else _component_name(sm, minus_time)
+    minus_name = "I" if trivial_minus else _component_name(sm, "at")
     label = f"{_component_name(sp, 't')}P+ + {minus_name}P-"
-    if is_sl:
-        lams: tuple[float, ...] = ()
-        family = "double-sl"
-    else:
-        lams = (spec.lam_plus, spec.lam_minus)
-        family = "double-gl"
+    if spec.family == "double-gl":
         label = f"{label} (exp rates {_fmt(spec.lam_plus)}, {_fmt(spec.lam_minus)})"
-    return TypeDescriptor(family, (sp, SigmaKind.TRIVIAL if trivial_minus else sm),
-                          a_abs, a_sign, lams, None, label)
+    return TypeDescriptor(spec.family, (sp, SigmaKind.TRIVIAL if trivial_minus else sm),
+                          a_abs, a_sign, _rates(spec), None, label)
 
 
 def _fmt(v: float) -> str:
@@ -487,8 +491,22 @@ def exp_cross_check(spec, ts=None) -> float:
 # text form
 
 
-_FAMILIES = {"real-gl": RealGL, "double-sl": DoubleSL, "double-gl": DoubleGL,
-             "dual-gl": DualGL, "dual-sl": DualSL}
+# The literal grammar: per family its class and its fields as (literal key,
+# attribute, default), in rendering order.  A None default marks a required
+# field.  sigma* attributes take a regime letter K, N, A or I, the others a
+# finite real.
+_DUAL_FIELDS = (("sigma", "sigma", None), ("lambda", "lam", None),
+                ("lambda1", "lam1", 0.0), ("t0", "t0", 0.0))
+GRAMMAR = {
+    "real-gl": (RealGL, (("sigma", "sigma", None), ("lambda", "lam", 0.0))),
+    "double-sl": (DoubleSL, (("sigma+", "sigma_plus", None), ("sigma-", "sigma_minus", None),
+                             ("a", "a", 1.0))),
+    "double-gl": (DoubleGL, (("sigma+", "sigma_plus", None), ("lambda+", "lam_plus", 0.0),
+                             ("sigma-", "sigma_minus", None), ("lambda-", "lam_minus", 0.0),
+                             ("a", "a", 1.0))),
+    "dual-gl": (DualGL, _DUAL_FIELDS),
+    "dual-sl": (DualSL, _DUAL_FIELDS),
+}
 
 
 def parse_spec(text: str):
@@ -497,62 +515,50 @@ def parse_spec(text: str):
     s = text.strip()
     head, sep, rest = s.partition("(")
     family = head.strip().lower()
-    if family not in _FAMILIES or not sep or not rest.rstrip().endswith(")"):
+    if family not in GRAMMAR or not sep or not rest.rstrip().endswith(")"):
         raise InvalidLiteralError(f"cannot parse subgroup description {text!r}")
     body = rest.rstrip()[:-1]
-    fields: dict[str, str] = {}
+    given: dict[str, str] = {}
     if body.strip():
         for item in body.split(","):
             key, eq, value = item.partition("=")
             if not eq:
                 raise InvalidLiteralError(f"bad field {item!r} in {text!r}")
-            fields[key.strip().lower()] = value.strip()
-    try:
-        if family == "real-gl":
-            spec = RealGL(SigmaKind.from_letter(fields.pop("sigma")),
-                          float(fields.pop("lambda", "0")))
-        elif family == "double-sl":
-            spec = DoubleSL(SigmaKind.from_letter(fields.pop("sigma+")),
-                            SigmaKind.from_letter(fields.pop("sigma-")),
-                            float(fields.pop("a", "1")))
-        elif family == "double-gl":
-            spec = DoubleGL(SigmaKind.from_letter(fields.pop("sigma+")),
-                            float(fields.pop("lambda+", "0")),
-                            SigmaKind.from_letter(fields.pop("sigma-")),
-                            float(fields.pop("lambda-", "0")),
-                            float(fields.pop("a", "1")))
-        elif family == "dual-gl":
-            spec = DualGL(SigmaKind.from_letter(fields.pop("sigma")),
-                          float(fields.pop("lambda1", "0")),
-                          float(fields.pop("lambda")),
-                          float(fields.pop("t0", "0")))
+            given[key.strip().lower()] = value.strip()
+    cls, grammar = GRAMMAR[family]
+    values = {}
+    for key, attr, default in grammar:
+        raw = given.pop(key, None)
+        if raw is None:
+            if default is None:
+                raise InvalidLiteralError(f"missing field {key!r} in {text!r}")
+            values[attr] = default
+        elif attr.startswith("sigma"):
+            values[attr] = SigmaKind.from_letter(raw)
         else:
-            spec = DualSL(SigmaKind.from_letter(fields.pop("sigma")),
-                          float(fields.pop("lambda")),
-                          float(fields.pop("lambda1", "0")),
-                          float(fields.pop("t0", "0")))
-    except KeyError as exc:
-        raise InvalidLiteralError(f"missing field {exc.args[0]!r} in {text!r}") from None
-    if fields:
+            values[attr] = _parse_real(key, raw, text)
+    spec = cls(**values)
+    if given:
         raise InvalidLiteralError(
-            f"unknown field(s) {sorted(fields)} for {family} in {text!r}")
+            f"unknown field(s) {sorted(given)} for {family} in {text!r}")
     return spec
 
 
+def _parse_real(key: str, raw: str, text: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidLiteralError(f"field {key}={raw!r} is not a finite real in {text!r}")
+    return value
+
+
 def render_spec(spec) -> str:
-    if isinstance(spec, RealGL):
-        return f"real-gl(sigma={spec.sigma.letter}, lambda={_fmt(spec.lam)})"
-    if isinstance(spec, DoubleSL):
-        return (f"double-sl(sigma+={spec.sigma_plus.letter}, "
-                f"sigma-={spec.sigma_minus.letter}, a={_fmt(spec.a)})")
-    if isinstance(spec, DoubleGL):
-        return (f"double-gl(sigma+={spec.sigma_plus.letter}, lambda+={_fmt(spec.lam_plus)}, "
-                f"sigma-={spec.sigma_minus.letter}, lambda-={_fmt(spec.lam_minus)}, "
-                f"a={_fmt(spec.a)})")
-    if isinstance(spec, DualGL):
-        return (f"dual-gl(sigma={spec.sigma.letter}, lambda={_fmt(spec.lam)}, "
-                f"lambda1={_fmt(spec.lam1)}, t0={_fmt(spec.t0)})")
-    if isinstance(spec, DualSL):
-        return (f"dual-sl(sigma={spec.sigma.letter}, lambda={_fmt(spec.lam)}, "
-                f"lambda1={_fmt(spec.lam1)}, t0={_fmt(spec.t0)})")
-    raise TypeError(f"not a subgroup description: {spec!r}")
+    _, grammar = GRAMMAR[spec.family]
+    body = ", ".join(f"{key}={_render_field(getattr(spec, attr))}" for key, attr, _ in grammar)
+    return f"{spec.family}({body})"
+
+
+def _render_field(value) -> str:
+    return value.letter if isinstance(value, SigmaKind) else _fmt(value)

@@ -8,7 +8,7 @@ the report reads "<key>: PASS|FAIL (<counts / worst residuals>)".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .orbits import (
     t_grid,
 )
 from .projline import (
+    CanonicalClass,
     ClassTag,
     ProjPoint,
     admissible,
@@ -70,6 +71,7 @@ from .subgroups import (
     DoubleSL,
     DualGL,
     DualSL,
+    GRAMMAR,
     RealGL,
     SigmaKind,
     centralizer_solve,
@@ -103,6 +105,24 @@ def _fmt(v: float) -> str:
     return format(v, ".3e")
 
 
+@dataclass(slots=True)
+class _Tally:
+    """Passing samples, samples seen and the worst residual of one sweep."""
+
+    good: int = 0
+    total: int = 0
+    worst: float = 0.0
+
+    def add(self, ok: bool, residual: float = 0.0) -> None:
+        self.good += ok
+        self.total += 1
+        self.worst = max(self.worst, residual)
+
+    @property
+    def full(self) -> bool:
+        return self.good == self.total
+
+
 # ---------------------------------------------------------------------------
 # algebra checks
 
@@ -110,8 +130,7 @@ def _fmt(v: float) -> str:
 def check_ring_laws(rng, n: int = 10_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        worst = 0.0
-        good = 0
+        tally = _Tally()
         for _ in range(n):
             x = sampling.random_number(kind, rng)
             y = sampling.random_number(kind, rng)
@@ -123,11 +142,10 @@ def check_ring_laws(rng, n: int = 10_000) -> list[CheckResult]:
                 (x * (y + z) - (x * y + x * z)).magnitude(),
             )
             rel = max(gaps) / scale
-            worst = max(worst, rel)
-            good += rel <= 1e-12
+            tally.add(rel <= 1e-12, rel)
         out.append(CheckResult(
-            f"ring-laws/{kind.name.lower()}", good == n,
-            f"{good}/{n} triples, worst rel {_fmt(worst)}"))
+            f"ring-laws/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} triples, worst rel {_fmt(tally.worst)}"))
     return out
 
 
@@ -143,72 +161,52 @@ def check_generator_squares() -> list[CheckResult]:
 def check_inverses(rng, n: int = 10_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        worst = 0.0
-        good = 0
+        tally = _Tally()
         for _ in range(n):
             x = sampling.random_unit(kind, rng)
             gap = (x * algebra.invert(x) - algebra.one(kind)).magnitude()
-            worst = max(worst, gap)
-            good += gap <= 1e-12
+            tally.add(gap <= 1e-12, gap)
         out.append(CheckResult(
-            f"unit-inverse/{kind.name.lower()}", good == n,
-            f"{good}/{n} units, worst {_fmt(worst)}"))
+            f"unit-inverse/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} units, worst {_fmt(tally.worst)}"))
     return out
 
 
 def check_square_roots(rng, n: int = 10_000) -> list[CheckResult]:
-    out = []
-    worst = 0.0
-    count_ok = 0
-    identity_ok = 0
-    for i in range(n):
+    def double_case(i: int):
         case = i % 4
         if case == 0:
-            x = recompose(rng.uniform(0.05, 9.0), rng.uniform(0.05, 9.0))
-            expected = 4
-        elif case == 1:
+            return recompose(rng.uniform(0.05, 9.0), rng.uniform(0.05, 9.0)), 4
+        if case == 1:
             x = recompose(rng.uniform(0.05, 9.0), 0.0) if rng.random() < 0.5 \
                 else recompose(0.0, rng.uniform(0.05, 9.0))
-            expected = 2
-        elif case == 2:
-            x = algebra.zero(Kind.DOUBLE)
-            expected = 1
-        else:
-            x = recompose(-rng.uniform(0.05, 9.0), rng.uniform(-9.0, 9.0))
-            expected = 0
-        roots = algebra.sqrt_all(x)
-        count_ok += len(roots) == expected
-        gaps = [(r * r - x).magnitude() for r in roots]
-        if gaps:
-            worst = max(worst, max(gaps))
-        identity_ok += all(g < 1e-9 for g in gaps)
-    out.append(CheckResult(
-        "square-roots/double", count_ok == n and identity_ok == n,
-        f"{count_ok}/{n} counts, worst s^2-x {_fmt(worst)}"))
-    worst = 0.0
-    count_ok = 0
-    identity_ok = 0
-    for i in range(n):
+            return x, 2
+        if case == 2:
+            return algebra.zero(Kind.DOUBLE), 1
+        return recompose(-rng.uniform(0.05, 9.0), rng.uniform(-9.0, 9.0)), 0
+
+    def dual_case(i: int):
         case = i % 3
         if case == 0:
-            x = Hypercomplex(Kind.DUAL, rng.uniform(0.05, 9.0), rng.uniform(-9.0, 9.0))
-            expected = 2
-        elif case == 1:
-            x = algebra.zero(Kind.DUAL)
-            expected = 1
-        else:
-            x = Hypercomplex(Kind.DUAL, -rng.uniform(0.05, 9.0), rng.uniform(-9.0, 9.0)) \
-                if rng.random() < 0.5 else Hypercomplex(Kind.DUAL, 0.0, rng.uniform(0.2, 9.0))
-            expected = 0
-        roots = algebra.sqrt_all(x)
-        count_ok += len(roots) == expected
-        gaps = [(r * r - x).magnitude() for r in roots]
-        if gaps:
-            worst = max(worst, max(gaps))
-        identity_ok += all(g < 1e-9 for g in gaps)
-    out.append(CheckResult(
-        "square-roots/dual", count_ok == n and identity_ok == n,
-        f"{count_ok}/{n} counts, worst s^2-x {_fmt(worst)}"))
+            return Hypercomplex(Kind.DUAL, rng.uniform(0.05, 9.0), rng.uniform(-9.0, 9.0)), 2
+        if case == 1:
+            return algebra.zero(Kind.DUAL), 1
+        x = Hypercomplex(Kind.DUAL, -rng.uniform(0.05, 9.0), rng.uniform(-9.0, 9.0)) \
+            if rng.random() < 0.5 else Hypercomplex(Kind.DUAL, 0.0, rng.uniform(0.2, 9.0))
+        return x, 0
+
+    out = []
+    for name, draw in (("double", double_case), ("dual", dual_case)):
+        counts, identities = _Tally(), _Tally()
+        for i in range(n):
+            x, expected = draw(i)
+            roots = algebra.sqrt_all(x)
+            gaps = [(r * r - x).magnitude() for r in roots]
+            counts.add(len(roots) == expected, max(gaps, default=0.0))
+            identities.add(all(g < 1e-9 for g in gaps))
+        out.append(CheckResult(
+            f"square-roots/{name}", counts.full and identities.full,
+            f"{counts.good}/{n} counts, worst s^2-x {_fmt(counts.worst)}"))
     return out
 
 
@@ -227,8 +225,7 @@ def check_idempotent_census() -> list[CheckResult]:
 
 
 def check_split_isomorphism(rng, n: int = 10_000) -> list[CheckResult]:
-    worst = 0.0
-    good = 0
+    tally = _Tally()
     for _ in range(n):
         x = sampling.random_number(Kind.DOUBLE, rng)
         y = sampling.random_number(Kind.DOUBLE, rng)
@@ -237,15 +234,13 @@ def check_split_isomorphism(rng, n: int = 10_000) -> list[CheckResult]:
         zp, zm = decompose(x * y)
         scale = 1.0 + max(abs(xp * yp), abs(xm * ym))
         rel = max(abs(zp - xp * yp), abs(zm - xm * ym)) / scale
-        worst = max(worst, rel)
-        good += rel <= 1e-12
-    return [CheckResult("split-isomorphism/double", good == n,
-                        f"{good}/{n} products, worst rel {_fmt(worst)}")]
+        tally.add(rel <= 1e-12, rel)
+    return [CheckResult("split-isomorphism/double", tally.full,
+                        f"{tally.good}/{n} products, worst rel {_fmt(tally.worst)}")]
 
 
 def check_trig_roundtrip(rng, n: int = 1_000) -> list[CheckResult]:
-    worst = 0.0
-    good = 0
+    tally = _Tally()
     for sigma in (-1, 0, 1):
         for _ in range(n):
             if sigma == -1:
@@ -254,10 +249,9 @@ def check_trig_roundtrip(rng, n: int = 1_000) -> list[CheckResult]:
                 t = rng.uniform(-3.0, 3.0)
             back = algebra.arctan_sigma(sigma, algebra.tan_sigma(sigma, t))
             gap = abs(back - t)
-            worst = max(worst, gap)
-            good += gap <= 1e-10
-    return [CheckResult("inverse-trig-roundtrip", good == 3 * n,
-                        f"{good}/{3 * n} round trips, worst {_fmt(worst)}")]
+            tally.add(gap <= 1e-10, gap)
+    return [CheckResult("inverse-trig-roundtrip", tally.full,
+                        f"{tally.good}/{3 * n} round trips, worst {_fmt(tally.worst)}")]
 
 
 # ---------------------------------------------------------------------------
@@ -267,73 +261,55 @@ def check_trig_roundtrip(rng, n: int = 1_000) -> list[CheckResult]:
 def check_det_multiplicative(rng, n: int = 10_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        worst = 0.0
-        good = 0
+        tally = _Tally()
         for _ in range(n):
             x = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
             y = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
             gap = (det(x @ y) - det(x) * det(y)).magnitude()
             scale = 1.0 + (det(x) * det(y)).magnitude()
-            worst = max(worst, gap / scale)
-            good += gap / scale <= 1e-10
+            tally.add(gap / scale <= 1e-10, gap / scale)
         out.append(CheckResult(
-            f"det-multiplicative/{kind.name.lower()}", good == n,
-            f"{good}/{n} pairs, worst rel {_fmt(worst)}"))
+            f"det-multiplicative/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} pairs, worst rel {_fmt(tally.worst)}"))
     return out
 
 
 def check_det_component_formulas(rng, n: int = 10_000) -> list[CheckResult]:
     out = []
-    worst = 0.0
-    good = 0
-    for _ in range(n):
-        ap = rng.uniform(-2, 2, size=(2, 2))
-        am = rng.uniform(-2, 2, size=(2, 2))
-        direct = det(double_from_components(ap, am))
-        formula = det_split_double(ap, am)
-        gap = (direct - formula).magnitude()
-        worst = max(worst, gap)
-        good += gap <= 1e-10
-    out.append(CheckResult("det-split/double", good == n,
-                           f"{good}/{n} component pairs, worst {_fmt(worst)}"))
-    worst = 0.0
-    good = 0
-    for _ in range(n):
-        a1 = rng.uniform(-2, 2, size=(2, 2))
-        a2 = rng.uniform(-2, 2, size=(2, 2))
-        direct = det(dual_from_parts(a1, a2))
-        formula = det_dual_formula(a1, a2)
-        gap = (direct - formula).magnitude()
-        worst = max(worst, gap)
-        good += gap <= 1e-10
-    out.append(CheckResult("det-epsilon-split/dual", good == n,
-                           f"{good}/{n} part pairs, worst {_fmt(worst)}"))
+    for name, build, formula, what in (
+            ("det-split/double", double_from_components, det_split_double, "component pairs"),
+            ("det-epsilon-split/dual", dual_from_parts, det_dual_formula, "part pairs")):
+        tally = _Tally()
+        for _ in range(n):
+            first = rng.uniform(-2, 2, size=(2, 2))
+            second = rng.uniform(-2, 2, size=(2, 2))
+            gap = (det(build(first, second)) - formula(first, second)).magnitude()
+            tally.add(gap <= 1e-10, gap)
+        out.append(CheckResult(name, tally.full,
+                               f"{tally.good}/{n} {what}, worst {_fmt(tally.worst)}"))
     return out
 
 
 def check_adjugate_identity(rng, n: int = 2_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        worst = 0.0
-        good = 0
+        tally = _Tally()
         for _ in range(n):
             x = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
             lhs = x @ hat(x)
             rhs = identity(kind).scale(det(x))
             gap = (lhs - rhs).max_entry_magnitude()
-            worst = max(worst, gap)
-            good += gap <= 1e-10
+            tally.add(gap <= 1e-10, gap)
         out.append(CheckResult(
-            f"adjugate-identity/{kind.name.lower()}", good == n,
-            f"{good}/{n} matrices, worst {_fmt(worst)}"))
+            f"adjugate-identity/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} matrices, worst {_fmt(tally.worst)}"))
     return out
 
 
 def check_exp_law(rng, n: int = 100) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        worst = 0.0
-        good = 0
+        tally = _Tally()
         for _ in range(n):
             b = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
             s = rng.uniform(-3, 3)
@@ -345,17 +321,15 @@ def check_exp_law(rng, n: int = 100) -> list[CheckResult]:
             # exponentials can reach 1e10 here; compare at the problem's scale
             scale = 1.0 + max(e_s.max_entry_magnitude() * e_t.max_entry_magnitude(),
                               lhs.max_entry_magnitude())
-            worst = max(worst, gap / scale)
-            good += gap / scale <= 1e-8
+            tally.add(gap / scale <= 1e-8, gap / scale)
         out.append(CheckResult(
-            f"exp-one-parameter/{kind.name.lower()}", good == n,
-            f"{good}/{n} triples, worst rel {_fmt(worst)}"))
+            f"exp-one-parameter/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} triples, worst rel {_fmt(tally.worst)}"))
     return out
 
 
 def check_exp_split(rng, n: int = 100) -> list[CheckResult]:
-    worst = 0.0
-    good = 0
+    tally = _Tally()
     for _ in range(n):
         ap = rng.uniform(-2, 2, size=(2, 2))
         am = rng.uniform(-2, 2, size=(2, 2))
@@ -363,10 +337,9 @@ def check_exp_split(rng, n: int = 100) -> list[CheckResult]:
         ring = mat_exp(double_from_components(ap, am), t)
         split = double_from_components(mat_exp_real(ap, t), mat_exp_real(am, t))
         gap = (ring - split).max_entry_magnitude()
-        worst = max(worst, gap)
-        good += gap <= 1e-8
-    return [CheckResult("exp-component-split/double", good == n,
-                        f"{good}/{n} matrices, worst {_fmt(worst)}")]
+        tally.add(gap <= 1e-8, gap)
+    return [CheckResult("exp-component-split/double", tally.full,
+                        f"{tally.good}/{n} matrices, worst {_fmt(tally.worst)}")]
 
 
 # ---------------------------------------------------------------------------
@@ -418,62 +391,60 @@ def check_class_partition(rng, n: int = 10_000) -> list[CheckResult]:
     tol = algebra.TAU_ZERO
     for kind, flags_of, tags in ((Kind.DOUBLE, _double_membership_flags, _DOUBLE_FLAG_TAGS),
                                  (Kind.DUAL, _dual_membership_flags, _DUAL_FLAG_TAGS)):
-        good = 0
+        tally = _Tally()
         for _ in range(n):
             p = sampling.random_point_mixed(kind, rng)
             flags = flags_of(p, tol)
             cls = canonicalize(p, tol)
-            good += sum(flags) == 1 and tags[flags.index(True)] is cls.tag
+            tally.add(sum(flags) == 1 and tags[flags.index(True)] is cls.tag)
         out.append(CheckResult(
-            f"class-partition/{kind.name.lower()}", good == n,
-            f"{good}/{n} points land in exactly one class"))
+            f"class-partition/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} points land in exactly one class"))
     return out
 
 
 def check_unit_scaling(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
     for kind in (Kind.DOUBLE, Kind.DUAL):
-        good = 0
+        tally = _Tally()
         for _ in range(n):
             p = sampling.random_point_mixed(kind, rng)
             u = sampling.random_unit(kind, rng, 0.2, 5.0)
-            good += same_class(canonicalize(p.scaled(u)), canonicalize(p))
+            tally.add(same_class(canonicalize(p.scaled(u)), canonicalize(p)))
         out.append(CheckResult(
-            f"unit-scaling-stability/{kind.name.lower()}", good == n,
-            f"{good}/{n} scaled points keep their class"))
+            f"unit-scaling-stability/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} scaled points keep their class"))
     return out
 
 
 def check_admissibility_invariance(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
     for kind in (Kind.DOUBLE, Kind.DUAL):
-        good = 0
+        tally = _Tally()
         for _ in range(n):
             p = sampling.random_point_mixed(kind, rng)
             m = MoebiusMap(sampling.random_gl(kind, rng))
-            good += admissible(apply_point(m, p)) == admissible(p)
+            tally.add(admissible(apply_point(m, p)) == admissible(p))
         out.append(CheckResult(
-            f"admissibility-invariance/{kind.name.lower()}", good == n,
-            f"{good}/{n} images preserve admissibility"))
+            f"admissibility-invariance/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} images preserve admissibility"))
     return out
 
 
 def check_transitivity(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        good = 0
-        tried = 0
-        while tried < n:
+        tally = _Tally()
+        while tally.total < n:
             p = sampling.random_point_mixed(kind, rng)
             if not admissible(p):
                 continue
-            tried += 1
             m = MoebiusMap(transporter_to(p))
             base = ProjPoint(kind, algebra.one(kind), algebra.zero(kind))
-            good += equivalent(apply_point(m, base), p)
+            tally.add(equivalent(apply_point(m, base), p))
         out.append(CheckResult(
-            f"transitivity-witness/{kind.name.lower()}", good == n,
-            f"{good}/{n} transporters land on target"))
+            f"transitivity-witness/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} transporters land on target"))
     return out
 
 
@@ -482,7 +453,7 @@ def check_family_transporters(rng, n: int = 1_000) -> list[CheckResult]:
     cases = ((Kind.DOUBLE, ClassTag.PR_PLUS), (Kind.DOUBLE, ClassTag.PR_MINUS),
              (Kind.DUAL, ClassTag.PR))
     for kind, tag in cases:
-        good = 0
+        tally = _Tally()
         for i in range(n):
             if i % 10 == 0:
                 ratio = canonical_ratio(0.0, sampling._nonzero_real(rng))
@@ -490,21 +461,19 @@ def check_family_transporters(rng, n: int = 1_000) -> list[CheckResult]:
                 ratio = canonical_ratio(sampling._nonzero_real(rng), 0.0)
             else:
                 ratio = canonical_ratio(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            from .projline import CanonicalClass
-
             target = CanonicalClass(tag, ratio=ratio)
             m = MoebiusMap(transporter_nonadmissible(kind, target))
             image = apply(m, pr_base_point(kind, tag))
-            good += same_class(image, target)
+            tally.add(same_class(image, target))
         out.append(CheckResult(
-            f"family-transporter/{tag.value}", good == n,
-            f"{good}/{n} transporters land on target"))
+            f"family-transporter/{tag.value}", tally.full,
+            f"{tally.good}/{n} transporters land on target"))
     return out
 
 
 def check_projection_equivariance(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
-    good = 0
+    tally = _Tally()
     for i in range(n):
         g = sampling.random_sl(Kind.DOUBLE, rng)
         gp, gm = project_sl(g)
@@ -514,10 +483,10 @@ def check_projection_equivariance(rng, n: int = 1_000) -> list[CheckResult]:
         lhs = apply_point(MoebiusMap(g), bijection_f(Kind.DOUBLE, v[0], v[1], family))
         rhs_v = real_apply(comp, v)
         rhs = bijection_f(Kind.DOUBLE, rhs_v[0], rhs_v[1], family)
-        good += equivalent(lhs, rhs)
-    out.append(CheckResult("sl-projection-equivariance/double", good == n,
-                           f"{good}/{n} component actions match"))
-    good = 0
+        tally.add(equivalent(lhs, rhs))
+    out.append(CheckResult("sl-projection-equivariance/double", tally.full,
+                           f"{tally.good}/{n} component actions match"))
+    tally = _Tally()
     for _ in range(n):
         g = sampling.random_sl(Kind.DUAL, rng)
         g1 = project_sl(g)
@@ -525,9 +494,9 @@ def check_projection_equivariance(rng, n: int = 1_000) -> list[CheckResult]:
         lhs = apply_point(MoebiusMap(g), bijection_f(Kind.DUAL, v[0], v[1]))
         rhs_v = real_apply(g1, v)
         rhs = bijection_f(Kind.DUAL, rhs_v[0], rhs_v[1])
-        good += equivalent(lhs, rhs)
-    out.append(CheckResult("sl-projection-equivariance/dual", good == n,
-                           f"{good}/{n} a1-part actions match"))
+        tally.add(equivalent(lhs, rhs))
+    out.append(CheckResult("sl-projection-equivariance/dual", tally.full,
+                           f"{tally.good}/{n} a1-part actions match"))
     return out
 
 
@@ -538,22 +507,22 @@ def check_projection_equivariance(rng, n: int = 1_000) -> list[CheckResult]:
 def check_action_class_preserving(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
     for kind in (Kind.DOUBLE, Kind.DUAL):
-        good = 0
+        tally = _Tally()
         for _ in range(n):
             m = MoebiusMap(sampling.random_gl(kind, rng))
             p = sampling.random_point_mixed(kind, rng)
             u = sampling.random_unit(kind, rng, 0.2, 5.0)
-            good += same_class(apply(m, p.scaled(u)), apply(m, p))
+            tally.add(same_class(apply(m, p.scaled(u)), apply(m, p)))
         out.append(CheckResult(
-            f"action-class-preserving/{kind.name.lower()}", good == n,
-            f"{good}/{n} unit rescalings act identically"))
+            f"action-class-preserving/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} unit rescalings act identically"))
     return out
 
 
 def check_composition(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        good = 0
+        tally = _Tally()
         for _ in range(n):
             m1 = MoebiusMap(sampling.random_gl(kind, rng))
             m2 = MoebiusMap(sampling.random_gl(kind, rng))
@@ -561,10 +530,10 @@ def check_composition(rng, n: int = 1_000) -> list[CheckResult]:
                 else sampling.random_point(kind, rng)
             lhs = apply(compose(m1, m2), p)
             rhs = apply(m1, apply_point(m2, p))
-            good += same_class(lhs, rhs)
+            tally.add(same_class(lhs, rhs))
         out.append(CheckResult(
-            f"composition-homomorphism/{kind.name.lower()}", good == n,
-            f"{good}/{n} compositions agree"))
+            f"composition-homomorphism/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} compositions agree"))
     return out
 
 
@@ -587,33 +556,28 @@ def check_kernels(seed: int) -> list[CheckResult]:
 def check_fixed_point_reapply(rng, n: int = 200) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        good = 0
-        total = 0
-        produced = 0
-        while total < n:
+        tally = _Tally()
+        maps = 0
+        while maps < n:
             m = MoebiusMap(sampling.random_sl(kind, rng))
             if mob_equal(m, identity_map(kind)):
                 continue
-            total += 1
+            maps += 1
             fps = fixed_points(m)
             for cls in fps.points:
-                produced += 1
-                p = class_point(kind, cls)
-                good += same_class(apply(m, p), cls)
+                tally.add(same_class(apply(m, class_point(kind, cls)), cls))
             for family in fps.families:
                 for rep in family.representatives:
-                    produced += 1
-                    good += same_class(apply(m, rep), canonicalize(rep))
+                    tally.add(same_class(apply(m, rep), canonicalize(rep)))
         out.append(CheckResult(
-            f"fixed-point-reapply/{kind.name.lower()}", good == produced,
-            f"{good}/{produced} fixed classes re-apply to themselves"))
+            f"fixed-point-reapply/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{tally.total} fixed classes re-apply to themselves"))
     return out
 
 
 def check_class_vs_fixed_count(rng, n: int = 1_000) -> list[CheckResult]:
     expected = {MapTag.ELLIPTIC: 0, MapTag.PARABOLIC: 1, MapTag.HYPERBOLIC: 2}
-    good = 0
-    total = 0
+    tally = _Tally()
     for i in range(n):
         if i % 5 == 0:
             # conjugated shear: parabolic cases are measure zero otherwise
@@ -634,10 +598,9 @@ def check_class_vs_fixed_count(rng, n: int = 1_000) -> list[CheckResult]:
         fps = fixed_points_real(g)
         if fps is None:
             continue
-        total += 1
-        good += len(fps) == expected[tag]
-    return [CheckResult("trace-class-vs-fixed-count/real", good == total,
-                        f"{good}/{total} maps match the count table")]
+        tally.add(len(fps) == expected[tag])
+    return [CheckResult("trace-class-vs-fixed-count/real", tally.full,
+                        f"{tally.good}/{tally.total} maps match the count table")]
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +649,7 @@ def _magnitude_of(m) -> float:
 def check_group_law(rng, n_specs: int = 20, n_pairs: int = 100) -> list[CheckResult]:
     out = []
     for family, specs in _random_specs(rng, n_specs).items():
-        worst = 0.0
-        good = 0
-        total = 0
+        tally = _Tally()
         for spec in specs:
             for _ in range(n_pairs):
                 t1 = rng.uniform(-3, 3)
@@ -697,12 +658,10 @@ def check_group_law(rng, n_specs: int = 20, n_pairs: int = 100) -> list[CheckRes
                 # exp-scaled families reach 1e10 at |t1+t2| = 6: relative check
                 scale = 1.0 + _magnitude_of(eval_subgroup(spec, t1)) \
                     * _magnitude_of(eval_subgroup(spec, t2))
-                worst = max(worst, r / scale)
-                good += r / scale < 1e-8
-                total += 1
+                tally.add(r / scale < 1e-8, r / scale)
         out.append(CheckResult(
-            f"one-parameter-law/{family}", good == total,
-            f"{good}/{total} (t1,t2) pairs, worst rel {_fmt(worst)}"))
+            f"one-parameter-law/{family}", tally.full,
+            f"{tally.good}/{tally.total} (t1,t2) pairs, worst rel {_fmt(tally.worst)}"))
     return out
 
 
@@ -711,40 +670,32 @@ def check_det_one(rng, n_specs: int = 20) -> list[CheckResult]:
     ts = t_grid(-2.0, 2.0, 0.25)
     specs = _random_specs(rng, n_specs)
     for family in ("double-sl", "dual-sl"):
-        worst = 0.0
-        good = 0
-        total = 0
+        tally = _Tally()
         for spec in specs[family]:
             for t in ts:
                 d = sl_membership_check(spec, t)
                 gap = (d - algebra.one(d.kind)).magnitude()
-                worst = max(worst, gap)
-                good += gap < 1e-8
-                total += 1
+                tally.add(gap < 1e-8, gap)
         out.append(CheckResult(
-            f"determinant-one/{family}", good == total,
-            f"{good}/{total} grid points, worst {_fmt(worst)}"))
+            f"determinant-one/{family}", tally.full,
+            f"{tally.good}/{tally.total} grid points, worst {_fmt(tally.worst)}"))
     return out
 
 
 def check_dual_gl_det(rng, n_specs: int = 20) -> list[CheckResult]:
     ts = t_grid(-2.0, 2.0, 0.25)
-    worst = 0.0
+    tally = _Tally()
     printed_gap = 0.0
-    good = 0
-    total = 0
     for spec in _random_specs(rng, n_specs)["dual-gl"]:
         for t in ts:
             actual = sl_membership_check(spec, t)
             gap = (actual - dual_gl_det_closed_form(spec, t)).magnitude()
             printed_gap = max(printed_gap,
                               (actual - dual_gl_det_printed_form(spec, t)).magnitude())
-            worst = max(worst, gap)
-            good += gap < 1e-8
-            total += 1
+            tally.add(gap < 1e-8, gap)
     return [CheckResult(
-        "determinant-closed-form/dual-gl", good == total,
-        f"{good}/{total} grid points, worst {_fmt(worst)}; "
+        "determinant-closed-form/dual-gl", tally.full,
+        f"{tally.good}/{tally.total} grid points, worst {_fmt(tally.worst)}; "
         f"cos(2t+t0) variant drifts up to {_fmt(printed_gap)}")]
 
 
@@ -753,16 +704,12 @@ def check_centralizer_grid() -> list[CheckResult]:
     values = [-2.0 + 0.5 * k for k in range(9)]
     for sigma_kind in NONTRIVIAL:
         s = sigma_kind.sigma
-        good = 0
-        total = 0
-        commute_ok = 0
-        successes = 0
+        grid, commute = _Tally(), _Tally()
         h = rotation_real(sigma_kind, 0.7)
         for p in values:
             for q in values:
                 for r in values:
                     for w in values:
-                        total += 1
                         b = np.array([[p, q], [r, w]])
                         structural = (p == w) and (q == s * r)
                         try:
@@ -770,52 +717,38 @@ def check_centralizer_grid() -> list[CheckResult]:
                             solved = True
                         except NotInCentralizerError:
                             solved = False
-                        good += solved == structural
+                        grid.add(solved == structural)
                         if solved:
-                            successes += 1
-                            commute_ok += float(np.max(np.abs(b @ h - h @ b))) < 1e-9
+                            commute.add(float(np.max(np.abs(b @ h - h @ b))) < 1e-9)
         out.append(CheckResult(
-            f"centralizer-grid/{sigma_kind.letter}",
-            good == total and commute_ok == successes,
-            f"{good}/{total} grid matrices, {commute_ok}/{successes} successes commute"))
+            f"centralizer-grid/{sigma_kind.letter}", grid.full and commute.full,
+            f"{grid.good}/{grid.total} grid matrices, "
+            f"{commute.good}/{commute.total} successes commute"))
     return out
 
 
 def check_exp_cross(rng, n_specs: int = 10) -> list[CheckResult]:
     out = []
     for family, specs in _random_specs(rng, n_specs).items():
-        worst = 0.0
-        good = 0
+        tally = _Tally()
         for spec in specs:
-            spec = _clamp_params(spec)
-            r = exp_cross_check(spec)
-            worst = max(worst, r)
-            good += r < 1e-5
+            r = exp_cross_check(_clamp_params(spec))
+            tally.add(r < 1e-5, r)
         out.append(CheckResult(
-            f"exp-oracle/{family}", good == len(specs),
-            f"{good}/{len(specs)} descriptions, worst {_fmt(worst)}"))
+            f"exp-oracle/{family}", tally.full,
+            f"{tally.good}/{len(specs)} descriptions, worst {_fmt(tally.worst)}"))
     return out
 
 
 def _clamp_params(spec):
-    clamp = lambda v: max(-1.5, min(1.5, v))
-    if isinstance(spec, RealGL):
-        return RealGL(spec.sigma, clamp(spec.lam))
-    if isinstance(spec, DoubleSL):
-        return DoubleSL(spec.sigma_plus, spec.sigma_minus, clamp(spec.a))
-    if isinstance(spec, DoubleGL):
-        return DoubleGL(spec.sigma_plus, clamp(spec.lam_plus),
-                        spec.sigma_minus, clamp(spec.lam_minus), clamp(spec.a))
-    if isinstance(spec, DualGL):
-        lam = clamp(spec.lam) or 0.5
-        return DualGL(spec.sigma, clamp(spec.lam1), lam, clamp(spec.t0))
-    lam = clamp(spec.lam) or 0.5
-    return DualSL(spec.sigma, lam, clamp(spec.lam1), clamp(spec.t0))
+    """The spec with each real parameter of its literal clamped to [-1.5, 1.5]."""
+    _, grammar = GRAMMAR[spec.family]
+    return replace(spec, **{attr: max(-1.5, min(1.5, getattr(spec, attr)))
+                            for _, attr, _ in grammar if not attr.startswith("sigma")})
 
 
 def check_swap_homomorphism(rng, n: int = 200) -> list[CheckResult]:
-    good = 0
-    worst = 0.0
+    tally = _Tally()
     for i in range(n):
         if i % 2 == 0:
             spec = DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))],
@@ -831,10 +764,9 @@ def check_swap_homomorphism(rng, n: int = 200) -> list[CheckResult]:
         rhs = swap_image(eval_subgroup(spec, t))
         gap = (lhs - rhs).max_entry_magnitude()
         rel = gap / (1.0 + rhs.max_entry_magnitude())
-        worst = max(worst, rel)
-        good += rel <= 1e-12
-    return [CheckResult("component-swap-homomorphism/double", good == n,
-                        f"{good}/{n} samples, worst rel {_fmt(worst)}")]
+        tally.add(rel <= 1e-12, rel)
+    return [CheckResult("component-swap-homomorphism/double", tally.full,
+                        f"{tally.good}/{n} samples, worst rel {_fmt(tally.worst)}")]
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +775,7 @@ def check_swap_homomorphism(rng, n: int = 200) -> list[CheckResult]:
 
 def check_orbit_two_regime(rng, n_sets: int = 20) -> list[CheckResult]:
     ts = t_grid(-2.0, 2.0, 0.1)
-    worst = 0.0
-    good = 0
-    total = 0
+    tally = _Tally()
     for _ in range(n_sets):
         spec = DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))],
                         NONTRIVIAL[int(rng.integers(0, 3))],
@@ -855,36 +785,28 @@ def check_orbit_two_regime(rng, n_sets: int = 20) -> list[CheckResult]:
         for row in sample.rows:
             if row.residual_primary is None:
                 continue
-            total += 1
-            worst = max(worst, abs(row.residual_primary))
-            good += abs(row.residual_primary) < 1e-8
-    return [CheckResult("orbit-equation/two-regime", good == total,
-                        f"{good}/{total} applicable rows, worst {_fmt(worst)}")]
+            tally.add(abs(row.residual_primary) < 1e-8, abs(row.residual_primary))
+    return [CheckResult("orbit-equation/two-regime", tally.full,
+                        f"{tally.good}/{tally.total} applicable rows, worst {_fmt(tally.worst)}")]
 
 
 def check_orbit_shear_pair(rng, n_sets: int = 20) -> list[CheckResult]:
     ts = t_grid(-2.0, 2.0, 0.1)
-    worst = 0.0
-    good = 0
-    total = 0
-    agree = 0
-    agree_total = 0
+    rows, agree = _Tally(), _Tally()
     for _ in range(n_sets):
         spec = DoubleSL(SigmaKind.PARABOLIC, SigmaKind.PARABOLIC, rng.uniform(0.5, 2.0))
         start = start_double(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
         sample = sampled_orbit(spec, start, ts)
         for row in sample.rows:
             if row.residual_secondary is not None:
-                total += 1
                 # rows near projective poles carry coordinates ~1/dist; the
                 # quadratic form is then computable only to ~(u^2+v^2)*eps
                 scale = 1.0 + row.u * row.u + row.v * row.v
-                worst = max(worst, abs(row.residual_secondary) / scale)
-                good += abs(row.residual_secondary) < 1e-8 * scale
+                rows.add(abs(row.residual_secondary) < 1e-8 * scale,
+                         abs(row.residual_secondary) / scale)
             if row.residual_primary is not None and row.residual_secondary is not None:
-                agree_total += 1
-                agree += (abs(row.residual_primary) < 1e-8) \
-                    == (abs(row.residual_secondary) < 1e-8)
+                agree.add((abs(row.residual_primary) < 1e-8)
+                          == (abs(row.residual_secondary) < 1e-8))
         # the two forms must also agree off orbit
         for _ in range(5):
             u, v = rng.uniform(-3, 3), rng.uniform(-3, 3)
@@ -892,21 +814,16 @@ def check_orbit_shear_pair(rng, n_sets: int = 20) -> list[CheckResult]:
             r1 = residual_shear_pair(spec.a, start, u, v)
             if r11 is None or r1 is None:
                 continue
-            agree_total += 1
-            agree += (abs(r11) < 1e-8) == (abs(r1) < 1e-8)
-    ok = good == total and agree == agree_total
-    return [CheckResult("orbit-equation/shear-pair", ok,
-                        f"{good}/{total} rows, worst {_fmt(worst)}; "
-                        f"{agree}/{agree_total} vanish together with the general form")]
+            agree.add((abs(r11) < 1e-8) == (abs(r1) < 1e-8))
+    return [CheckResult("orbit-equation/shear-pair", rows.full and agree.full,
+                        f"{rows.good}/{rows.total} rows, worst {_fmt(rows.worst)}; "
+                        f"{agree.good}/{agree.total} vanish together with the general form")]
 
 
 def check_orbit_line(rng, n_sets: int = 20) -> list[CheckResult]:
     ts = t_grid(-2.0, 2.0, 0.1)
-    worst_line = 0.0
+    line, pattern = _Tally(), _Tally()
     worst_corr = 0.0
-    good = 0
-    total = 0
-    printed_pattern_ok = 0
     for i in range(n_sets):
         sigma = NONTRIVIAL[int(rng.integers(0, 3))]
         spec = DoubleSL(sigma, SigmaKind.TRIVIAL)
@@ -917,20 +834,18 @@ def check_orbit_line(rng, n_sets: int = 20) -> list[CheckResult]:
             if row.u is None:
                 continue
             res = residual_trivial_minus(start, row.u, row.v)
-            total += 1
             lin = 1.0 + abs(row.u) + abs(row.v)
             quad = 1.0 + row.u * row.u + row.v * row.v
-            worst_line = max(worst_line, abs(res.line) / lin)
             worst_corr = max(worst_corr, abs(res.corrected) / quad)
-            good += abs(res.line) < 1e-10 * lin and abs(res.corrected) < 1e-10 * quad
+            line.add(abs(res.line) < 1e-10 * lin and abs(res.corrected) < 1e-10 * quad,
+                     abs(res.line) / lin)
             # on the orbit the circulating variant reduces to 2v(1 - y-)
             predicted = 2.0 * row.v * (1.0 - y_minus)
-            printed_pattern_ok += abs(res.printed - predicted) < 1e-9 * quad
-    ok = good == total and printed_pattern_ok == total
-    return [CheckResult("orbit-equation/trivial-minus-line", ok,
-                        f"{good}/{total} rows, worst line {_fmt(worst_line)}, "
+            pattern.add(abs(res.printed - predicted) < 1e-9 * quad)
+    return [CheckResult("orbit-equation/trivial-minus-line", line.full and pattern.full,
+                        f"{line.good}/{line.total} rows, worst line {_fmt(line.worst)}, "
                         f"corrected {_fmt(worst_corr)}; unmodified variant = 2v(1-y-) "
-                        f"on {printed_pattern_ok}/{total}")]
+                        f"on {pattern.good}/{line.total}")]
 
 
 def check_orbit_dual_report(rng, n_sets: int = 8) -> list[CheckResult]:
@@ -951,8 +866,7 @@ def check_orbit_dual_report(rng, n_sets: int = 8) -> list[CheckResult]:
 
 
 def check_orbit_discrimination(rng, n: int = 500) -> list[CheckResult]:
-    hits = 0
-    total = 0
+    tally = _Tally()
     for _ in range(n):
         a = rng.uniform(0.5, 2.0)
         start = start_double(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
@@ -960,11 +874,10 @@ def check_orbit_discrimination(rng, n: int = 500) -> list[CheckResult]:
         r = residual_shear_pair(a, start, u, v)
         if r is None:
             continue
-        total += 1
-        hits += abs(r) > 1e-3
-    share = hits / max(total, 1)
+        tally.add(abs(r) > 1e-3)
+    share = tally.good / max(tally.total, 1)
     return [CheckResult("orbit-equation/off-orbit-discrimination", share > 0.9,
-                        f"{hits}/{total} random points rejected")]
+                        f"{tally.good}/{tally.total} random points rejected")]
 
 
 # ---------------------------------------------------------------------------

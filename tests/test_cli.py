@@ -89,10 +89,24 @@ class TestExitCodes:
         assert run(["--bogus"], capsys)[0] == 64
         assert run(["orbit", "--spec", "x"], capsys)[0] == 64  # missing required flags
 
-    def test_domain_error_is_2(self, capsys):
-        code, _, err = run(["classify-element", "--algebra", "dual", "zzz"], capsys)
-        assert code == 2
-        assert "error" in err
+    def test_domain_error_is_2(self, capsys, tmp_path):
+        shear = "double-sl(sigma+=N,sigma-=N,a=1)"
+        cases = [
+            ["classify-element", "--algebra", "dual", "zzz"],
+            ["subgroup-eval", "--spec", "real-gl(sigma=K, lambda=abc)", "--t", "1"],
+            ["subgroup-eval", "--spec", "double-sl(sigma+=K, sigma-=A, a=nan)", "--t", "1"],
+            ["subgroup-eval", "--spec", "dual-sl(sigma=K, lambda=inf)", "--t", "1"],
+            ["subgroup-eval", "--spec", shear, "--t", "abc"],
+            ["subgroup-eval", "--spec", shear, "--t", "0:inf:1"],
+            ["subgroup-eval", "--spec", shear, "--t", "0:1:nan"],
+            ["orbit", "--spec", "real-gl(sigma=K, lambda=0.5)", "--start", "1,2", "--t", "0"],
+            ["orbit", "--spec", shear, "--start", "1,2", "--t", "0",
+             "--out-file", str(tmp_path / "missing" / "orbit.csv")],
+        ]
+        for argv in cases:
+            code, _, err = run(argv, capsys)
+            assert code == 2, argv
+            assert err.startswith("error: "), argv
 
     def test_nonpositive_tolerance_is_usage_error(self, capsys):
         code, _, _ = run(["classify-element", "--algebra", "dual",

@@ -37,6 +37,9 @@ class TestGrid:
     def test_bad_step(self):
         with pytest.raises(DomainError):
             t_grid(0, 1, 0)
+        for bad in ((0, math.inf, 1), (0, 1, math.nan), (math.nan, 1, 0.5)):
+            with pytest.raises(DomainError):
+                t_grid(*bad)
 
 
 class TestOracle:

@@ -67,6 +67,18 @@ class TestEval:
         with pytest.raises(DomainError):
             DualSL(SigmaKind.ELLIPTIC, 0.0)
 
+    def test_dual_sl_undeformed_when_t0_zero(self):
+        # sin_sigma(t0) = 0 removes the eps-deformation; the spec stays valid
+        from hypermoebius.matrix2 import parts_dual
+
+        for sigma in NONTRIVIAL:
+            spec = DualSL(sigma, 1.0, 0.5, 0.0)
+            assert classify_spec(spec).family == "dual-sl"
+            for t in (-1.3, 0.4, 2.0):
+                a1, a2 = parts_dual(eval_subgroup(spec, t))
+                assert np.array_equal(a2, np.zeros((2, 2)))
+                assert np.array_equal(a1, rotation_real(sigma, t))
+
     def test_dual_sl_needs_active_regime(self):
         with pytest.raises(DomainError):
             DualSL(SigmaKind.TRIVIAL, 1.0)
@@ -205,12 +217,16 @@ class TestConjugation:
 
 class TestSwap:
     def test_image_matches_reparametrized_mirror(self):
-        spec = DoubleSL(SigmaKind.ELLIPTIC, SigmaKind.HYPERBOLIC, 2.0)
-        mirrored, scale = swap_double(spec)
-        t = 0.77
-        lhs = eval_subgroup(mirrored, scale * t)
-        rhs = swap_image(eval_subgroup(spec, t))
-        assert (lhs - rhs).max_entry_magnitude() < 1e-12
+        specs = [DoubleSL(SigmaKind.ELLIPTIC, SigmaKind.HYPERBOLIC, 2.0),
+                 # a trivial or frozen minus component keeps its rate lam- * a
+                 DoubleGL(SigmaKind.ELLIPTIC, 0.5, SigmaKind.TRIVIAL, 0.7, a=2.0),
+                 DoubleGL(SigmaKind.ELLIPTIC, 0.5, SigmaKind.HYPERBOLIC, 0.7, a=0.0)]
+        for spec in specs:
+            mirrored, scale = swap_double(spec)
+            for t in (0.77, 0.9):
+                lhs = eval_subgroup(mirrored, scale * t)
+                rhs = swap_image(eval_subgroup(spec, t))
+                assert (lhs - rhs).max_entry_magnitude() < 1e-12
 
     def test_trivial_minus_swaps_to_trivial_plus(self):
         mirrored, scale = swap_double(DoubleSL(SigmaKind.PARABOLIC, SigmaKind.TRIVIAL))
@@ -290,3 +306,8 @@ class TestTextForm:
             parse_spec("dual-sl(sigma=N, lambda=1, bogus=2)")
         with pytest.raises(InvalidLiteralError):
             parse_spec("unheard-of(x=1)")
+        for text in ("real-gl(sigma=K, lambda=abc)",
+                     "double-sl(sigma+=K, sigma-=A, a=nan)",
+                     "dual-sl(sigma=K, lambda=inf)"):
+            with pytest.raises(InvalidLiteralError):
+                parse_spec(text)
