@@ -11,18 +11,22 @@ Scalars are double-precision floats.  Two tolerances are used throughout:
 ``TAU_ZERO`` decides structural questions ("is this component zero?") and
 ``TAU_ALG`` checks algebraic identities on computed values.
 
-The module also provides the sigma-parametrised trigonometric functions
-(circular for sigma=-1, linear for sigma=0, hyperbolic for sigma=+1) used by
-the one-parameter subgroup machinery.
+The module also provides batched kernels over stacks of numbers, which
+match the scalar arithmetic bit for bit, and the sigma-parametrised
+trigonometric functions (circular for sigma=-1, linear for sigma=0,
+hyperbolic for sigma=+1) used by the one-parameter subgroup machinery.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -61,6 +65,8 @@ class Kind(Enum):
 
 
 _SYMBOLS = {Kind.COMPLEX: "i", Kind.DUAL: "e", Kind.DOUBLE: "j"}
+# plain dict: the Enum property costs a descriptor call per ring multiply
+_SIGMA_OF = {kind: kind.value for kind in Kind}
 _KIND_NAMES = {"complex": Kind.COMPLEX, "dual": Kind.DUAL, "double": Kind.DOUBLE}
 
 
@@ -99,23 +105,36 @@ class Hypercomplex:
         return _coerce(self.kind, other) - self
 
     def __mul__(self, other: "Hypercomplex | float") -> "Hypercomplex":
+        if isinstance(other, Hypercomplex):
+            _check_kinds(self, other)
+            s = _SIGMA_OF[self.kind]
+            return Hypercomplex(
+                self.kind,
+                self.a1 * other.a1 + s * self.a2 * other.a2,
+                self.a1 * other.a2 + self.a2 * other.a1,
+            )
         if isinstance(other, (int, float)):
             return Hypercomplex(self.kind, self.a1 * other, self.a2 * other)
-        _check_kinds(self, other)
-        s = self.kind.sigma
-        return Hypercomplex(
-            self.kind,
-            self.a1 * other.a1 + s * self.a2 * other.a2,
-            self.a1 * other.a2 + self.a2 * other.a1,
-        )
+        if isinstance(other, numbers.Real):
+            return self * float(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Hypercomplex | float") -> "Hypercomplex":
+        if isinstance(other, Hypercomplex):
+            _check_kinds(self, other)
+            return self * invert(other)
         if isinstance(other, (int, float)):
             return Hypercomplex(self.kind, self.a1 / other, self.a2 / other)
-        _check_kinds(self, other)
-        return self * invert(other)
+        if isinstance(other, numbers.Real):
+            return self / float(other)
+        return NotImplemented
+
+    def __rtruediv__(self, other: float) -> "Hypercomplex":
+        if isinstance(other, numbers.Real):
+            return invert(self) * other
+        return NotImplemented
 
     def __neg__(self) -> "Hypercomplex":
         return Hypercomplex(self.kind, -self.a1, -self.a2)
@@ -268,6 +287,58 @@ def sqrt_all(
 
 
 # ---------------------------------------------------------------------------
+# batched kernels
+#
+# A stack of numbers is a float array of shape (..., 2) holding (a1, a2).
+# Each kernel repeats the expression tree of its scalar twin, so on the same
+# inputs the two agree bit for bit.
+
+
+def mul_many(sigma: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` elementwise in the algebra whose generator squares to sigma."""
+    x1, x2 = x[..., 0], x[..., 1]
+    y1, y2 = y[..., 0], y[..., 1]
+    return np.stack((x1 * y1 + sigma * x2 * y2, x1 * y2 + x2 * y1), axis=-1)
+
+
+def magnitude_many(x: np.ndarray) -> np.ndarray:
+    """:meth:`Hypercomplex.magnitude` of each number."""
+    return np.abs(x).max(axis=-1)
+
+
+def decompose_many(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decompose` of each double number: the arrays (a+, a-)."""
+    return x[..., 0] + x[..., 1], x[..., 0] - x[..., 1]
+
+
+def recompose_many(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """:func:`recompose` of each component pair."""
+    return np.stack(((plus + minus) / 2.0, (plus - minus) / 2.0), axis=-1)
+
+
+def invert_many(kind: Kind, x: np.ndarray) -> np.ndarray:
+    """:func:`invert` of each number; raises for the first non-unit."""
+    a1, a2 = x[..., 0], x[..., 1]
+    if kind is Kind.DOUBLE:
+        p, m = decompose_many(x)
+        singular = (abs(p) <= TAU_ZERO) | (abs(m) <= TAU_ZERO)
+    elif kind is Kind.DUAL:
+        singular = abs(a1) <= TAU_ZERO
+    else:
+        singular = (abs(a1) <= TAU_ZERO) & (abs(a2) <= TAU_ZERO)
+    if singular.any():
+        b1, b2 = x[singular][0].tolist()
+        raise NotInvertibleError(classify_element(Hypercomplex(kind, b1, b2)))
+    if kind is Kind.DOUBLE:
+        return recompose_many(1.0 / p, 1.0 / m)
+    if kind is Kind.DUAL:
+        r = 1.0 / a1
+        return np.stack((r, -r * r * a2), axis=-1)
+    d = a1 * a1 + a2 * a2
+    return np.stack((a1 / d, -a2 / d), axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # sigma-trigonometry
 
 _SIGMAS = (-1, 0, 1)
@@ -386,8 +457,6 @@ def _fmt(v: float) -> str:
     if v == 0.0:
         v = 0.0  # normalize -0.0
     # positional notation only: the grammar carries no exponent part
-    import numpy as np
-
     return np.format_float_positional(v, trim="-")
 
 

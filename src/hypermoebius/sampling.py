@@ -15,6 +15,9 @@ from . import algebra
 from .algebra import Hypercomplex, Kind
 from .matrix2 import Mat2, adj_real, double_from_components, dual_from_parts
 from .projline import ProjPoint, point
+from .subgroups import DoubleGL, DoubleSL, DualGL, DualSL, RealGL, SigmaKind
+
+NONTRIVIAL = (SigmaKind.ELLIPTIC, SigmaKind.PARABOLIC, SigmaKind.HYPERBOLIC)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -46,6 +49,33 @@ def random_unit(kind: Kind, rng: np.random.Generator,
             if min(abs(p), abs(m)) < lo / 2.0:
                 continue
         return x
+
+
+def random_numbers(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """A (*shape, 2) stack of default :func:`random_number` draws, in the same
+    stream order as the scalar calls made one after another."""
+    return rng.uniform(-2.0, 2.0, size=(*shape, 2))
+
+
+def random_units(kind: Kind, rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (count, 2) stack of default :func:`random_unit` draws, in the same
+    stream order.
+
+    Each attempt takes four doubles, a sign and a magnitude per coordinate,
+    and the magnitude is formed as ``Generator.uniform`` forms it.  A round
+    draws only as many attempts as units are still missing, so rejected
+    double attempts leave the generator where the scalar loop leaves it.
+    """
+    lo, hi = 0.1, 10.0
+    out = np.empty((0, 2))
+    while len(out) < count:
+        u = rng.random((count - len(out), 2, 2))
+        x = np.where(u[..., 0] < 0.5, 1.0, -1.0) * (lo + (hi - lo) * u[..., 1])
+        if kind is Kind.DOUBLE:
+            p, m = algebra.decompose_many(x)
+            x = x[np.minimum(abs(p), abs(m)) >= lo / 2.0]
+        out = np.concatenate((out, x))
+    return out
 
 
 def random_point(kind: Kind, rng: np.random.Generator, span: float = 2.0) -> ProjPoint:
@@ -185,3 +215,39 @@ def random_sl(kind: Kind, rng: np.random.Generator, span: float = 2.0) -> Mat2:
     from .matrix2 import normalize_to_sl
 
     return normalize_to_sl(random_gl(kind, rng, span))
+
+
+def random_specs(rng: np.random.Generator, n_per_family: int = 20) -> dict[str, list]:
+    """Random subgroup specs keyed by family: n_per_family of each with
+    nontrivial regimes, plus one with a trivial component for real-gl,
+    double-sl and dual-gl."""
+    families = {}
+    families["real-gl"] = [
+        RealGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1))
+        for _ in range(n_per_family)
+    ] + [RealGL(SigmaKind.TRIVIAL, rng.uniform(-1, 1))]
+    families["double-sl"] = [
+        DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))],
+                 NONTRIVIAL[int(rng.integers(0, 3))],
+                 rng.uniform(0.5, 2.0))
+        for _ in range(n_per_family)
+    ] + [DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))], SigmaKind.TRIVIAL)]
+    families["double-gl"] = [
+        DoubleGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
+                 NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
+                 rng.uniform(0.5, 2.0))
+        for _ in range(n_per_family)
+    ]
+    families["dual-gl"] = [
+        DualGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
+               _signed_magnitude(rng, 0.5, 2.0), rng.uniform(-1, 1))
+        for _ in range(n_per_family)
+    ] + [DualGL(SigmaKind.TRIVIAL, rng.uniform(-1, 1),
+                _signed_magnitude(rng, 0.5, 2.0), rng.uniform(-1, 1))]
+    families["dual-sl"] = [
+        DualSL(NONTRIVIAL[int(rng.integers(0, 3))],
+               _signed_magnitude(rng, 0.5, 2.0),
+               rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for _ in range(n_per_family)
+    ]
+    return families

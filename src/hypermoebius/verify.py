@@ -3,6 +3,14 @@
 Every check draws from one seeded generator, so a fixed seed reproduces the
 report byte for byte.  Checks are keyed by what they verify; each line of
 the report reads "<key>: PASS|FAIL (<counts / worst residuals>)".
+
+The fixed-draw sweeps (ring laws, unit inverses, the idempotent split, det
+multiplicativity, the det component formulas and the adjugate identity) run
+on the batched kernels of ``algebra`` and ``matrix2``, ``_CHUNK`` samples
+at a time.  Each chunk draws from the generator exactly what the scalar loop
+over the same samples would draw, in the same order, so the generator
+reaches every later check in the same state and the report is the one the
+scalar loops give.
 """
 
 from __future__ import annotations
@@ -13,19 +21,31 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import algebra, sampling
-from .algebra import Hypercomplex, Kind, decompose, recompose
+from .algebra import (
+    Hypercomplex,
+    Kind,
+    decompose,
+    decompose_many,
+    invert_many,
+    magnitude_many,
+    mul_many,
+    recompose,
+)
 from .errors import NotInCentralizerError
 from .matrix2 import (
     Mat2,
-    det,
-    det_dual_formula,
-    det_split_double,
+    as_array,
+    det_dual_formula_many,
+    det_many,
+    det_split_double_many,
     double_from_components,
-    dual_from_parts,
-    hat,
+    double_from_components_many,
+    dual_from_parts_many,
+    hat_many,
     identity,
     mat_exp,
     mat_exp_real,
+    matmul_many,
 )
 from .moebius import (
     MapTag,
@@ -66,13 +86,12 @@ from .projline import (
     transporter_nonadmissible,
     transporter_to,
 )
+from .sampling import NONTRIVIAL
 from .subgroups import (
     DoubleGL,
     DoubleSL,
-    DualGL,
     DualSL,
     GRAMMAR,
-    RealGL,
     SigmaKind,
     centralizer_solve,
     dual_gl_det_closed_form,
@@ -87,7 +106,6 @@ from .subgroups import (
 )
 
 RING_KINDS = (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL)
-NONTRIVIAL = (SigmaKind.ELLIPTIC, SigmaKind.PARABOLIC, SigmaKind.HYPERBOLIC)
 
 
 @dataclass(frozen=True)
@@ -118,9 +136,28 @@ class _Tally:
         self.total += 1
         self.worst = max(self.worst, residual)
 
+    def add_many(self, ok: np.ndarray, residual: np.ndarray) -> None:
+        """``add`` for each sample; like ``max``, ``worst`` passes over NaN."""
+        self.good += int(np.count_nonzero(ok))
+        self.total += ok.size
+        self.worst = float(np.fmax.reduce(residual, initial=self.worst))
+
     @property
     def full(self) -> bool:
         return self.good == self.total
+
+
+_CHUNK = 1_000  # samples per batched step: keeps the sweep arrays near 100 kB
+
+
+def _sweep(name: str, what: str, n: int, draw, residual, bound: float) -> CheckResult:
+    """``residual(draw(k)) <= bound`` over n samples, k at a time; the detail
+    reads "<passed>/<n> <what> <worst residual>"."""
+    tally = _Tally()
+    for start in range(0, n, _CHUNK):
+        res = residual(draw(min(_CHUNK, n - start)))
+        tally.add_many(res <= bound, res)
+    return CheckResult(name, tally.full, f"{tally.good}/{n} {what} {_fmt(tally.worst)}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +167,22 @@ class _Tally:
 def check_ring_laws(rng, n: int = 10_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        tally = _Tally()
-        for _ in range(n):
-            x = sampling.random_number(kind, rng)
-            y = sampling.random_number(kind, rng)
-            z = sampling.random_number(kind, rng)
-            scale = 1.0 + max(x.magnitude(), y.magnitude(), z.magnitude()) ** 3
+        s = kind.sigma
+
+        def rel(xyz):
+            x, y, z = xyz.swapaxes(0, 1)
+            # Python's pow: numpy's vectorised power may differ in the last bit
+            cube = [m ** 3 for m in magnitude_many(xyz).max(axis=1).tolist()]
+            xy = mul_many(s, x, y)
             gaps = (
-                ((x * y) - (y * x)).magnitude(),
-                ((x * y) * z - x * (y * z)).magnitude(),
-                (x * (y + z) - (x * y + x * z)).magnitude(),
+                magnitude_many(xy - mul_many(s, y, x)),
+                magnitude_many(mul_many(s, xy, z) - mul_many(s, x, mul_many(s, y, z))),
+                magnitude_many(mul_many(s, x, y + z) - (xy + mul_many(s, x, z))),
             )
-            rel = max(gaps) / scale
-            tally.add(rel <= 1e-12, rel)
-        out.append(CheckResult(
-            f"ring-laws/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} triples, worst rel {_fmt(tally.worst)}"))
+            return np.maximum.reduce(gaps) / (1.0 + np.array(cube))
+
+        out.append(_sweep(f"ring-laws/{kind.name.lower()}", "triples, worst rel", n,
+                          lambda k: sampling.random_numbers(rng, (k, 3)), rel, 1e-12))
     return out
 
 
@@ -161,14 +198,11 @@ def check_generator_squares() -> list[CheckResult]:
 def check_inverses(rng, n: int = 10_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        tally = _Tally()
-        for _ in range(n):
-            x = sampling.random_unit(kind, rng)
-            gap = (x * algebra.invert(x) - algebra.one(kind)).magnitude()
-            tally.add(gap <= 1e-12, gap)
-        out.append(CheckResult(
-            f"unit-inverse/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} units, worst {_fmt(tally.worst)}"))
+        def gap(x):  # |x * x^-1 - 1|
+            return magnitude_many(mul_many(kind.sigma, x, invert_many(kind, x)) - (1.0, 0.0))
+
+        out.append(_sweep(f"unit-inverse/{kind.name.lower()}", "units, worst", n,
+                          lambda k: sampling.random_units(kind, rng, k), gap, 1e-12))
     return out
 
 
@@ -225,18 +259,15 @@ def check_idempotent_census() -> list[CheckResult]:
 
 
 def check_split_isomorphism(rng, n: int = 10_000) -> list[CheckResult]:
-    tally = _Tally()
-    for _ in range(n):
-        x = sampling.random_number(Kind.DOUBLE, rng)
-        y = sampling.random_number(Kind.DOUBLE, rng)
-        xp, xm = decompose(x)
-        yp, ym = decompose(y)
-        zp, zm = decompose(x * y)
-        scale = 1.0 + max(abs(xp * yp), abs(xm * ym))
-        rel = max(abs(zp - xp * yp), abs(zm - xm * ym)) / scale
-        tally.add(rel <= 1e-12, rel)
-    return [CheckResult("split-isomorphism/double", tally.full,
-                        f"{tally.good}/{n} products, worst rel {_fmt(tally.worst)}")]
+    def rel(xy):
+        x, y = xy.swapaxes(0, 1)
+        (xp, xm), (yp, ym) = decompose_many(x), decompose_many(y)
+        zp, zm = decompose_many(mul_many(Kind.DOUBLE.sigma, x, y))
+        scale = 1.0 + np.maximum(abs(xp * yp), abs(xm * ym))
+        return np.maximum(abs(zp - xp * yp), abs(zm - xm * ym)) / scale
+
+    return [_sweep("split-isomorphism/double", "products, worst rel", n,
+                   lambda k: sampling.random_numbers(rng, (k, 2)), rel, 1e-12)]
 
 
 def check_trig_roundtrip(rng, n: int = 1_000) -> list[CheckResult]:
@@ -261,48 +292,48 @@ def check_trig_roundtrip(rng, n: int = 1_000) -> list[CheckResult]:
 def check_det_multiplicative(rng, n: int = 10_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        tally = _Tally()
-        for _ in range(n):
-            x = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
-            y = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
-            gap = (det(x @ y) - det(x) * det(y)).magnitude()
-            scale = 1.0 + (det(x) * det(y)).magnitude()
-            tally.add(gap / scale <= 1e-10, gap / scale)
-        out.append(CheckResult(
-            f"det-multiplicative/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} pairs, worst rel {_fmt(tally.worst)}"))
+        s = kind.sigma
+
+        def rel(xy):
+            x, y = xy.swapaxes(0, 1)
+            prod = mul_many(s, det_many(s, x), det_many(s, y))
+            gap = magnitude_many(det_many(s, matmul_many(s, x, y)) - prod)
+            return gap / (1.0 + magnitude_many(prod))
+
+        out.append(_sweep(f"det-multiplicative/{kind.name.lower()}", "pairs, worst rel", n,
+                          lambda k: sampling.random_numbers(rng, (k, 2, 4)), rel, 1e-10))
     return out
 
 
 def check_det_component_formulas(rng, n: int = 10_000) -> list[CheckResult]:
     out = []
-    for name, build, formula, what in (
-            ("det-split/double", double_from_components, det_split_double, "component pairs"),
-            ("det-epsilon-split/dual", dual_from_parts, det_dual_formula, "part pairs")):
-        tally = _Tally()
-        for _ in range(n):
-            first = rng.uniform(-2, 2, size=(2, 2))
-            second = rng.uniform(-2, 2, size=(2, 2))
-            gap = (det(build(first, second)) - formula(first, second)).magnitude()
-            tally.add(gap <= 1e-10, gap)
-        out.append(CheckResult(name, tally.full,
-                               f"{tally.good}/{n} {what}, worst {_fmt(tally.worst)}"))
+    for name, s, build, formula, what in (
+            ("det-split/double", Kind.DOUBLE.sigma, double_from_components_many,
+             det_split_double_many, "component pairs"),
+            ("det-epsilon-split/dual", Kind.DUAL.sigma, dual_from_parts_many,
+             det_dual_formula_many, "part pairs")):
+
+        def gap(pairs):
+            first, second = pairs.swapaxes(0, 1)
+            return magnitude_many(det_many(s, build(first, second)) - formula(first, second))
+
+        out.append(_sweep(name, f"{what}, worst", n,
+                          lambda k: rng.uniform(-2, 2, size=(k, 2, 2, 2)), gap, 1e-10))
     return out
 
 
 def check_adjugate_identity(rng, n: int = 2_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        tally = _Tally()
-        for _ in range(n):
-            x = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
-            lhs = x @ hat(x)
-            rhs = identity(kind).scale(det(x))
-            gap = (lhs - rhs).max_entry_magnitude()
-            tally.add(gap <= 1e-10, gap)
-        out.append(CheckResult(
-            f"adjugate-identity/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} matrices, worst {_fmt(tally.worst)}"))
+        s, eye = kind.sigma, as_array(identity(kind))
+
+        def gap(x):
+            lhs = matmul_many(s, x, hat_many(x))
+            rhs = mul_many(s, eye, det_many(s, x)[:, None, :])  # eye.scale(det x)
+            return magnitude_many(lhs - rhs).max(axis=1)
+
+        out.append(_sweep(f"adjugate-identity/{kind.name.lower()}", "matrices, worst", n,
+                          lambda k: sampling.random_numbers(rng, (k, 4)), gap, 1e-10))
     return out
 
 
@@ -607,39 +638,6 @@ def check_class_vs_fixed_count(rng, n: int = 1_000) -> list[CheckResult]:
 # subgroup checks
 
 
-def _random_specs(rng, n_per_family: int = 20):
-    families = {}
-    families["real-gl"] = [
-        RealGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1))
-        for _ in range(n_per_family)
-    ] + [RealGL(SigmaKind.TRIVIAL, rng.uniform(-1, 1))]
-    families["double-sl"] = [
-        DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))],
-                 NONTRIVIAL[int(rng.integers(0, 3))],
-                 rng.uniform(0.5, 2.0))
-        for _ in range(n_per_family)
-    ] + [DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))], SigmaKind.TRIVIAL)]
-    families["double-gl"] = [
-        DoubleGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
-                 NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
-                 rng.uniform(0.5, 2.0))
-        for _ in range(n_per_family)
-    ]
-    families["dual-gl"] = [
-        DualGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
-               sampling._signed_magnitude(rng, 0.5, 2.0), rng.uniform(-1, 1))
-        for _ in range(n_per_family)
-    ] + [DualGL(SigmaKind.TRIVIAL, rng.uniform(-1, 1),
-                sampling._signed_magnitude(rng, 0.5, 2.0), rng.uniform(-1, 1))]
-    families["dual-sl"] = [
-        DualSL(NONTRIVIAL[int(rng.integers(0, 3))],
-               sampling._signed_magnitude(rng, 0.5, 2.0),
-               rng.uniform(-1, 1), rng.uniform(-1, 1))
-        for _ in range(n_per_family)
-    ]
-    return families
-
-
 def _magnitude_of(m) -> float:
     if isinstance(m, np.ndarray):
         return float(np.max(np.abs(m)))
@@ -648,7 +646,7 @@ def _magnitude_of(m) -> float:
 
 def check_group_law(rng, n_specs: int = 20, n_pairs: int = 100) -> list[CheckResult]:
     out = []
-    for family, specs in _random_specs(rng, n_specs).items():
+    for family, specs in sampling.random_specs(rng, n_specs).items():
         tally = _Tally()
         for spec in specs:
             for _ in range(n_pairs):
@@ -668,7 +666,7 @@ def check_group_law(rng, n_specs: int = 20, n_pairs: int = 100) -> list[CheckRes
 def check_det_one(rng, n_specs: int = 20) -> list[CheckResult]:
     out = []
     ts = t_grid(-2.0, 2.0, 0.25)
-    specs = _random_specs(rng, n_specs)
+    specs = sampling.random_specs(rng, n_specs)
     for family in ("double-sl", "dual-sl"):
         tally = _Tally()
         for spec in specs[family]:
@@ -686,7 +684,7 @@ def check_dual_gl_det(rng, n_specs: int = 20) -> list[CheckResult]:
     ts = t_grid(-2.0, 2.0, 0.25)
     tally = _Tally()
     printed_gap = 0.0
-    for spec in _random_specs(rng, n_specs)["dual-gl"]:
+    for spec in sampling.random_specs(rng, n_specs)["dual-gl"]:
         for t in ts:
             actual = sl_membership_check(spec, t)
             gap = (actual - dual_gl_det_closed_form(spec, t)).magnitude()
@@ -729,7 +727,7 @@ def check_centralizer_grid() -> list[CheckResult]:
 
 def check_exp_cross(rng, n_specs: int = 10) -> list[CheckResult]:
     out = []
-    for family, specs in _random_specs(rng, n_specs).items():
+    for family, specs in sampling.random_specs(rng, n_specs).items():
         tally = _Tally()
         for spec in specs:
             r = exp_cross_check(_clamp_params(spec))

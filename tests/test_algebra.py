@@ -59,6 +59,30 @@ class TestRingOps:
         with pytest.raises(KindMismatchError):
             number(Kind.DUAL, 1, 0) * number(Kind.DOUBLE, 1, 0)
 
+    def test_numpy_real_scalars(self):
+        import numpy as np
+
+        x = number(Kind.DUAL, 2, 3)
+        for two in (np.int64(2), np.float32(2.0), np.float64(2.0)):
+            assert (x * two).close_to(number(Kind.DUAL, 4, 6), 0)
+            assert (two * x).close_to(number(Kind.DUAL, 4, 6), 0)
+            assert (x / two).close_to(number(Kind.DUAL, 1, 1.5), 0)
+        assert type((x * np.int64(2)).a1) is float
+
+    def test_reciprocal(self):
+        for kind in Kind:
+            x = number(kind, 3, 1)
+            assert (1 / x).close_to(invert(x), 0)
+            assert (2 / x).close_to(invert(x) * 2, 0)
+        with pytest.raises(NotInvertibleError):
+            1 / number(Kind.DUAL, 0, 1)
+
+    def test_non_number_operand_is_type_error(self):
+        x = number(Kind.DOUBLE, 1, 2)
+        for bad in (lambda: x * "a", lambda: x / "a", lambda: "a" / x):
+            with pytest.raises(TypeError):
+                bad()
+
     def test_generator_squares_exact(self):
         for kind, want in ((Kind.COMPLEX, -1.0), (Kind.DUAL, 0.0), (Kind.DOUBLE, 1.0)):
             sq = generator(kind) * generator(kind)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -136,9 +137,16 @@ class TestExitCodes:
         assert "seed 123" in out
 
 
+# the seed-5 report byte for byte, as the scalar sweeps printed it.  Generated
+# with Python 3.11.7 and numpy 2.4.6 on x86_64: the last digits of residuals
+# near 1e-15 may differ under another numpy or BLAS build.
+VERIFY_GOLDEN = Path(__file__).with_name("verify_golden_seed5.txt")
+
+
 class TestVerifyDeterminism:
     def test_same_seed_same_bytes(self, capsys):
         code1, out1, _ = run(["verify", "--seed", "5"], capsys)
         code2, out2, _ = run(["verify", "--seed", "5"], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+        assert out1 == VERIFY_GOLDEN.read_text(encoding="utf-8")
