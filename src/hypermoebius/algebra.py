@@ -113,7 +113,7 @@ class Hypercomplex:
                 self.a1 * other.a1 + s * self.a2 * other.a2,
                 self.a1 * other.a2 + self.a2 * other.a1,
             )
-        if isinstance(other, (int, float)):
+        if type(other) is float:  # exact type: numpy.float64 subclasses float
             return Hypercomplex(self.kind, self.a1 * other, self.a2 * other)
         if isinstance(other, numbers.Real):
             return self * float(other)
@@ -125,7 +125,7 @@ class Hypercomplex:
         if isinstance(other, Hypercomplex):
             _check_kinds(self, other)
             return self * invert(other)
-        if isinstance(other, (int, float)):
+        if type(other) is float:
             return Hypercomplex(self.kind, self.a1 / other, self.a2 / other)
         if isinstance(other, numbers.Real):
             return self / float(other)

@@ -69,26 +69,30 @@ def build_parser() -> _Parser:
             raise argparse.ArgumentTypeError("tolerance must be positive")
         return value
 
-    def add_tols(p):
+    # each subcommand takes only the tolerances it reads
+    def add_tol_zero(p):
         p.add_argument("--tol-zero", type=positive, default=TAU_ZERO,
                        help="structural-zero tolerance (default 1e-12)")
+
+    def add_tol_alg(p):
         p.add_argument("--tol-alg", type=positive, default=TAU_ALG,
                        help="identity tolerance (default 1e-9)")
 
     p = sub.add_parser("classify-element", help="classify an algebra element")
     p.add_argument("--algebra", required=True, choices=["complex", "double", "dual"])
     p.add_argument("literal", help="element literal, e.g. '2+3j' or '2P+'")
-    add_tols(p)
+    add_tol_zero(p)
+    add_tol_alg(p)
 
     p = sub.add_parser("classify-point", help="canonical class of a point [x : y]")
     p.add_argument("--algebra", required=True, choices=["complex", "double", "dual"])
     p.add_argument("literal", help="point literal, e.g. '[3 : 2P+]'")
-    add_tols(p)
+    add_tol_zero(p)
 
     p = sub.add_parser("classify-map", help="trace-squared class and fixed points")
     p.add_argument("--algebra", required=True, choices=["complex", "double", "dual"])
     p.add_argument("literal", help="matrix literal [[a,b],[c,d]]")
-    add_tols(p)
+    add_tol_alg(p)
 
     p = sub.add_parser("subgroup-eval", help="evaluate a one-parameter subgroup")
     p.add_argument("--spec", required=True, help="e.g. 'double-sl(sigma+=K,sigma-=A,a=2)'")

@@ -232,56 +232,47 @@ class MapClass:
 
 def tr_squared(m: MoebiusMap, tol_zero: float = TAU_ZERO) -> Hypercomplex:
     """(a+d)^2 of the determinant-one representative."""
-    sl = normalize_to_sl(m.rep, tol_zero)
-    t = trace(sl)
+    t = trace(normalize_to_sl(m.rep, tol_zero))
     return t * t
 
 
-def _classify_real_tr2(t2: float, band: float = TAU_CLASS) -> MapTag:
-    if abs(t2 - 4.0) < band:
+def _classify_real_tr2(t2: float) -> MapTag:
+    if abs(t2 - 4.0) < TAU_CLASS:
         return MapTag.PARABOLIC
     if t2 < 4.0:
         return MapTag.ELLIPTIC
     return MapTag.HYPERBOLIC
 
 
-def _classify_complex_tr2(re: float, im: float, band: float = TAU_CLASS) -> MapTag:
-    if abs(im) >= band or re < -band:
+def _classify_complex_tr2(re: float, im: float) -> MapTag:
+    if abs(im) >= TAU_CLASS or re < -TAU_CLASS:
         return MapTag.STRICTLY_LOXODROMIC
-    return _classify_real_tr2(re, band)
+    return _classify_real_tr2(re)
 
 
-def classify_map(m: MoebiusMap, band: float = TAU_CLASS) -> MapClass:
-    t2 = tr_squared(m)
+def classify_map(m: MoebiusMap) -> MapClass:
+    sl = normalize_to_sl(m.rep)
+    t = trace(sl)
+    t2 = t * t
     is_id = mob_equal(m, identity_map(m.kind))
     if m.kind is Kind.DOUBLE:
-        if is_id:
-            tags = (MapTag.IDENTITY, MapTag.IDENTITY)
-        else:
-            sl = normalize_to_sl(m.rep)
-            gp, gm = components_double(sl)
-            tags = (_classify_real_component(gp, band), _classify_real_component(gm, band))
+        tags = ((MapTag.IDENTITY,) * 2 if is_id
+                else tuple(_classify_real_component(g) for g in components_double(sl)))
     elif m.kind is Kind.DUAL:
-        if is_id:
-            tags = (MapTag.IDENTITY,)
-        else:
-            g1 = parts_dual(normalize_to_sl(m.rep))[0]
-            tags = (_classify_real_component(g1, band),)
+        tags = (MapTag.IDENTITY if is_id else _classify_real_component(parts_dual(sl)[0]),)
     else:
-        tags = ((MapTag.IDENTITY,) if is_id
-                else (_classify_complex_tr2(t2.a1, t2.a2, band),))
+        tags = (MapTag.IDENTITY if is_id else _classify_complex_tr2(t2.a1, t2.a2),)
     return MapClass(m.kind, tags, t2, is_id)
 
 
-def _classify_real_component(g: np.ndarray, band: float) -> MapTag:
-    if _is_scalar_real(g):
+def _classify_real_component(g: np.ndarray) -> MapTag:
+    if _is_scalar_real(*g.flat):
         return MapTag.IDENTITY
-    return _classify_real_tr2(float(np.trace(g)) ** 2, band)
+    return _classify_real_tr2(float(np.trace(g)) ** 2)
 
 
-def _is_scalar_real(g: np.ndarray, tol: float = TAU_ALG) -> bool:
-    return (abs(g[0, 1]) <= tol and abs(g[1, 0]) <= tol
-            and abs(g[0, 0] - g[1, 1]) <= tol)
+def _is_scalar_real(a, b, c, d, tol: float = TAU_ALG) -> bool:
+    return abs(b) <= tol and abs(c) <= tol and abs(a - d) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -303,59 +294,54 @@ class FixedPointSet:
     families: tuple[FixedFamily, ...] = ()
 
 
+_INF = (1.0, 0.0)  # the root [1 : 0]
+
+
+def _fixed_roots(a, b, c, d, tol: float) -> list:
+    """Fixed points of x -> (ax+b)/(cx+d) over float or complex entries.
+
+    Each root is a pair (x, 1.0), or ``_INF``.  The roots solve
+    c x^2 + (d-a) x - b = 0 with disc = (d-a)^2 + 4bc.  A discriminant
+    within tol*scale^2 of zero gives one double root [a-d : 2c] = [2b : d-a],
+    divided out by the larger denominator.  Otherwise the roots are
+    [q : 2c] and [-2b : q] with q = a-d +- sqrt(disc) free of cancellation;
+    the first is infinity when c is zero within tol*scale.  Real entries
+    with disc < 0 have no roots.
+    """
+    scale = 1.0 + max(abs(a), abs(b), abs(c), abs(d))
+    small = tol * scale
+
+    def root(x, y):
+        return _INF if abs(y) <= small else (x / y, 1.0)
+
+    disc = (d - a) ** 2 + 4.0 * c * b
+    if abs(disc) <= small * scale:
+        if abs(d - a) >= abs(2.0 * c):
+            return [root(2.0 * b, d - a)]
+        return [root(a - d, 2.0 * c)]
+    if isinstance(disc, complex):
+        r = cmath.sqrt(disc)
+    elif disc > 0:
+        r = math.sqrt(disc)
+    else:
+        return []
+    q = a - d + r if abs(a - d + r) >= abs(a - d - r) else a - d - r
+    return [root(q, 2.0 * c), (-2.0 * b / q, 1.0)]
+
+
 def fixed_points_real(g: np.ndarray, tol: float = TAU_ALG):
     """Real projective fixed points of a real matrix as (x, y) pairs.
 
-    Returns None when the matrix is scalar (everything is fixed).  Affine
-    fixed points solve c x^2 + (d-a) x - b = 0; [1:0] is fixed iff c = 0.
+    Returns None when the matrix is scalar (everything is fixed).
     """
-    a, b = float(g[0, 0]), float(g[0, 1])
-    c, d = float(g[1, 0]), float(g[1, 1])
-    if _is_scalar_real(g, tol):
-        return None
-    scale = 1.0 + max(abs(a), abs(b), abs(c), abs(d))
-    out: list[tuple[float, float]] = []
-    if abs(c) <= tol * scale:
-        out.append((1.0, 0.0))
-        if abs(d - a) > tol * scale:
-            out.append((b / (d - a), 1.0))
-        return out
-    disc = (d - a) ** 2 + 4.0 * c * b
-    if abs(disc) <= tol * scale * scale:
-        out.append(((a - d) / (2.0 * c), 1.0))
-    elif disc > 0:
-        r = math.sqrt(disc)
-        out.append(((a - d + r) / (2.0 * c), 1.0))
-        out.append(((a - d - r) / (2.0 * c), 1.0))
-    return out
+    a, b, c, d = (float(v) for v in g.flat)
+    return None if _is_scalar_real(a, b, c, d, tol) else _fixed_roots(a, b, c, d, tol)
 
 
 def _fixed_points_complex(m: MoebiusMap, tol: float) -> list[CanonicalClass]:
-    r = m.rep
-    a = complex(r.a.a1, r.a.a2)
-    b = complex(r.b.a1, r.b.a2)
-    c = complex(r.c.a1, r.c.a2)
-    d = complex(r.d.a1, r.d.a2)
-    scale = 1.0 + max(abs(a), abs(b), abs(c), abs(d))
-    out: list[CanonicalClass] = []
-
-    def affine(z: complex) -> CanonicalClass:
-        return CanonicalClass(ClassTag.AFFINE,
-                              affine=Hypercomplex(Kind.COMPLEX, z.real, z.imag))
-
-    if abs(c) <= tol * scale:
-        out.append(CanonicalClass(ClassTag.INFINITY))
-        if abs(d - a) > tol * scale:
-            out.append(affine(b / (d - a)))
-        return out
-    disc = (d - a) ** 2 + 4.0 * c * b
-    if abs(disc) <= tol * scale * scale:
-        out.append(affine((a - d) / (2.0 * c)))
-    else:
-        root = cmath.sqrt(disc)
-        out.append(affine((a - d + root) / (2.0 * c)))
-        out.append(affine((a - d - root) / (2.0 * c)))
-    return out
+    roots = _fixed_roots(*(complex(e.a1, e.a2) for e in m.rep.entries()), tol)
+    return [CanonicalClass(ClassTag.AFFINE, affine=Hypercomplex(Kind.COMPLEX, z.real, z.imag))
+            if y else CanonicalClass(ClassTag.INFINITY) for z, y in roots]
 
 
 def _combine_double(fp: tuple[float, float], fm: tuple[float, float]) -> ProjPoint:
@@ -366,34 +352,29 @@ def _fixed_points_double(m: MoebiusMap, tol: float) -> FixedPointSet:
     gp, gm = components_double(normalize_to_sl(m.rep))
     fixed_plus = fixed_points_real(gp, tol)
     fixed_minus = fixed_points_real(gm, tol)
-    points: list[CanonicalClass] = []
-    families: list[FixedFamily] = []
     if fixed_plus is None and fixed_minus is None:
         raise FixesEverythingError("identity map fixes every class")
-    for side, fixed_set, other in (("+", fixed_plus, fixed_minus),
-                                   ("-", fixed_minus, fixed_plus)):
-        tag = ClassTag.PR_PLUS if side == "+" else ClassTag.PR_MINUS
-        if fixed_set is None:
-            reps = [_pr_point(tag, v) for v in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))]
-            families.append(FixedFamily(
-                f"every class of the {tag.value} family", tuple(reps)))
-        else:
-            points.extend(CanonicalClass(tag, ratio=canonical_ratio(*v))
-                          for v in fixed_set)
-    if fixed_plus is None:
-        for fm in fixed_minus:
-            reps = tuple(_combine_double(v, fm) for v in ((0.5, 1.0), (1.0, 0.0), (2.0, 1.0)))
-            families.append(FixedFamily(
-                "free plus-component over a fixed minus-component", reps))
-    elif fixed_minus is None:
-        for fp in fixed_plus:
-            reps = tuple(_combine_double(fp, v) for v in ((0.5, 1.0), (1.0, 0.0), (2.0, 1.0)))
-            families.append(FixedFamily(
-                "fixed plus-component over a free minus-component", reps))
-    else:
-        for fp in fixed_plus:
-            for fm in fixed_minus:
-                points.append(canonicalize(_combine_double(fp, fm)))
+    points: list[CanonicalClass] = []
+    families: list[FixedFamily] = []
+    for tag, own, other in ((ClassTag.PR_PLUS, fixed_plus, fixed_minus),
+                            (ClassTag.PR_MINUS, fixed_minus, fixed_plus)):
+        if own is not None:
+            points.extend(CanonicalClass(tag, ratio=canonical_ratio(*v)) for v in own)
+            continue
+        # a scalar component fixes its whole PR family, and every class over
+        # each fixed point of the other component
+        reps = [_pr_point(tag, v) for v in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))]
+        families.append(FixedFamily(f"every class of the {tag.value} family", tuple(reps)))
+        plus = tag is ClassTag.PR_PLUS
+        description = ("free plus-component over a fixed minus-component" if plus
+                       else "fixed plus-component over a free minus-component")
+        for fixed in other:
+            reps = tuple(_combine_double(v, fixed) if plus else _combine_double(fixed, v)
+                         for v in ((0.5, 1.0), (1.0, 0.0), (2.0, 1.0)))
+            families.append(FixedFamily(description, reps))
+    if fixed_plus is not None and fixed_minus is not None:
+        points.extend(canonicalize(_combine_double(fp, fm))
+                      for fp in fixed_plus for fm in fixed_minus)
     return FixedPointSet(tuple(points), tuple(families))
 
 
@@ -406,68 +387,52 @@ def _pr_point(tag: ClassTag, v: tuple[float, float]) -> ProjPoint:
 
 
 def _fixed_points_dual(m: MoebiusMap, tol: float) -> FixedPointSet:
+    """Fixed classes of a dual map, solved level by level.
+
+    Level one gives the real fixed points of the a1-part A1.  Over each, the
+    eps level is a linear equation lin*s = rhs for the eps-coordinate, in
+    the chart x1 + eps*s of an affine root or [1 : eps*s] of infinity (where
+    s = 0 is infinity itself and s != 0 an omega class).  A scalar A1 passes
+    every real base, and the eps-part A2 picks the bases with s free.
+    """
     r = normalize_to_sl(m.rep)
     a1, b1, c1, d1 = (e.a1 for e in r.entries())
     a2, b2, c2, d2 = (e.a2 for e in r.entries())
-    scale = 1.0 + r.max_entry_magnitude()
-    tol_s = tol * scale
-    eps = algebra.generator(Kind.DUAL)
+    tol_s = tol * (1.0 + r.max_entry_magnitude())
+    one = algebra.one(Kind.DUAL)
     points: list[CanonicalClass] = []
     families: list[FixedFamily] = []
-
-    def affine_class(x1: float, x2: float) -> CanonicalClass:
-        return CanonicalClass(ClassTag.AFFINE, affine=Hypercomplex(Kind.DUAL, x1, x2))
-
-    # level-one (a1-part) fixed equation: c1 x^2 + (d1-a1) x - b1 = 0
-    if max(abs(c1), abs(d1 - a1), abs(b1)) <= tol_s:
-        # every real x passes level one; the eps-level equation picks the
-        # base points and leaves the eps-coordinate free
-        for x1 in _real_quadratic_roots(c2, d2 - a2, -b2, tol_s):
-            x1 += 0.0  # normalize -0.0
-            reps = tuple(ProjPoint(Kind.DUAL, Hypercomplex(Kind.DUAL, x1, s),
-                                   algebra.one(Kind.DUAL)) for s in (0.0, 1.0, -2.0))
-            families.append(FixedFamily(
-                f"affine classes {x1:g} + eps*s for every real s", reps))
-    else:
-        for x1 in _real_quadratic_roots(c1, d1 - a1, -b1, tol_s):
+    free = _is_scalar_real(a1, b1, c1, d1, tol)
+    bases = _fixed_roots(*((a2, b2, c2, d2) if free else (a1, b1, c1, d1)), tol)
+    # affine classes first, then the classes over infinity: the CLI's order
+    for x1, y1 in sorted(bases, key=lambda v: not v[1]):
+        x1 += 0.0  # normalize -0.0
+        if y1:
             lin = 2.0 * c1 * x1 + (d1 - a1)
             rhs = b2 - c2 * x1 * x1 - (d2 - a2) * x1
-            if abs(lin) > tol_s:
-                points.append(affine_class(x1, rhs / lin))
-            elif abs(rhs) <= tol_s:
-                reps = tuple(ProjPoint(Kind.DUAL, Hypercomplex(Kind.DUAL, x1, s),
-                                       algebra.one(Kind.DUAL)) for s in (0.0, 1.0, -2.0))
+        else:
+            lin, rhs = a1 - d1, c2
+        if not free and abs(lin) > tol_s:
+            s = rhs / lin
+            if y1:
+                points.append(CanonicalClass(
+                    ClassTag.AFFINE, affine=Hypercomplex(Kind.DUAL, x1, s)))
+            elif abs(s) > tol_s:
+                points.append(CanonicalClass(ClassTag.DUAL_OMEGA, lam=s))
+            else:
+                points.append(CanonicalClass(ClassTag.INFINITY))
+        elif free or abs(rhs) <= tol_s:
+            if y1:
+                reps = tuple(ProjPoint(Kind.DUAL, Hypercomplex(Kind.DUAL, x1, s), one)
+                             for s in (0.0, 1.0, -2.0))
                 families.append(FixedFamily(
                     f"affine classes {x1:g} + eps*s for every real s", reps))
-    # non-affine candidates need a nilpotent (or zero) lower-left entry
-    if abs(c1) <= tol_s:
-        if abs(c2) <= tol_s:
-            points.append(CanonicalClass(ClassTag.INFINITY))
-        if abs(a1 - d1) > tol_s:
-            lam = c2 / (a1 - d1)
-            if abs(lam) > tol_s:
-                points.append(CanonicalClass(ClassTag.DUAL_OMEGA, lam=lam))
-        elif abs(c2) <= tol_s:
-            reps = tuple(ProjPoint(Kind.DUAL, algebra.one(Kind.DUAL), eps * lam)
-                         for lam in (1.0, -1.0, 2.0))
-            families.append(FixedFamily(
-                "every omega class [1 : eps*lam]", reps))
+            else:
+                points.append(CanonicalClass(ClassTag.INFINITY))
+                reps = tuple(ProjPoint(Kind.DUAL, one, Hypercomplex(Kind.DUAL, 0.0, s))
+                             for s in (1.0, -1.0, 2.0))
+                families.append(FixedFamily("every omega class [1 : eps*lam]", reps))
     return FixedPointSet(tuple(points), tuple(families))
-
-
-def _real_quadratic_roots(q: float, l: float, c: float, tol: float) -> list[float]:
-    """Real roots of q x^2 + l x + c = 0 (degenerate cases included)."""
-    if abs(q) <= tol:
-        if abs(l) <= tol:
-            return []
-        return [-c / l]
-    disc = l * l - 4.0 * q * c
-    if abs(disc) <= tol * tol:
-        return [-l / (2.0 * q)]
-    if disc < 0:
-        return []
-    r = math.sqrt(disc)
-    return [(-l + r) / (2.0 * q), (-l - r) / (2.0 * q)]
 
 
 def fixed_points(m: MoebiusMap, tol: float = TAU_ALG) -> FixedPointSet:

@@ -29,8 +29,8 @@ def _signed_magnitude(rng: np.random.Generator, lo: float, hi: float) -> float:
     return sign * rng.uniform(lo, hi)
 
 
-def random_number(kind: Kind, rng: np.random.Generator, span: float = 2.0) -> Hypercomplex:
-    return Hypercomplex(kind, rng.uniform(-span, span), rng.uniform(-span, span))
+def random_number(kind: Kind, rng: np.random.Generator) -> Hypercomplex:
+    return Hypercomplex(kind, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
 
 
 def random_unit(kind: Kind, rng: np.random.Generator,
@@ -52,8 +52,8 @@ def random_unit(kind: Kind, rng: np.random.Generator,
 
 
 def random_numbers(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """A (*shape, 2) stack of default :func:`random_number` draws, in the same
-    stream order as the scalar calls made one after another."""
+    """A (*shape, 2) stack of :func:`random_number` draws, in the same stream
+    order as the scalar calls made one after another."""
     return rng.uniform(-2.0, 2.0, size=(*shape, 2))
 
 
@@ -78,10 +78,10 @@ def random_units(kind: Kind, rng: np.random.Generator, count: int) -> np.ndarray
     return out
 
 
-def random_point(kind: Kind, rng: np.random.Generator, span: float = 2.0) -> ProjPoint:
+def random_point(kind: Kind, rng: np.random.Generator) -> ProjPoint:
     while True:
-        x = random_number(kind, rng, span)
-        y = random_number(kind, rng, span)
+        x = random_number(kind, rng)
+        y = random_number(kind, rng)
         if not (x.is_zero(1e-6) and y.is_zero(1e-6)):
             return ProjPoint(kind, x, y)
 
@@ -174,12 +174,12 @@ def _random_dual_mixed(rng: np.random.Generator) -> ProjPoint:
                      random_unit(Kind.DUAL, rng, 0.2, 3.0))
 
 
-def random_gl(kind: Kind, rng: np.random.Generator, span: float = 2.0) -> Mat2:
+def random_gl(kind: Kind, rng: np.random.Generator) -> Mat2:
     """Random invertible matrix with a well-conditioned determinant."""
     from .matrix2 import det
 
     while True:
-        m = Mat2(kind, *(random_number(kind, rng, span) for _ in range(4)))
+        m = Mat2(kind, *(random_number(kind, rng) for _ in range(4)))
         d = det(m)
         if kind is Kind.DOUBLE:
             p, q = algebra.decompose(d)
@@ -193,28 +193,28 @@ def random_gl(kind: Kind, rng: np.random.Generator, span: float = 2.0) -> Mat2:
                 return m
 
 
-def random_sl_real(rng: np.random.Generator, span: float = 2.0) -> np.ndarray:
+def random_sl_real(rng: np.random.Generator) -> np.ndarray:
     """Random real matrix of determinant one."""
     while True:
-        m = rng.uniform(-span, span, size=(2, 2))
+        m = rng.uniform(-2.0, 2.0, size=(2, 2))
         d = float(np.linalg.det(m))
         if d >= 0.1:
             return m / np.sqrt(d)
 
 
-def random_sl(kind: Kind, rng: np.random.Generator, span: float = 2.0) -> Mat2:
+def random_sl(kind: Kind, rng: np.random.Generator) -> Mat2:
     """Random determinant-one matrix over the given algebra."""
     if kind is Kind.DOUBLE:
-        return double_from_components(random_sl_real(rng, span), random_sl_real(rng, span))
+        return double_from_components(random_sl_real(rng), random_sl_real(rng))
     if kind is Kind.DUAL:
-        a1 = random_sl_real(rng, span)
-        a2 = rng.uniform(-span, span, size=(2, 2))
+        a1 = random_sl_real(rng)
+        a2 = rng.uniform(-2.0, 2.0, size=(2, 2))
         drift = float(np.trace(a1 @ adj_real(a2)))
         a2 = a2 - (drift / 2.0) * a1  # tr(A1 @ adj(A1)) = 2 det(A1) = 2
         return dual_from_parts(a1, a2)
     from .matrix2 import normalize_to_sl
 
-    return normalize_to_sl(random_gl(kind, rng, span))
+    return normalize_to_sl(random_gl(kind, rng))
 
 
 def random_specs(rng: np.random.Generator, n_per_family: int = 20) -> dict[str, list]:

@@ -225,15 +225,14 @@ def group_law_residual(spec, t1: float, t2: float) -> float:
 
 
 def sl_membership_check(spec, t: float) -> Hypercomplex:
-    """The determinant of the subgroup matrix at t.
+    """The determinant of the double or dual subgroup matrix at t.
 
     Identically one for the det-1 double and dual families; for the dual
     general-linear family it should match ``dual_gl_det_closed_form``.
     """
     m = eval_subgroup(spec, t)
     if isinstance(m, np.ndarray):
-        d = float(np.linalg.det(m))
-        return Hypercomplex(Kind.COMPLEX, d, 0.0)
+        raise DomainError(f"sl_membership_check takes a double or dual spec, not {spec.family}")
     return det(m)
 
 

@@ -50,6 +50,7 @@ from .matrix2 import (
 from .moebius import (
     MapTag,
     MoebiusMap,
+    _classify_real_tr2,
     apply,
     apply_point,
     compose,
@@ -619,17 +620,10 @@ def check_class_vs_fixed_count(rng, n: int = 1_000) -> list[CheckResult]:
             g = sign * g
         else:
             g = sampling.random_sl_real(rng)
-        t2 = float(np.trace(g)) ** 2
-        if abs(t2 - 4.0) < 1e-9:
-            tag = MapTag.PARABOLIC
-        elif t2 < 4.0:
-            tag = MapTag.ELLIPTIC
-        else:
-            tag = MapTag.HYPERBOLIC
         fps = fixed_points_real(g)
         if fps is None:
             continue
-        tally.add(len(fps) == expected[tag])
+        tally.add(len(fps) == expected[_classify_real_tr2(float(np.trace(g)) ** 2)])
     return [CheckResult("trace-class-vs-fixed-count/real", tally.full,
                         f"{tally.good}/{tally.total} maps match the count table")]
 

@@ -69,6 +69,15 @@ class TestRingOps:
             assert (x / two).close_to(number(Kind.DUAL, 1, 1.5), 0)
         assert type((x * np.int64(2)).a1) is float
 
+    def test_numpy_scalar_products_hold_plain_floats(self):
+        import numpy as np
+
+        x = number(Kind.DUAL, 2, 3)
+        for two in (np.float64(2.0), np.int64(2)):
+            assert repr(x * two) == "Hypercomplex(DUAL, 4.0, 6.0)"
+            assert repr(two * x) == "Hypercomplex(DUAL, 4.0, 6.0)"
+            assert repr(x / two) == "Hypercomplex(DUAL, 1.0, 1.5)"
+
     def test_reciprocal(self):
         for kind in Kind:
             x = number(kind, 3, 1)

@@ -114,6 +114,18 @@ class TestExitCodes:
                           "--tol-zero", "-1", "1+2e"], capsys)
         assert code == 64
 
+    def test_point_takes_no_identity_tolerance(self, capsys):
+        code, _, err = run(["classify-point", "--algebra", "double",
+                            "--tol-alg", "1e-6", "[3 : 2P+]"], capsys)
+        assert code == 64
+        assert "--tol-alg" in err
+
+    def test_map_takes_no_zero_tolerance(self, capsys):
+        code, _, err = run(["classify-map", "--algebra", "complex",
+                            "--tol-zero", "1e-6", "[[1,1],[0,1]]"], capsys)
+        assert code == 64
+        assert "--tol-zero" in err
+
     def test_non_invertible_literal_ok(self, capsys):
         # classification itself succeeds for non-units
         code, out, _ = run(["classify-element", "--algebra", "dual", "3e"], capsys)

@@ -166,6 +166,18 @@ class TestClassification:
         m = MoebiusMap(dual_from_parts(K(0.8), 0.4 * K(1.1)))
         assert classify_map(m).tags == (MapTag.ELLIPTIC,)
 
+    def test_normalizes_once(self, monkeypatch):
+        from hypermoebius import moebius
+
+        calls = []
+        real = moebius.normalize_to_sl
+        monkeypatch.setattr(moebius, "normalize_to_sl",
+                            lambda x, *tol: calls.append(x) or real(x, *tol))
+        for kind in (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL):
+            calls.clear()
+            classify_map(MoebiusMap(mat2(kind, [[2, 1], [1, 1.5]])))
+            assert len(calls) == 1
+
     def test_identity_detected(self):
         record = classify_map(MoebiusMap(identity(Kind.DOUBLE).scale(generator(Kind.DOUBLE))))
         assert record.is_identity
@@ -184,6 +196,21 @@ class TestRealFixedPoints:
 
     def test_scalar_returns_none(self):
         assert fixed_points_real(-np.eye(2)) is None
+
+    def test_near_parabolic_double_root(self):
+        # disc is zero up to rounding and c ~ 1e-10: one root, at 1e5, not
+        # infinity plus a second root
+        (x, y), = fixed_points_real(np.array([[1.00001, -1.0], [1e-10, 0.99999]]))
+        assert y == 1.0 and abs(x - 1e5) < 1e-4
+
+    def test_small_lower_left_entry_keeps_both_roots_accurate(self):
+        # c above the structural zero: the finite root must not lose digits
+        # to cancellation in (a - d - sqrt(disc)) / 2c
+        g = np.array([[2.0, 1.0], [1e-8, 0.5]])
+        fps = fixed_points_real(g)
+        assert len(fps) == 2
+        for x, _ in fps:
+            assert abs((g[0, 0] * x + g[0, 1]) / (g[1, 0] * x + g[1, 1]) - x) <= 1e-9 * abs(x)
 
     def test_count_matches_class(self):
         rng = rng_from_seed(47)
@@ -263,3 +290,65 @@ class TestRingFixedPoints:
                 for cls in fps.points:
                     p = class_point(kind, cls)
                     assert same_class(apply(m, p), cls)
+
+
+NEAR_PARABOLIC = "[[1.00001,-1],[0.0000000001,0.99999]]"
+DUAL_PARABOLIC = "[[1.1+0.3e,-0.0025+0.2e],[4+0.1e,0.9-0.5e]]"
+
+
+def _reapplies(m, fps) -> bool:
+    return (all(same_class(apply(m, class_point(m.kind, c)), c) for c in fps.points)
+            and all(same_class(apply(m, rep), canonicalize(rep))
+                    for family in fps.families for rep in family.representatives))
+
+
+class TestParabolicFixedPoints:
+    @pytest.mark.parametrize("literal, kind", [
+        (NEAR_PARABOLIC, Kind.COMPLEX), (NEAR_PARABOLIC, Kind.DOUBLE),
+        (NEAR_PARABOLIC, Kind.DUAL), (DUAL_PARABOLIC, Kind.DUAL)])
+    def test_literal_points_and_families_reapply(self, literal, kind):
+        from hypermoebius.matrix2 import parse_mat
+        from hypermoebius.projline import parse_entry
+
+        m = MoebiusMap(parse_mat(kind, literal, lambda raw: parse_entry(kind, raw)))
+        assert "Parabolic" in classify_map(m).label()
+        fps = fixed_points(m)
+        assert _reapplies(m, fps)
+        assert sum(c.tag is ClassTag.AFFINE for c in fps.points) <= 1
+
+    def test_near_parabolic_complex_single_point(self):
+        m = MoebiusMap(mat2(Kind.COMPLEX, [[1.00001, -1], [1e-10, 0.99999]]))
+        (cls,) = fixed_points(m).points
+        assert cls.affine.close_to(number(Kind.COMPLEX, 1e5, 0), 1e-4)
+
+    def test_dual_parabolic_literal_has_no_fixed_class(self):
+        # A1 has the double root 0.025, where the eps-level equation reads
+        # 0 * s = rhs with rhs != 0
+        from hypermoebius.matrix2 import dual_from_parts
+
+        a1 = np.array([[1.1, -0.0025], [4.0, 0.9]])
+        a2 = np.array([[0.3, 0.2], [0.1, -0.5]])
+        fps = fixed_points(MoebiusMap(dual_from_parts(a1, a2)))
+        assert fps.points == () and fps.families == ()
+
+    def test_conjugated_shears_reapply(self):
+        from hypermoebius.matrix2 import dual_from_parts
+
+        rng = rng_from_seed(101)
+
+        def shear():
+            k = random_sl_real(rng)
+            return k @ rotation_real(SigmaKind.PARABOLIC, rng.uniform(0.2, 2.0)) @ np.linalg.inv(k)
+
+        for i in range(150):
+            kind = (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL)[i % 3]
+            if kind is Kind.COMPLEX:
+                m = MoebiusMap(mat2(kind, shear().tolist()))
+            elif kind is Kind.DOUBLE:
+                m = MoebiusMap(double_from_components(shear(), shear()))
+            else:
+                m = MoebiusMap(dual_from_parts(shear(), rng.uniform(-2, 2, size=(2, 2))))
+            assert "Parabolic" in classify_map(m).label()
+            fps = fixed_points(m)
+            assert _reapplies(m, fps)
+            assert sum(c.tag is ClassTag.AFFINE for c in fps.points) <= 1

@@ -116,6 +116,10 @@ class TestDeterminants:
         spec = DualSL(SigmaKind.HYPERBOLIC, 1.0, 0.5, 0.3)
         assert sl_membership_check(spec, 0.7).close_to(one(Kind.DUAL), 1e-9)
 
+    def test_real_family_has_no_ring_determinant(self):
+        with pytest.raises(DomainError):
+            sl_membership_check(RealGL(SigmaKind.ELLIPTIC, 0.3), 0.5)
+
     def test_dual_gl_det_matches_closed_form(self):
         rng = rng_from_seed(67)
         for sigma in (*NONTRIVIAL, SigmaKind.TRIVIAL):
