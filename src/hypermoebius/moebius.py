@@ -301,21 +301,22 @@ def _fixed_roots(a, b, c, d, tol: float) -> list:
     """Fixed points of x -> (ax+b)/(cx+d) over float or complex entries.
 
     Each root is a pair (x, 1.0), or ``_INF``.  The roots solve
-    c x^2 + (d-a) x - b = 0 with disc = (d-a)^2 + 4bc.  A discriminant
-    within tol*scale^2 of zero gives one double root [a-d : 2c] = [2b : d-a],
-    divided out by the larger denominator.  Otherwise the roots are
-    [q : 2c] and [-2b : q] with q = a-d +- sqrt(disc) free of cancellation;
-    the first is infinity when c is zero within tol*scale.  Real entries
-    with disc < 0 have no roots.
+    c x^2 + (d-a) x - b = 0 with disc = (d-a)^2 + 4bc.  The double-root forms
+    [a-d : 2c] and [2b : d-a] have cross product -disc, so when
+    |disc| <= tol*|(a-d, 2c)|*|(2b, d-a)| they agree projectively within tol
+    and give one double root, divided out by the larger denominator.
+    Otherwise the roots are [q : 2c] and [-2b : q] with q = a-d +- sqrt(disc)
+    free of cancellation; the first is infinity when c is zero within
+    tol*(1 + max |entry|).  Real entries with disc < 0 have no roots.
     """
-    scale = 1.0 + max(abs(a), abs(b), abs(c), abs(d))
-    small = tol * scale
+    small = tol * (1.0 + max(abs(a), abs(b), abs(c), abs(d)))
 
     def root(x, y):
         return _INF if abs(y) <= small else (x / y, 1.0)
 
     disc = (d - a) ** 2 + 4.0 * c * b
-    if abs(disc) <= small * scale:
+    spread = math.hypot(abs(a - d), abs(2.0 * c)) * math.hypot(abs(2.0 * b), abs(d - a))
+    if abs(disc) <= tol * spread:
         if abs(d - a) >= abs(2.0 * c):
             return [root(2.0 * b, d - a)]
         return [root(a - d, 2.0 * c)]
@@ -356,8 +357,12 @@ def _fixed_points_double(m: MoebiusMap, tol: float) -> FixedPointSet:
         raise FixesEverythingError("identity map fixes every class")
     points: list[CanonicalClass] = []
     families: list[FixedFamily] = []
-    for tag, own, other in ((ClassTag.PR_PLUS, fixed_plus, fixed_minus),
-                            (ClassTag.PR_MINUS, fixed_minus, fixed_plus)):
+    for tag, own, other, description, combine in (
+            (ClassTag.PR_PLUS, fixed_plus, fixed_minus,
+             "free plus-component over a fixed minus-component", _combine_double),
+            (ClassTag.PR_MINUS, fixed_minus, fixed_plus,
+             "fixed plus-component over a free minus-component",
+             lambda free, fixed: _combine_double(fixed, free))):
         if own is not None:
             points.extend(CanonicalClass(tag, ratio=canonical_ratio(*v)) for v in own)
             continue
@@ -365,12 +370,8 @@ def _fixed_points_double(m: MoebiusMap, tol: float) -> FixedPointSet:
         # each fixed point of the other component
         reps = [_pr_point(tag, v) for v in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))]
         families.append(FixedFamily(f"every class of the {tag.value} family", tuple(reps)))
-        plus = tag is ClassTag.PR_PLUS
-        description = ("free plus-component over a fixed minus-component" if plus
-                       else "fixed plus-component over a free minus-component")
         for fixed in other:
-            reps = tuple(_combine_double(v, fixed) if plus else _combine_double(fixed, v)
-                         for v in ((0.5, 1.0), (1.0, 0.0), (2.0, 1.0)))
+            reps = tuple(combine(v, fixed) for v in ((0.5, 1.0), (1.0, 0.0), (2.0, 1.0)))
             families.append(FixedFamily(description, reps))
     if fixed_plus is not None and fixed_minus is not None:
         points.extend(canonicalize(_combine_double(fp, fm))
@@ -402,7 +403,7 @@ def _fixed_points_dual(m: MoebiusMap, tol: float) -> FixedPointSet:
     one = algebra.one(Kind.DUAL)
     points: list[CanonicalClass] = []
     families: list[FixedFamily] = []
-    free = _is_scalar_real(a1, b1, c1, d1, tol)
+    free = _is_scalar_real(a1, b1, c1, d1, tol_s)
     bases = _fixed_roots(*((a2, b2, c2, d2) if free else (a1, b1, c1, d1)), tol)
     # affine classes first, then the classes over infinity: the CLI's order
     for x1, y1 in sorted(bases, key=lambda v: not v[1]):

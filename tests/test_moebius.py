@@ -203,6 +203,16 @@ class TestRealFixedPoints:
         (x, y), = fixed_points_real(np.array([[1.00001, -1.0], [1e-10, 0.99999]]))
         assert y == 1.0 and abs(x - 1e5) < 1e-4
 
+    @pytest.mark.parametrize("d", [1.00002, 1.00005])
+    def test_upper_triangular_near_identity_keeps_both_roots(self, d):
+        # disc = (d-1)^2 is tiny in absolute terms, but the roots infinity
+        # and 1/(d-1) are far apart: no double root
+        g = np.array([[1.0, 1.0], [0.0, d]])
+        (x0, y0), (x1, y1) = fixed_points_real(g)
+        assert (x0, y0) == (1.0, 0.0) and y1 == 1.0
+        assert abs(x1 - 1.0 / (d - 1.0)) <= 1e-9 * x1
+        assert abs((x1 + 1.0) / d - x1) <= 1e-9 * x1
+
     def test_small_lower_left_entry_keeps_both_roots_accurate(self):
         # c above the structural zero: the finite root must not lose digits
         # to cancellation in (a - d - sqrt(disc)) / 2c
@@ -352,3 +362,14 @@ class TestParabolicFixedPoints:
             fps = fixed_points(m)
             assert _reapplies(m, fps)
             assert sum(c.tag is ClassTag.AFFINE for c in fps.points) <= 1
+
+    @pytest.mark.parametrize("kind", [Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL])
+    @pytest.mark.parametrize("d", [1.00002, 1.00005])
+    def test_upper_triangular_near_identity_keeps_both_roots(self, kind, d):
+        m = MoebiusMap(mat2(kind, [[1.0, 1.0], [0.0, d]]))
+        fps = fixed_points(m)
+        assert _reapplies(m, fps)
+        assert any(c.tag is ClassTag.INFINITY for c in fps.points)
+        x = 1.0 / (d - 1.0)
+        assert any(c.tag is ClassTag.AFFINE and c.affine.close_to(number(kind, x, 0), 1e-9 * x)
+                   for c in fps.points)
