@@ -349,6 +349,10 @@ def _combine_double(fp: tuple[float, float], fm: tuple[float, float]) -> ProjPoi
     return ProjPoint(Kind.DOUBLE, recompose(fp[0], fm[0]), recompose(fp[1], fm[1]))
 
 
+def _combine_double_swapped(fm: tuple[float, float], fp: tuple[float, float]) -> ProjPoint:
+    return _combine_double(fp, fm)
+
+
 def _fixed_points_double(m: MoebiusMap, tol: float) -> FixedPointSet:
     gp, gm = components_double(normalize_to_sl(m.rep))
     fixed_plus = fixed_points_real(gp, tol)
@@ -362,7 +366,7 @@ def _fixed_points_double(m: MoebiusMap, tol: float) -> FixedPointSet:
              "free plus-component over a fixed minus-component", _combine_double),
             (ClassTag.PR_MINUS, fixed_minus, fixed_plus,
              "fixed plus-component over a free minus-component",
-             lambda free, fixed: _combine_double(fixed, free))):
+             _combine_double_swapped)):
         if own is not None:
             points.extend(CanonicalClass(tag, ratio=canonical_ratio(*v)) for v in own)
             continue
