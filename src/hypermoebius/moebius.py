@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -24,6 +24,7 @@ from . import algebra
 from .algebra import (
     TAU_ALG,
     TAU_ZERO,
+    ElementClass,
     Hypercomplex,
     Kind,
     decompose,
@@ -37,12 +38,9 @@ from .errors import (
 )
 from .matrix2 import (
     Mat2,
-    components_double,
     det,
     identity,
-    membership,
     normalize_to_sl,
-    parts_dual,
     trace,
 )
 from .projline import (
@@ -59,16 +57,21 @@ TAU_CLASS = 1e-9  # half-width of the parabolic band around tr^2 = 4
 
 @dataclass(frozen=True, slots=True)
 class MoebiusMap:
-    """A class map [x:y] -> [ax+by : cx+dy] carried by an invertible matrix."""
+    """A class map [x:y] -> [ax+by : cx+dy] carried by an invertible matrix.
+
+    The private slot ``_sl`` holds the determinant-one representative.  It is
+    filled at most once, on first use by :func:`classify_map` or
+    :func:`fixed_points`; maps that are only applied never compute it.
+    """
 
     rep: Mat2
+    _sl: "Mat2 | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not membership(self.rep).in_gl:
+        cls = algebra.classify_element(det(self.rep))
+        if cls is not ElementClass.UNIT:
             raise SingularMatrixError(
-                algebra.classify_element(det(self.rep)),
-                "a Moebius map needs an invertible representative matrix",
-            )
+                cls, "a Moebius map needs an invertible representative matrix")
 
     @property
     def kind(self) -> Kind:
@@ -80,6 +83,13 @@ class MoebiusMap:
 
 def identity_map(kind: Kind) -> MoebiusMap:
     return MoebiusMap(identity(kind))
+
+
+def _normalized(m: MoebiusMap) -> Mat2:
+    """The determinant-one representative of ``m``, kept in its ``_sl`` slot."""
+    if m._sl is None:
+        object.__setattr__(m, "_sl", normalize_to_sl(m.rep))
+    return m._sl
 
 
 def apply_point(m: MoebiusMap, p: ProjPoint) -> ProjPoint:
@@ -134,6 +144,20 @@ def mob_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = TAU_ALG) -> bool:
         u = e1[i1] * invert(e2[i1])
     scale = 1.0 + max(m1.rep.max_entry_magnitude(), m2.rep.max_entry_magnitude())
     return all(a.close_to(b * u, tol * scale) for a, b in zip(e1, e2))
+
+
+def _is_identity(m: MoebiusMap) -> bool:
+    """``mob_equal(m, identity_map(m.kind))`` without building the identity.
+
+    Against I, mob_equal solves the scalar from entry a alone (u = a, its
+    idempotent components recombined over double), then asks a and d to be
+    within tol of u and b and c within tol of zero, all coordinatewise.
+    """
+    r = m.rep
+    u = recompose(*decompose(r.a)) if m.kind is Kind.DOUBLE else r.a
+    tol = TAU_ALG * (1.0 + max(r.max_entry_magnitude(), 1.0))
+    return (r.a.close_to(u, tol) and r.b.is_zero(tol) and r.c.is_zero(tol)
+            and r.d.close_to(u, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +275,30 @@ def _classify_complex_tr2(re: float, im: float) -> MapTag:
 
 
 def classify_map(m: MoebiusMap) -> MapClass:
-    sl = normalize_to_sl(m.rep)
+    sl = _normalized(m)
     t = trace(sl)
     t2 = t * t
-    is_id = mob_equal(m, identity_map(m.kind))
+    is_id = _is_identity(m)
     if m.kind is Kind.DOUBLE:
         tags = ((MapTag.IDENTITY,) * 2 if is_id
-                else tuple(_classify_real_component(g) for g in components_double(sl)))
+                else tuple(_classify_real_component(*g) for g in _split_double(sl)))
     elif m.kind is Kind.DUAL:
-        tags = (MapTag.IDENTITY if is_id else _classify_real_component(parts_dual(sl)[0]),)
+        tags = (MapTag.IDENTITY if is_id
+                else _classify_real_component(*(e.a1 for e in sl.entries())),)
     else:
         tags = (MapTag.IDENTITY if is_id else _classify_complex_tr2(t2.a1, t2.a2),)
     return MapClass(m.kind, tags, t2, is_id)
 
 
-def _classify_real_component(g: np.ndarray) -> MapTag:
-    if _is_scalar_real(*g.flat):
+def _split_double(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The plus and minus component matrices of a double matrix, as (a, b, c, d)."""
+    return tuple(zip(*(decompose(e) for e in x.entries())))
+
+
+def _classify_real_component(a: float, b: float, c: float, d: float) -> MapTag:
+    if _is_scalar_real(a, b, c, d):
         return MapTag.IDENTITY
-    return _classify_real_tr2(float(np.trace(g)) ** 2)
+    return _classify_real_tr2((a + d) ** 2)
 
 
 def _is_scalar_real(a, b, c, d, tol: float = TAU_ALG) -> bool:
@@ -335,7 +365,10 @@ def fixed_points_real(g: np.ndarray, tol: float = TAU_ALG):
 
     Returns None when the matrix is scalar (everything is fixed).
     """
-    a, b, c, d = (float(v) for v in g.flat)
+    return _real_fixed_points(*(float(v) for v in g.flat), tol)
+
+
+def _real_fixed_points(a: float, b: float, c: float, d: float, tol: float):
     return None if _is_scalar_real(a, b, c, d, tol) else _fixed_roots(a, b, c, d, tol)
 
 
@@ -354,9 +387,7 @@ def _combine_double_swapped(fm: tuple[float, float], fp: tuple[float, float]) ->
 
 
 def _fixed_points_double(m: MoebiusMap, tol: float) -> FixedPointSet:
-    gp, gm = components_double(normalize_to_sl(m.rep))
-    fixed_plus = fixed_points_real(gp, tol)
-    fixed_minus = fixed_points_real(gm, tol)
+    fixed_plus, fixed_minus = (_real_fixed_points(*g, tol) for g in _split_double(_normalized(m)))
     if fixed_plus is None and fixed_minus is None:
         raise FixesEverythingError("identity map fixes every class")
     points: list[CanonicalClass] = []
@@ -400,7 +431,7 @@ def _fixed_points_dual(m: MoebiusMap, tol: float) -> FixedPointSet:
     s = 0 is infinity itself and s != 0 an omega class).  A scalar A1 passes
     every real base, and the eps-part A2 picks the bases with s free.
     """
-    r = normalize_to_sl(m.rep)
+    r = _normalized(m)
     a1, b1, c1, d1 = (e.a1 for e in r.entries())
     a2, b2, c2, d2 = (e.a2 for e in r.entries())
     tol_s = tol * (1.0 + r.max_entry_magnitude())
@@ -447,7 +478,7 @@ def fixed_points(m: MoebiusMap, tol: float = TAU_ALG) -> FixedPointSet:
     point satisfies apply(m, point) == point; family members are spot
     checked through their stored representatives.
     """
-    if mob_equal(m, identity_map(m.kind)):
+    if _is_identity(m):
         raise FixesEverythingError("identity map fixes every class")
     if m.kind is Kind.COMPLEX:
         return FixedPointSet(tuple(_fixed_points_complex(m, tol)))

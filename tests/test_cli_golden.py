@@ -37,6 +37,13 @@ CASES = [
       for fmt in ("csv", "json", "text")),
     *(["kernel", "--algebra", name, "--seed", "7"]
       for name in ("real", "complex", "double", "dual")),
+    # identity class, one scalar double component, a dual omega class, a
+    # loxodromic map, and a double determinant with no square root (exit 2)
+    ["classify-map", "--algebra", "complex", "[[2,0],[0,2]]"],
+    ["classify-map", "--algebra", "double", "[[1,1+1j],[0,1]]"],
+    ["classify-map", "--algebra", "dual", "[[2+1e,1],[1e,0.5]]"],
+    ["classify-map", "--algebra", "complex", "[[2+1i,1],[1,1]]"],
+    ["classify-map", "--algebra", "double", "[[1,0],[0,-1+2j]]"],
 ]
 
 

@@ -5,11 +5,12 @@ import pytest
 
 from hypermoebius import algebra
 from hypermoebius.algebra import Kind, P_PLUS, generator, number, one, zero
-from hypermoebius.errors import FixesEverythingError, SingularMatrixError
+from hypermoebius.errors import FixesEverythingError, NotNormalizableError, SingularMatrixError
 from hypermoebius.matrix2 import Mat2, double_from_components, identity, mat2, membership
 from hypermoebius.moebius import (
     MapTag,
     MoebiusMap,
+    _is_identity,
     apply,
     apply_point,
     class_point,
@@ -62,9 +63,11 @@ class TestApply:
         assert abs(cls.affine.a1 - 1.5 / (t * 1.5 + 1)) < 1e-12
 
     def test_requires_invertible_matrix(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError,
+                           match="^a Moebius map needs an invertible representative matrix$") as exc:
             MoebiusMap(Mat2(Kind.DOUBLE, P_PLUS, zero(Kind.DOUBLE),
                             zero(Kind.DOUBLE), one(Kind.DOUBLE)))
+        assert exc.value.det_class is algebra.ElementClass.ZERO_DIVISOR_PLUS
 
 
 class TestMobEqual:
@@ -90,6 +93,47 @@ class TestMobEqual:
         b = mat2(Kind.DUAL, [[1, 2], [3, 5]])
         u = number(Kind.DUAL, 2.0, 0.7)
         assert mob_equal(MoebiusMap(b), MoebiusMap(b.scale(u)))
+
+
+class TestIsIdentity:
+    """``_is_identity`` against ``mob_equal`` with the identity map."""
+
+    KINDS = (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL)
+
+    @staticmethod
+    def _scalars(kind):
+        roots = [u for u in algebra.sqrt_all(one(kind)) if algebra.is_unit(u)]
+        return roots + [number(kind, 2.0), number(kind, 2.0, 0.5), number(kind, 3.0, -1.0),
+                        number(kind, 0.25)]  # below 1, where the tolerance floor holds
+
+    @staticmethod
+    def _agrees(m) -> bool:
+        return _is_identity(m) == mob_equal(m, identity_map(m.kind))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unit_scalars(self, kind):
+        for u in self._scalars(kind):
+            m = MoebiusMap(identity(kind).scale(u))
+            assert _is_identity(m) and self._agrees(m)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_perturbed_scalars(self, kind):
+        for u in self._scalars(kind):
+            scalar = identity(kind).scale(u)
+            tt = algebra.TAU_ALG * (1.0 + max(scalar.max_entry_magnitude(), 1.0))
+            for i in range(4):
+                for coord in ((1.0, 0.0), (0.0, 1.0)):
+                    for size, expected in ((0.5, True), (0.9, True), (1.1, False), (2.0, False)):
+                        entries = list(scalar.entries())
+                        entries[i] = entries[i] + number(kind, *(size * tt * c for c in coord))
+                        m = MoebiusMap(Mat2(kind, *entries))
+                        assert _is_identity(m) is expected and self._agrees(m)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_seeded_draws(self, kind):
+        rng = rng_from_seed(211)
+        for draw in (random_sl, random_gl) * 150:
+            assert self._agrees(MoebiusMap(draw(kind, rng)))
 
 
 class TestComposition:
@@ -175,8 +219,24 @@ class TestClassification:
                             lambda x, *tol: calls.append(x) or real(x, *tol))
         for kind in (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL):
             calls.clear()
-            classify_map(MoebiusMap(mat2(kind, [[2, 1], [1, 1.5]])))
+            m = MoebiusMap(mat2(kind, [[2, 1], [1, 1.5]]))
+            apply(m, point(kind, 1.0, 1.0))
+            assert calls == []  # construction and apply leave the slot empty
+            classify_map(m)
+            fixed_points(m)
             assert len(calls) == 1
+            assert m == MoebiusMap(m.rep) and "_sl" not in repr(m)
+
+    @pytest.mark.parametrize("kind, literal", [
+        (Kind.DOUBLE, [[1, 0], [0, number(Kind.DOUBLE, -1, 2)]]),  # det components 1, -3
+        (Kind.DUAL, [[1, 0], [0, -1]])])                            # det -1
+    def test_gl_without_det_root_not_normalizable(self, kind, literal):
+        m = MoebiusMap(mat2(kind, literal))
+        for _ in range(2):  # a failed normalization fills no slot
+            with pytest.raises(NotNormalizableError):
+                classify_map(m)
+            with pytest.raises(NotNormalizableError):
+                fixed_points(m)
 
     def test_identity_detected(self):
         record = classify_map(MoebiusMap(identity(Kind.DOUBLE).scale(generator(Kind.DOUBLE))))
