@@ -176,12 +176,16 @@ def double_from_components(a_plus: np.ndarray, a_minus: np.ndarray) -> Mat2:
     return Mat2(Kind.DOUBLE, *entries)
 
 
+def split_double(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The plus and minus component matrices of a double matrix, each as the
+    floats (a, b, c, d)."""
+    return tuple(zip(*(algebra.decompose(e) for e in x.entries())))
+
+
 def components_double(x: Mat2) -> tuple[np.ndarray, np.ndarray]:
-    plus = np.empty((2, 2))
-    minus = np.empty((2, 2))
-    for idx, entry in zip(((0, 0), (0, 1), (1, 0), (1, 1)), x.entries()):
-        plus[idx], minus[idx] = algebra.decompose(entry)
-    return plus, minus
+    """:func:`split_double` as 2x2 arrays."""
+    plus, minus = split_double(x)
+    return np.array(plus).reshape(2, 2), np.array(minus).reshape(2, 2)
 
 
 def dual_from_parts(a1: np.ndarray, a2: np.ndarray) -> Mat2:
@@ -194,12 +198,17 @@ def dual_from_parts(a1: np.ndarray, a2: np.ndarray) -> Mat2:
     return Mat2(Kind.DUAL, *entries)
 
 
+def split_dual(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The real part A1 and eps-part A2 of a dual matrix, each as the floats
+    (a, b, c, d)."""
+    a, b, c, d = x.entries()
+    return (a.a1, b.a1, c.a1, d.a1), (a.a2, b.a2, c.a2, d.a2)
+
+
 def parts_dual(x: Mat2) -> tuple[np.ndarray, np.ndarray]:
-    part1 = np.empty((2, 2))
-    part2 = np.empty((2, 2))
-    for idx, entry in zip(((0, 0), (0, 1), (1, 0), (1, 1)), x.entries()):
-        part1[idx], part2[idx] = entry.a1, entry.a2
-    return part1, part2
+    """:func:`split_dual` as 2x2 arrays."""
+    part1, part2 = split_dual(x)
+    return np.array(part1).reshape(2, 2), np.array(part2).reshape(2, 2)
 
 
 def adj_real(m: np.ndarray) -> np.ndarray:

@@ -41,6 +41,8 @@ from .matrix2 import (
     det,
     identity,
     normalize_to_sl,
+    split_double,
+    split_dual,
     trace,
 )
 from .projline import (
@@ -81,8 +83,12 @@ class MoebiusMap:
         return str(self.rep)
 
 
+_IDENTITY_MAPS = {kind: MoebiusMap(identity(kind)) for kind in Kind}
+
+
 def identity_map(kind: Kind) -> MoebiusMap:
-    return MoebiusMap(identity(kind))
+    """The identity map of ``kind``: one shared map per kind."""
+    return _IDENTITY_MAPS[kind]
 
 
 def _normalized(m: MoebiusMap) -> Mat2:
@@ -115,13 +121,20 @@ def mob_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = TAU_ALG) -> bool:
 
     The scalar is solved for from the best-conditioned entry (componentwise
     over double, a1-level then eps-level over dual) and then checked against
-    all four entries.
+    all four entries.  Against :func:`identity_map` that scalar is entry a
+    of ``m1`` itself (its components recombined over double), so the test
+    is answered in closed form without the solve.
     """
     if m1.kind is not m2.kind:
         raise KindMismatchError("cannot compare maps of different kinds")
+    kind = m1.kind
+    if m2 is _IDENTITY_MAPS[kind]:
+        r = m1.rep
+        u = recompose(*decompose(r.a)) if kind is Kind.DOUBLE else r.a
+        tt = tol * (1.0 + max(r.max_entry_magnitude(), 1.0))
+        return r.a.close_to(u, tt) and r.b.is_zero(tt) and r.c.is_zero(tt) and r.d.close_to(u, tt)
     e1 = m1.rep.entries()
     e2 = m2.rep.entries()
-    kind = m1.kind
     if kind is Kind.DOUBLE:
         p1 = [decompose(v) for v in e1]
         p2 = [decompose(v) for v in e2]
@@ -144,20 +157,6 @@ def mob_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = TAU_ALG) -> bool:
         u = e1[i1] * invert(e2[i1])
     scale = 1.0 + max(m1.rep.max_entry_magnitude(), m2.rep.max_entry_magnitude())
     return all(a.close_to(b * u, tol * scale) for a, b in zip(e1, e2))
-
-
-def _is_identity(m: MoebiusMap) -> bool:
-    """``mob_equal(m, identity_map(m.kind))`` without building the identity.
-
-    Against I, mob_equal solves the scalar from entry a alone (u = a, its
-    idempotent components recombined over double), then asks a and d to be
-    within tol of u and b and c within tol of zero, all coordinatewise.
-    """
-    r = m.rep
-    u = recompose(*decompose(r.a)) if m.kind is Kind.DOUBLE else r.a
-    tol = TAU_ALG * (1.0 + max(r.max_entry_magnitude(), 1.0))
-    return (r.a.close_to(u, tol) and r.b.is_zero(tol) and r.c.is_zero(tol)
-            and r.d.close_to(u, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +277,16 @@ def classify_map(m: MoebiusMap) -> MapClass:
     sl = _normalized(m)
     t = trace(sl)
     t2 = t * t
-    is_id = _is_identity(m)
+    is_id = mob_equal(m, identity_map(m.kind))
     if m.kind is Kind.DOUBLE:
         tags = ((MapTag.IDENTITY,) * 2 if is_id
-                else tuple(_classify_real_component(*g) for g in _split_double(sl)))
+                else tuple(_classify_real_component(*g) for g in split_double(sl)))
     elif m.kind is Kind.DUAL:
         tags = (MapTag.IDENTITY if is_id
-                else _classify_real_component(*(e.a1 for e in sl.entries())),)
+                else _classify_real_component(*split_dual(sl)[0]),)
     else:
         tags = (MapTag.IDENTITY if is_id else _classify_complex_tr2(t2.a1, t2.a2),)
     return MapClass(m.kind, tags, t2, is_id)
-
-
-def _split_double(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The plus and minus component matrices of a double matrix, as (a, b, c, d)."""
-    return tuple(zip(*(decompose(e) for e in x.entries())))
 
 
 def _classify_real_component(a: float, b: float, c: float, d: float) -> MapTag:
@@ -387,7 +381,7 @@ def _combine_double_swapped(fm: tuple[float, float], fp: tuple[float, float]) ->
 
 
 def _fixed_points_double(m: MoebiusMap, tol: float) -> FixedPointSet:
-    fixed_plus, fixed_minus = (_real_fixed_points(*g, tol) for g in _split_double(_normalized(m)))
+    fixed_plus, fixed_minus = (_real_fixed_points(*g, tol) for g in split_double(_normalized(m)))
     if fixed_plus is None and fixed_minus is None:
         raise FixesEverythingError("identity map fixes every class")
     points: list[CanonicalClass] = []
@@ -432,8 +426,7 @@ def _fixed_points_dual(m: MoebiusMap, tol: float) -> FixedPointSet:
     every real base, and the eps-part A2 picks the bases with s free.
     """
     r = _normalized(m)
-    a1, b1, c1, d1 = (e.a1 for e in r.entries())
-    a2, b2, c2, d2 = (e.a2 for e in r.entries())
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = split_dual(r)
     tol_s = tol * (1.0 + r.max_entry_magnitude())
     one = algebra.one(Kind.DUAL)
     points: list[CanonicalClass] = []
@@ -478,7 +471,7 @@ def fixed_points(m: MoebiusMap, tol: float = TAU_ALG) -> FixedPointSet:
     point satisfies apply(m, point) == point; family members are spot
     checked through their stored representatives.
     """
-    if _is_identity(m):
+    if mob_equal(m, identity_map(m.kind)):
         raise FixesEverythingError("identity map fixes every class")
     if m.kind is Kind.COMPLEX:
         return FixedPointSet(tuple(_fixed_points_complex(m, tol)))

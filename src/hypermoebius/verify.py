@@ -51,13 +51,14 @@ from .moebius import (
     MapTag,
     MoebiusMap,
     _classify_real_tr2,
-    _is_identity,
     apply,
     apply_point,
     compose,
     fixed_points,
     fixed_points_real,
+    identity_map,
     kernel_labels,
+    mob_equal,
     class_point,
 )
 from .orbits import (
@@ -591,7 +592,7 @@ def check_fixed_point_reapply(rng, n: int = 200) -> list[CheckResult]:
         maps = 0
         while maps < n:
             m = MoebiusMap(sampling.random_sl(kind, rng))
-            if _is_identity(m):
+            if mob_equal(m, identity_map(kind)):
                 continue
             maps += 1
             fps = fixed_points(m)

@@ -10,7 +10,6 @@ from hypermoebius.matrix2 import Mat2, double_from_components, identity, mat2, m
 from hypermoebius.moebius import (
     MapTag,
     MoebiusMap,
-    _is_identity,
     apply,
     apply_point,
     class_point,
@@ -95,8 +94,9 @@ class TestMobEqual:
         assert mob_equal(MoebiusMap(b), MoebiusMap(b.scale(u)))
 
 
-class TestIsIdentity:
-    """``_is_identity`` against ``mob_equal`` with the identity map."""
+class TestMobEqualIdentity:
+    """``mob_equal`` against the shared identity map (the closed form) and
+    against a fresh identity map (the general scalar solve)."""
 
     KINDS = (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL)
 
@@ -107,14 +107,20 @@ class TestIsIdentity:
                         number(kind, 0.25)]  # below 1, where the tolerance floor holds
 
     @staticmethod
-    def _agrees(m) -> bool:
-        return _is_identity(m) == mob_equal(m, identity_map(m.kind))
+    def _is_identity(m) -> bool:
+        closed = mob_equal(m, identity_map(m.kind))
+        assert closed == mob_equal(m, MoebiusMap(identity(m.kind)))
+        return closed
+
+    def test_identity_map_is_shared(self):
+        for kind in self.KINDS:
+            assert identity_map(kind) is identity_map(kind)
+            assert identity_map(kind).rep == identity(kind)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_unit_scalars(self, kind):
         for u in self._scalars(kind):
-            m = MoebiusMap(identity(kind).scale(u))
-            assert _is_identity(m) and self._agrees(m)
+            assert self._is_identity(MoebiusMap(identity(kind).scale(u)))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_perturbed_scalars(self, kind):
@@ -126,14 +132,13 @@ class TestIsIdentity:
                     for size, expected in ((0.5, True), (0.9, True), (1.1, False), (2.0, False)):
                         entries = list(scalar.entries())
                         entries[i] = entries[i] + number(kind, *(size * tt * c for c in coord))
-                        m = MoebiusMap(Mat2(kind, *entries))
-                        assert _is_identity(m) is expected and self._agrees(m)
+                        assert self._is_identity(MoebiusMap(Mat2(kind, *entries))) is expected
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_seeded_draws(self, kind):
         rng = rng_from_seed(211)
         for draw in (random_sl, random_gl) * 150:
-            assert self._agrees(MoebiusMap(draw(kind, rng)))
+            self._is_identity(MoebiusMap(draw(kind, rng)))
 
 
 class TestComposition:
