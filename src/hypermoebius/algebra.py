@@ -11,10 +11,11 @@ Scalars are double-precision floats.  Two tolerances are used throughout:
 ``TAU_ZERO`` decides structural questions ("is this component zero?") and
 ``TAU_ALG`` checks algebraic identities on computed values.
 
-The module also provides batched kernels over stacks of numbers, which
-match the scalar arithmetic bit for bit, and the sigma-parametrised
-trigonometric functions (circular for sigma=-1, linear for sigma=0,
-hyperbolic for sigma=+1) used by the one-parameter subgroup machinery.
+The coordinates may also be float arrays of one shape, a *stack*: ring
+arithmetic, ``decompose`` and ``recompose`` then act on each number with the
+expression tree they use on floats.  The module also provides the
+sigma-parametrised trigonometric functions (circular for sigma=-1, linear
+for sigma=0, hyperbolic for sigma=+1) used by the one-parameter subgroups.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class ElementClass(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Hypercomplex:
-    """Immutable number ``a1 + u*a2`` in the algebra given by ``kind``."""
+    """Immutable number ``a1 + u*a2`` in the algebra given by ``kind``; its
+    coordinates are floats, or float arrays of one shape for a stack."""
 
     kind: Kind
     a1: float
@@ -236,6 +238,11 @@ def invert(x: Hypercomplex, tol: float = TAU_ZERO) -> Hypercomplex:
     cls = classify_element(x, tol)
     if cls is not ElementClass.UNIT:
         raise NotInvertibleError(cls)
+    return _inverse(x)
+
+
+def _inverse(x: Hypercomplex) -> Hypercomplex:
+    """1/x for a unit x, or for each number of a stack of units."""
     if x.kind is Kind.DOUBLE:
         p, m = decompose(x)
         return recompose(1.0 / p, 1.0 / m)
@@ -287,55 +294,32 @@ def sqrt_all(
 
 
 # ---------------------------------------------------------------------------
-# batched kernels
-#
-# A stack of numbers is a float array of shape (..., 2) holding (a1, a2).
-# Each kernel repeats the expression tree of its scalar twin, so on the same
-# inputs the two agree bit for bit.
+# stacks
 
 
-def mul_many(sigma: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x * y`` elementwise in the algebra whose generator squares to sigma."""
-    x1, x2 = x[..., 0], x[..., 1]
-    y1, y2 = y[..., 0], y[..., 1]
-    return np.stack((x1 * y1 + sigma * x2 * y2, x1 * y2 + x2 * y1), axis=-1)
+def stacked(kind: Kind, coords: np.ndarray) -> Hypercomplex:
+    """The stack of numbers whose (a1, a2) run along the last axis of coords."""
+    return Hypercomplex(kind, coords[..., 0], coords[..., 1])
 
 
-def magnitude_many(x: np.ndarray) -> np.ndarray:
-    """:meth:`Hypercomplex.magnitude` of each number."""
-    return np.abs(x).max(axis=-1)
+def magnitude_many(x: Hypercomplex) -> np.ndarray:
+    """:meth:`Hypercomplex.magnitude` of each number of a stack."""
+    return np.maximum(abs(x.a1), abs(x.a2))
 
 
-def decompose_many(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`decompose` of each double number: the arrays (a+, a-)."""
-    return x[..., 0] + x[..., 1], x[..., 0] - x[..., 1]
-
-
-def recompose_many(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """:func:`recompose` of each component pair."""
-    return np.stack(((plus + minus) / 2.0, (plus - minus) / 2.0), axis=-1)
-
-
-def invert_many(kind: Kind, x: np.ndarray) -> np.ndarray:
-    """:func:`invert` of each number; raises for the first non-unit."""
-    a1, a2 = x[..., 0], x[..., 1]
-    if kind is Kind.DOUBLE:
-        p, m = decompose_many(x)
+def invert_many(x: Hypercomplex) -> Hypercomplex:
+    """:func:`invert` of each number of a stack; raises for the first non-unit."""
+    if x.kind is Kind.DOUBLE:
+        p, m = decompose(x)
         singular = (abs(p) <= TAU_ZERO) | (abs(m) <= TAU_ZERO)
-    elif kind is Kind.DUAL:
-        singular = abs(a1) <= TAU_ZERO
+    elif x.kind is Kind.DUAL:
+        singular = abs(x.a1) <= TAU_ZERO
     else:
-        singular = (abs(a1) <= TAU_ZERO) & (abs(a2) <= TAU_ZERO)
+        singular = (abs(x.a1) <= TAU_ZERO) & (abs(x.a2) <= TAU_ZERO)
     if singular.any():
-        b1, b2 = x[singular][0].tolist()
-        raise NotInvertibleError(classify_element(Hypercomplex(kind, b1, b2)))
-    if kind is Kind.DOUBLE:
-        return recompose_many(1.0 / p, 1.0 / m)
-    if kind is Kind.DUAL:
-        r = 1.0 / a1
-        return np.stack((r, -r * r * a2), axis=-1)
-    d = a1 * a1 + a2 * a2
-    return np.stack((a1 / d, -a2 / d), axis=-1)
+        first = Hypercomplex(x.kind, float(x.a1[singular][0]), float(x.a2[singular][0]))
+        raise NotInvertibleError(classify_element(first))
+    return _inverse(x)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import algebra, orbits, verify
+from . import algebra, orbits
 from .algebra import Kind, TAU_ALG, TAU_ZERO
 from .errors import DomainError, FixesEverythingError, HypermoebiusError, InvalidLiteralError
 from .matrix2 import parse_mat, render_mat
@@ -242,6 +242,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # only this command needs the suite and its sampling
     seed = args.seed if args.seed is not None else _default_seed()
     results = verify.run_all(seed)
     sys.stdout.write(verify.format_report(results, seed))

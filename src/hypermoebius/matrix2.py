@@ -5,9 +5,9 @@ membership tests, determinant formulas that reduce a double or dual matrix
 to real component matrices, rescaling to determinant one, and a matrix
 exponential used as an independent oracle for one-parameter subgroups.
 
-Real 2x2 matrices appear as plain (2, 2) numpy arrays.  The batched kernels
-take stacks of matrices as (..., 4, 2) arrays and match the ``Mat2``
-operations bit for bit.
+Real 2x2 matrices appear as plain (2, 2) numpy arrays.  A ``Mat2`` whose
+entries are stacks of numbers is a stack of matrices, on which ``+``, ``-``,
+``@``, ``scale``, ``det`` and ``hat`` act matrix by matrix.
 """
 
 from __future__ import annotations
@@ -219,70 +219,36 @@ def adj_real(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def det_split_double_many(a_plus: np.ndarray, a_minus: np.ndarray) -> np.ndarray:
+def stacked_mat(x: Hypercomplex) -> Mat2:
+    """The stack of matrices whose entry (i, j) is x[..., i, j], for a stack of
+    numbers x with coordinate arrays of shape (..., 2, 2)."""
+    return Mat2(x.kind, *(Hypercomplex(x.kind, x.a1[..., i, j], x.a2[..., i, j])
+                          for i in (0, 1) for j in (0, 1)))
+
+
+def det_split_double_many(a_plus: np.ndarray, a_minus: np.ndarray) -> Hypercomplex:
     """det(A+ P+ + A- P-) = det(A+) P+ + det(A-) P- for each pair of (..., 2, 2)
     component matrices, as a stack of double numbers."""
-    return algebra.recompose_many(np.linalg.det(a_plus), np.linalg.det(a_minus))
+    return algebra.recompose(np.linalg.det(a_plus), np.linalg.det(a_minus))
 
 
-def det_dual_formula_many(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+def det_dual_formula_many(a1: np.ndarray, a2: np.ndarray) -> Hypercomplex:
     """det(A1 + eps*A2) = det(A1) + eps * tr(A1 @ adj(A2)) for each pair of
     (..., 2, 2) parts, as a stack of dual numbers."""
     eps_part = np.trace(a1 @ adj_real(a2), axis1=-2, axis2=-1)
-    return np.stack((np.linalg.det(a1), eps_part), axis=-1)
+    return Hypercomplex(Kind.DUAL, np.linalg.det(a1), eps_part)
 
 
 def det_split_double(a_plus: np.ndarray, a_minus: np.ndarray) -> Hypercomplex:
     """det(A+ P+ + A- P-) assembled componentwise: det(A+) P+ + det(A-) P-."""
-    return Hypercomplex(Kind.DOUBLE, *det_split_double_many(a_plus, a_minus).tolist())
+    x = det_split_double_many(a_plus, a_minus)
+    return Hypercomplex(Kind.DOUBLE, float(x.a1), float(x.a2))
 
 
 def det_dual_formula(a1: np.ndarray, a2: np.ndarray) -> Hypercomplex:
     """det(A1 + eps*A2) = det(A1) + eps * tr(A1 @ adj(A2))."""
-    return Hypercomplex(Kind.DUAL, *det_dual_formula_many(a1, a2).tolist())
-
-
-# ---------------------------------------------------------------------------
-# batched kernels
-#
-# A stack of matrices is a float array of shape (..., 4, 2): the entries a,
-# b, c, d of each, as numbers in the layout of ``algebra.mul_many``.  Each
-# kernel repeats the expression tree of its ``Mat2`` twin.
-
-
-def as_array(x: Mat2) -> np.ndarray:
-    """The (4, 2) array of one matrix's entries."""
-    return np.array([(entry.a1, entry.a2) for entry in x.entries()])
-
-
-def matmul_many(sigma: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` for each pair: entry (i, j) is x[i,0]*y[0,j] + x[i,1]*y[1,j]."""
-    mul = algebra.mul_many
-    return (mul(sigma, x[..., [0, 0, 2, 2], :], y[..., [0, 1, 0, 1], :])
-            + mul(sigma, x[..., [1, 1, 3, 3], :], y[..., [2, 3, 2, 3], :]))
-
-
-def det_many(sigma: int, x: np.ndarray) -> np.ndarray:
-    """:func:`det` of each matrix: a*d - b*c."""
-    mul = algebra.mul_many
-    return mul(sigma, x[..., 0, :], x[..., 3, :]) - mul(sigma, x[..., 1, :], x[..., 2, :])
-
-
-def hat_many(x: np.ndarray) -> np.ndarray:
-    """:func:`hat` of each matrix: [[d, -b], [-c, a]]."""
-    return np.stack((x[..., 3, :], -x[..., 1, :], -x[..., 2, :], x[..., 0, :]), axis=-2)
-
-
-def double_from_components_many(a_plus: np.ndarray, a_minus: np.ndarray) -> np.ndarray:
-    """:func:`double_from_components` of each pair of (..., 2, 2) matrices."""
-    flat = a_plus.shape[:-2] + (4,)
-    return algebra.recompose_many(a_plus.reshape(flat), a_minus.reshape(flat))
-
-
-def dual_from_parts_many(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """:func:`dual_from_parts` of each pair of (..., 2, 2) matrices."""
-    flat = a1.shape[:-2] + (4,)
-    return np.stack((a1.reshape(flat), a2.reshape(flat)), axis=-1)
+    x = det_dual_formula_many(a1, a2)
+    return Hypercomplex(Kind.DUAL, float(x.a1), float(x.a2))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from .projline import CanonicalClass, ClassTag, ProjPoint
 from .subgroups import DoubleSL, DualSL, SigmaKind, eval_subgroup
 from . import algebra
 
+MAX_GRID_STEPS = 10**6
+
 
 @dataclass(frozen=True, slots=True)
 class StartPoint:
@@ -80,11 +82,14 @@ class OrbitSample:
 
 
 def t_grid(t_start: float, t_end: float, step: float) -> list[float]:
-    """Inclusive grid from start to end; the endpoint joins within half a step."""
+    """Inclusive grid from start to end; the endpoint joins within half a step.
+    More than ``MAX_GRID_STEPS`` steps raise :class:`DomainError` up front."""
     if not all(math.isfinite(v) for v in (t_start, t_end, step)):
         raise DomainError("grid start, end and step must be finite")
     if step <= 0:
         raise DomainError("grid step must be positive")
+    if (t_end - t_start) / step > MAX_GRID_STEPS:
+        raise DomainError(f"grid spans more than {MAX_GRID_STEPS} steps")
     ts = []
     k = 0
     while True:

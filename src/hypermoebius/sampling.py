@@ -72,7 +72,7 @@ def random_units(kind: Kind, rng: np.random.Generator, count: int) -> np.ndarray
         u = rng.random((count - len(out), 2, 2))
         x = np.where(u[..., 0] < 0.5, 1.0, -1.0) * (lo + (hi - lo) * u[..., 1])
         if kind is Kind.DOUBLE:
-            p, m = algebra.decompose_many(x)
+            p, m = algebra.decompose(algebra.stacked(kind, x))
             x = x[np.minimum(abs(p), abs(m)) >= lo / 2.0]
         out = np.concatenate((out, x))
     return out

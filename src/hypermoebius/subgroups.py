@@ -206,8 +206,12 @@ SubgroupSpec = RealGL | DoubleSL | DoubleGL | DualGL | DualSL
 
 
 def eval_subgroup(spec, t: float):
-    """The subgroup matrix at parameter t (numpy for real, Mat2 otherwise)."""
-    return spec.eval(t)
+    """The subgroup matrix at parameter t (numpy for real, Mat2 otherwise);
+    :class:`DomainError` where an entry overflows the float range."""
+    try:
+        return spec.eval(t)
+    except OverflowError:
+        raise DomainError(f"the subgroup matrix at t={t!r} overflows the float range") from None
 
 
 def _entry_gap(x, y) -> float:

@@ -1,33 +1,33 @@
-"""Batched kernels against their scalar twins, compared with ``==``.
+"""The library's ring and matrix operations on stacks against one number or
+matrix at a time, compared with ``==``.
 
-The fixed-draw sweeps of ``verify`` run on the batched kernels; these tests
-keep them a check of the scalar library by demanding bit-identical results
-on the same draws, and identical generator use.
+The fixed-draw sweeps of ``verify`` run ``Hypercomplex`` and ``Mat2``
+arithmetic on stacks of numbers and matrices; these tests keep them a check
+of the scalar library by demanding bit-identical results on the same
+values, and identical generator use.
 """
+
+import operator
 
 import numpy as np
 import pytest
 
 from hypermoebius import algebra, sampling, verify
-from hypermoebius.algebra import Hypercomplex, Kind, invert_many, magnitude_many, mul_many
+from hypermoebius.algebra import Hypercomplex, Kind, invert_many, magnitude_many, stacked
 from hypermoebius.errors import NotInvertibleError
 from hypermoebius.matrix2 import (
     Mat2,
     adj_real,
-    as_array,
     det,
     det_dual_formula,
     det_dual_formula_many,
-    det_many,
     det_split_double,
     det_split_double_many,
     double_from_components,
-    double_from_components_many,
     dual_from_parts,
-    dual_from_parts_many,
     hat,
-    hat_many,
-    matmul_many,
+    identity,
+    stacked_mat,
 )
 
 KINDS = (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL)
@@ -39,14 +39,22 @@ def numbers(kind, arr):
 
 
 def matrices(kind, arr):
-    return [Mat2(kind, *numbers(kind, m)) for m in arr]
+    """One Mat2 per (2, 2, 2) block of arr: entry (i, j) has coordinates arr[i, j]."""
+    return [Mat2(kind, *numbers(kind, m.reshape(4, 2))) for m in arr]
 
 
 def stack(values):
-    """Scalar results as a stack: numbers (n, 2), matrices (n, 4, 2)."""
+    """Scalar results as a coordinate array: numbers (n, 2), matrices (n, 4, 2)."""
     if isinstance(values[0], Mat2):
-        return np.array([as_array(m) for m in values])
+        return np.array([[(e.a1, e.a2) for e in m.entries()] for m in values])
     return np.array([(x.a1, x.a2) for x in values])
+
+
+def coords(x):
+    """A stacked result in the layout of :func:`stack`."""
+    if isinstance(x, Mat2):
+        return np.stack([coords(e) for e in x.entries()], axis=-2)
+    return np.stack((x.a1, x.a2), axis=-1)
 
 
 def same(batched, scalar) -> bool:
@@ -58,65 +66,119 @@ def rng():
     return np.random.default_rng(2024)
 
 
+NON_UNITS = {  # one coordinate pair of each non-unit class of each kind
+    Kind.COMPLEX: {"Zero": [0.0, 0.0]},
+    Kind.DOUBLE: {"Zero": [0.0, 0.0], "ZeroDivisorPlus": [1.5, 1.5],
+                  "ZeroDivisorMinus": [1.5, -1.5]},
+    Kind.DUAL: {"Zero": [0.0, 0.0], "NilpotentNonzero": [0.0, 2.0]},
+}
+
+
 @pytest.mark.parametrize("kind", KINDS)
-class TestNumberKernels:
-    def test_mul(self, kind, rng):
+class TestStackedNumbers:
+    @pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub])
+    def test_ring_operation(self, kind, rng, op):
         x, y = sampling.random_numbers(rng, (N,)), sampling.random_numbers(rng, (N,))
-        want = stack([p * q for p, q in zip(numbers(kind, x), numbers(kind, y))])
-        assert same(mul_many(kind.sigma, x, y), want)
+        want = stack([op(p, q) for p, q in zip(numbers(kind, x), numbers(kind, y))])
+        assert same(coords(op(stacked(kind, x), stacked(kind, y))), want)
+
+    def test_negation(self, kind, rng):
+        x = sampling.random_numbers(rng, (N,))
+        assert same(coords(-stacked(kind, x)), stack([-p for p in numbers(kind, x)]))
+
+    @pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub])
+    def test_with_a_real(self, kind, rng, op):
+        x = sampling.random_numbers(rng, (N,))
+        assert same(coords(op(stacked(kind, x), 0.75)),
+                    stack([op(p, 0.75) for p in numbers(kind, x)]))
 
     def test_magnitude(self, kind, rng):
         x = sampling.random_numbers(rng, (N,))
-        assert same(magnitude_many(x), np.array([v.magnitude() for v in numbers(kind, x)]))
+        assert same(magnitude_many(stacked(kind, x)),
+                    np.array([v.magnitude() for v in numbers(kind, x)]))
 
     def test_invert(self, kind, rng):
         x = sampling.random_units(kind, rng, N)
-        assert same(invert_many(kind, x), stack([algebra.invert(v) for v in numbers(kind, x)]))
+        assert same(coords(invert_many(stacked(kind, x))),
+                    stack([algebra.invert(v) for v in numbers(kind, x)]))
 
     def test_invert_rejects_non_units(self, kind):
-        x = np.array([[1.0, 0.5], [0.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(NotInvertibleError) as info:
-            invert_many(kind, x)
-        assert str(info.value.element_class) == "Zero"
+        for name, first in NON_UNITS[kind].items():
+            x = np.array([[1.0, 0.5], first, [0.0, 0.0], [2.0, 0.0]])
+            with pytest.raises(NotInvertibleError) as info:
+                invert_many(stacked(kind, x))
+            assert str(info.value.element_class) == name  # the first non-unit's class
+
+
+class TestStackedSplit:
+    def test_decompose(self, rng):
+        x = sampling.random_numbers(rng, (N,))
+        plus, minus = algebra.decompose(stacked(Kind.DOUBLE, x))
+        want = np.array([algebra.decompose(v) for v in numbers(Kind.DOUBLE, x)])
+        assert same(np.stack((plus, minus), axis=-1), want)
+
+    def test_recompose(self, rng):
+        pm = rng.uniform(-2, 2, size=(N, 2))
+        assert same(coords(algebra.recompose(pm[:, 0], pm[:, 1])),
+                    stack([algebra.recompose(p, m) for p, m in pm.tolist()]))
 
 
 @pytest.mark.parametrize("kind", KINDS)
-class TestMatrixKernels:
+class TestStackedMatrices:
     def test_det(self, kind, rng):
-        x = sampling.random_numbers(rng, (N, 4))
-        assert same(det_many(kind.sigma, x), stack([det(m) for m in matrices(kind, x)]))
+        x = sampling.random_numbers(rng, (N, 2, 2))
+        assert same(coords(det(stacked_mat(stacked(kind, x)))),
+                    stack([det(m) for m in matrices(kind, x)]))
 
-    def test_matmul(self, kind, rng):
-        x, y = sampling.random_numbers(rng, (N, 4)), sampling.random_numbers(rng, (N, 4))
-        want = stack([p @ q for p, q in zip(matrices(kind, x), matrices(kind, y))])
-        assert same(matmul_many(kind.sigma, x, y), want)
+    @pytest.mark.parametrize("op", [operator.matmul, operator.add, operator.sub])
+    def test_matrix_operation(self, kind, rng, op):
+        x, y = sampling.random_numbers(rng, (N, 2, 2)), sampling.random_numbers(rng, (N, 2, 2))
+        want = stack([op(p, q) for p, q in zip(matrices(kind, x), matrices(kind, y))])
+        assert same(coords(op(stacked_mat(stacked(kind, x)), stacked_mat(stacked(kind, y)))),
+                    want)
 
     def test_hat(self, kind, rng):
-        x = sampling.random_numbers(rng, (N, 4))
-        assert same(hat_many(x), stack([hat(m) for m in matrices(kind, x)]))
+        x = sampling.random_numbers(rng, (N, 2, 2))
+        assert same(coords(hat(stacked_mat(stacked(kind, x)))),
+                    stack([hat(m) for m in matrices(kind, x)]))
+
+    def test_scale(self, kind, rng):
+        x, s = sampling.random_numbers(rng, (N, 2, 2)), sampling.random_numbers(rng, (N,))
+        pairs = list(zip(matrices(kind, x), numbers(kind, s)))
+        mats, factors = stacked_mat(stacked(kind, x)), stacked(kind, s)
+        assert same(coords(mats.scale(factors)), stack([m.scale(f) for m, f in pairs]))
+        assert same(coords(mats.scale(0.75)), stack([m.scale(0.75) for m, _ in pairs]))
+        # one matrix scaled by a stack of numbers, as in the adjugate identity
+        assert same(coords(identity(kind).scale(factors)),
+                    stack([identity(kind).scale(f) for _, f in pairs]))
 
 
 class TestComponentFormulas:
     def test_matrices_from_real_parts(self, rng):
         first, second = rng.uniform(-2, 2, size=(2, N, 2, 2))
-        assert same(double_from_components_many(first, second),
+        assert same(coords(stacked_mat(algebra.recompose(first, second))),
                     stack([double_from_components(p, m) for p, m in zip(first, second)]))
-        assert same(dual_from_parts_many(first, second),
+        assert same(coords(stacked_mat(Hypercomplex(Kind.DUAL, first, second))),
                     stack([dual_from_parts(p, m) for p, m in zip(first, second)]))
 
     def test_split_double_stacked_matches_one_at_a_time(self, rng):
         plus, minus = rng.uniform(-2, 2, size=(2, N, 2, 2))
         want = stack([algebra.recompose(float(np.linalg.det(p)), float(np.linalg.det(m)))
                       for p, m in zip(plus, minus)])
-        assert same(det_split_double_many(plus, minus), want)
+        assert same(coords(det_split_double_many(plus, minus)), want)
         assert same(stack([det_split_double(p, m) for p, m in zip(plus, minus)]), want)
 
     def test_dual_formula_stacked_matches_one_at_a_time(self, rng):
         a1, a2 = rng.uniform(-2, 2, size=(2, N, 2, 2))
         want = np.array([(float(np.linalg.det(p)), float(np.trace(p @ adj_real(q))))
                          for p, q in zip(a1, a2)])
-        assert same(det_dual_formula_many(a1, a2), want)
+        assert same(coords(det_dual_formula_many(a1, a2)), want)
         assert same(stack([det_dual_formula(p, q) for p, q in zip(a1, a2)]), want)
+
+    def test_scalar_formulas_give_floats(self, rng):
+        p, q = rng.uniform(-2, 2, size=(2, 2, 2))
+        for value in (det_split_double(p, q), det_dual_formula(p, q)):
+            assert type(value.a1) is float and type(value.a2) is float
 
     def test_adj_real_stack(self, rng):
         m = rng.uniform(-2, 2, size=(N, 2, 2))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,6 +103,11 @@ class TestExitCodes:
             ["subgroup-eval", "--spec", shear, "--t", "abc"],
             ["subgroup-eval", "--spec", shear, "--t", "0:inf:1"],
             ["subgroup-eval", "--spec", shear, "--t", "0:1:nan"],
+            ["subgroup-eval", "--spec", shear, "--t", "0:1e6:1e-9"],
+            ["subgroup-eval", "--spec", "double-gl(sigma+=A,lambda+=800,sigma-=K,lambda-=0)",
+             "--t", "1"],
+            ["orbit", "--spec", "dual-sl(sigma=A,lambda=1,t0=1)", "--start", "1,2", "--t", "800"],
+            ["orbit", "--spec", shear, "--start", "1,2", "--t", "0:1e6:1e-9"],
             ["orbit", "--spec", "real-gl(sigma=K, lambda=0.5)", "--start", "1,2", "--t", "0"],
             ["orbit", "--spec", shear, "--start", "1,2", "--t", "0",
              "--out-file", str(tmp_path / "missing" / "orbit.csv")],
@@ -147,6 +155,14 @@ class TestExitCodes:
         assert code == 0
         assert "seed=123" in out
         assert "seed 123" in out
+
+
+def test_start_imports_no_verify_suite():
+    code = "import sys, hypermoebius.cli; print(sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert "'hypermoebius.verify'" not in out and "'hypermoebius.sampling'" not in out
 
 
 # the seed-5 report byte for byte, as the scalar sweeps printed it.  Generated

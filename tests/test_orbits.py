@@ -8,6 +8,7 @@ from hypermoebius.algebra import Kind
 from hypermoebius.errors import DomainError
 from hypermoebius.orbits import (
     CSV_HEADER,
+    MAX_GRID_STEPS,
     dual_orbit_report,
     orbit_sample,
     residual_dual_orbit,
@@ -33,6 +34,15 @@ class TestGrid:
         ts = t_grid(-2.0, 2.0, 0.1)
         assert len(ts) == 41
         assert ts[0] == pytest.approx(-2.0) and ts[-1] == pytest.approx(2.0)
+
+    def test_grid_values_are_kept(self):
+        assert t_grid(-2, 2, 0.01) == [-2 + k * 0.01 for k in range(401)]
+
+    def test_grid_length_is_bounded(self):
+        assert len(t_grid(0, MAX_GRID_STEPS, 1)) == MAX_GRID_STEPS + 1
+        for bad in ((0, 2e6, 1), (0, 1e6, 1e-9), (-1e308, 1e308, 1.0)):
+            with pytest.raises(DomainError, match="more than"):
+                t_grid(*bad)
 
     def test_bad_step(self):
         with pytest.raises(DomainError):

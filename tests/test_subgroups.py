@@ -83,6 +83,15 @@ class TestEval:
         with pytest.raises(DomainError):
             DualSL(SigmaKind.TRIVIAL, 1.0)
 
+    def test_overflow_is_domain_error(self):
+        double = parse_spec("double-gl(sigma+=A,lambda+=800,sigma-=K,lambda-=0)")
+        dual = parse_spec("dual-sl(sigma=A,lambda=1,t0=1)")
+        for spec, t in ((double, 1.0), (dual, 800.0),
+                        (conjugate_spec(double, identity(Kind.DOUBLE)), 1.0)):
+            with pytest.raises(DomainError, match="overflows"):
+                eval_subgroup(spec, t)
+        eval_subgroup(double, 0.5)  # exp(400) is still a float
+
 
 class TestGroupLaw:
     def test_zero_pair(self):
