@@ -34,8 +34,6 @@ class TestGrid:
         ts = t_grid(-2.0, 2.0, 0.1)
         assert len(ts) == 41
         assert ts[0] == pytest.approx(-2.0) and ts[-1] == pytest.approx(2.0)
-
-    def test_grid_values_are_kept(self):
         assert t_grid(-2, 2, 0.01) == [-2 + k * 0.01 for k in range(401)]
 
     def test_grid_length_is_bounded(self):
