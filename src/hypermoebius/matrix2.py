@@ -5,9 +5,10 @@ membership tests, determinant formulas that reduce a double or dual matrix
 to real component matrices, rescaling to determinant one, and a matrix
 exponential used as an independent oracle for one-parameter subgroups.
 
-Real 2x2 matrices appear as plain (2, 2) numpy arrays.  A ``Mat2`` whose
-entries are stacks of numbers is a stack of matrices, on which ``+``, ``-``,
-``@``, ``scale``, ``det`` and ``hat`` act matrix by matrix.
+Real 2x2 matrices appear as float 4-tuples (a, b, c, d) in the split_* and
+join_* component maps, and as (2, 2) numpy arrays elsewhere.  A ``Mat2``
+whose entries are stacks of numbers is a stack of matrices, on which ``+``,
+``-``, ``@``, ``scale``, ``det`` and ``hat`` act matrix by matrix.
 """
 
 from __future__ import annotations
@@ -163,17 +164,18 @@ def normalize_to_sl(x: Mat2, tol_zero: float = TAU_ZERO) -> Mat2:
 
 
 # ---------------------------------------------------------------------------
-# component reductions (real 2x2 matrices as numpy arrays)
+# component reductions (real 2x2 matrices as float 4-tuples or numpy arrays)
+
+
+def join_double(plus, minus) -> Mat2:
+    """The double matrix A+ P+ + A- P- from its component matrices, each
+    given as the floats (a, b, c, d); the inverse of :func:`split_double`."""
+    return Mat2(Kind.DOUBLE, *map(algebra.recompose, plus, minus))
 
 
 def double_from_components(a_plus: np.ndarray, a_minus: np.ndarray) -> Mat2:
-    """The double matrix A+ P+ + A- P- with real component matrices A+-."""
-    entries = [
-        algebra.recompose(float(a_plus[i, j]), float(a_minus[i, j]))
-        for i in (0, 1)
-        for j in (0, 1)
-    ]
-    return Mat2(Kind.DOUBLE, *entries)
+    """:func:`join_double` from 2x2 arrays."""
+    return join_double(map(float, np.ravel(a_plus)), map(float, np.ravel(a_minus)))
 
 
 def split_double(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -188,14 +190,15 @@ def components_double(x: Mat2) -> tuple[np.ndarray, np.ndarray]:
     return np.array(plus).reshape(2, 2), np.array(minus).reshape(2, 2)
 
 
+def join_dual(part1, part2) -> Mat2:
+    """The dual matrix A1 + eps*A2 from its real part A1 and eps-part A2, each
+    given as the floats (a, b, c, d); the inverse of :func:`split_dual`."""
+    return Mat2(Kind.DUAL, *(Hypercomplex(Kind.DUAL, x, y) for x, y in zip(part1, part2)))
+
+
 def dual_from_parts(a1: np.ndarray, a2: np.ndarray) -> Mat2:
-    """The dual matrix A1 + eps*A2 with real part A1 and eps-part A2."""
-    entries = [
-        Hypercomplex(Kind.DUAL, float(a1[i, j]), float(a2[i, j]))
-        for i in (0, 1)
-        for j in (0, 1)
-    ]
-    return Mat2(Kind.DUAL, *entries)
+    """:func:`join_dual` from 2x2 arrays."""
+    return join_dual(map(float, np.ravel(a1)), map(float, np.ravel(a2)))
 
 
 def split_dual(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:

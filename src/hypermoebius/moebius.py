@@ -51,6 +51,7 @@ from .projline import (
     ProjPoint,
     canonical_ratio,
     canonicalize,
+    image,
     real_projective_equal,
 )
 
@@ -102,8 +103,7 @@ def apply_point(m: MoebiusMap, p: ProjPoint) -> ProjPoint:
     """The image point (a representative of the image class)."""
     if m.kind is not p.kind:
         raise KindMismatchError("map and point kinds differ")
-    r = m.rep
-    return ProjPoint(p.kind, r.a * p.x + r.b * p.y, r.c * p.x + r.d * p.y)
+    return image(m.rep, p)
 
 
 def apply(m: MoebiusMap, p: ProjPoint, tol: float = TAU_ZERO) -> CanonicalClass:

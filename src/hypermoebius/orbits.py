@@ -1,8 +1,9 @@
 """Orbit sampling and closed-form orbit-equation residuals.
 
-Ground truth is always the direct matrix action: evaluate the subgroup at t,
-act on the start point, canonicalize.  The closed-form equations are then
-evaluated on the sampled affine rows and their residuals reported.
+:func:`sampled_orbit` builds each row in one pass.  Ground truth is the
+direct matrix action: evaluate the subgroup at t, act on the start point,
+canonicalize.  On an affine row the closed forms chosen once for the family
+are then evaluated, and a non-finite residual is reported as None.
 
 Three closed forms are covered for the det-1 double families:
 
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 from .algebra import TAU_ZERO, Hypercomplex, Kind, arctan_sigma, cos_sigma, recompose, sin_sigma
 from .errors import DomainError, KindMismatchError
-from .moebius import MoebiusMap, apply as moebius_apply
-from .projline import CanonicalClass, ClassTag, ProjPoint
+from .projline import PR_TAGS, CanonicalClass, ClassTag, ProjPoint, canonicalize, image
 from .subgroups import DoubleSL, DualSL, SigmaKind, eval_subgroup
 from . import algebra
 
@@ -99,21 +99,6 @@ def t_grid(t_start: float, t_end: float, step: float) -> list[float]:
         ts.append(t)
         k += 1
     return ts
-
-
-def orbit_sample(spec, start: StartPoint, ts) -> OrbitSample:
-    """Direct-action orbit rows (the oracle): class plus affine coordinates."""
-    p0 = start.to_point()
-    rows = []
-    for t in ts:
-        t = float(t)
-        m = MoebiusMap(eval_subgroup(spec, t))
-        cls = moebius_apply(m, p0)
-        if cls.tag is ClassTag.AFFINE:
-            rows.append(OrbitRow(t, cls, cls.affine.a1, cls.affine.a2))
-        else:
-            rows.append(OrbitRow(t, cls, None, None))
-    return OrbitSample(spec, start, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -225,60 +210,58 @@ def residual_dual_orbit(spec: DualSL, start: StartPoint, u: float, v: float,
 
 
 # ---------------------------------------------------------------------------
-# per-family attachment of residuals to oracle rows
+# the row builder
 
-_HALF_PI = math.pi / 2.0
-_BRANCH_MARGIN = 1e-9
+def _residual_columns(spec, start: StartPoint):
+    """The family's closed forms as one function (t, u, v) -> (primary,
+    secondary), chosen once per sample; None marks an inapplicable column.
+    They are two-regime and shear-pair (both shears only) for two active
+    det-1 double components, corrected and circulating line form for a
+    trivial minus component, and the literal transcription for det-1 dual."""
+    if isinstance(spec, DualSL):
+        return lambda t, u, v: (residual_dual_orbit(spec, start, u, v), None)
+    if not isinstance(spec, DoubleSL) or spec.sigma_plus is SigmaKind.TRIVIAL:
+        return lambda t, u, v: (None, None)
+    sp, sm, a = spec.sigma_plus.sigma, spec.sigma_minus.sigma, spec.a
+    if sm is None or a == 0.0:
+        def line(t, u, v):
+            res = residual_trivial_minus(start, u, v)
+            return res.corrected, res.printed
+        return line
+    shear = sp == sm == 0
+    # the principal-branch window where arctan inverts the circular tangent
+    window = math.pi / 2.0 - 1e-9
 
-
-def _branch_ok(sigma: int, time: float) -> bool:
-    """The principal-branch window where arctan inverts the sigma-tangent."""
-    if sigma == -1:
-        return abs(time) < _HALF_PI - _BRANCH_MARGIN
-    return True
-
-
-def attach_residuals(sample: OrbitSample) -> OrbitSample:
-    """Fill in the residual columns appropriate to the sampled family.
-
-    Double det-1 families with two active components get the two-regime
-    equation (primary) and, in the shear-shear case, the polynomial
-    special case (secondary).  The trivial-minus family gets the corrected line
-    form (primary) and the circulating variant (secondary).  The det-1 dual
-    family gets the literal transcription (primary).  Rows outside an
-    equation's branch window or preconditions keep None.
-    """
-    spec, start = sample.spec, sample.start
-    rows = []
-    for row in sample.rows:
-        rows.append(_attach_row(spec, start, row))
-    return OrbitSample(spec, start, tuple(rows))
-
-
-def _attach_row(spec, start: StartPoint, row: OrbitRow) -> OrbitRow:
-    if row.u is None:
-        return row
-    primary = secondary = None
-    if isinstance(spec, DoubleSL):
-        sp, sm = spec.sigma_plus, spec.sigma_minus
-        trivial_minus = sm is SigmaKind.TRIVIAL or spec.a == 0.0
-        if trivial_minus and sp is not SigmaKind.TRIVIAL:
-            res = residual_trivial_minus(start, row.u, row.v)
-            primary, secondary = res.corrected, res.printed
-        elif sp is not SigmaKind.TRIVIAL and sm is not SigmaKind.TRIVIAL:
-            if _branch_ok(sp.sigma, row.t) and _branch_ok(sm.sigma, spec.a * row.t):
-                primary = residual_two_regime(sp.sigma, sm.sigma, spec.a,
-                                              start, row.u, row.v)
-            if sp is SigmaKind.PARABOLIC and sm is SigmaKind.PARABOLIC:
-                secondary = residual_shear_pair(spec.a, start, row.u, row.v)
-    elif isinstance(spec, DualSL):
-        primary = residual_dual_orbit(spec, start, row.u, row.v)
-    return OrbitRow(row.t, row.cls, row.u, row.v, primary, secondary)
+    def two_regime(t, u, v):
+        primary = None
+        if (sp != -1 or abs(t) < window) and (sm != -1 or abs(a * t) < window):
+            primary = residual_two_regime(sp, sm, a, start, u, v)
+        return primary, residual_shear_pair(a, start, u, v) if shear else None
+    return two_regime
 
 
 def sampled_orbit(spec, start: StartPoint, ts) -> OrbitSample:
-    """Oracle rows with residual columns attached."""
-    return attach_residuals(orbit_sample(spec, start, ts))
+    """Orbit rows with their residual columns.
+
+    Per t the subgroup matrix acts on the start point and the image is
+    canonicalized: that direct action is the oracle.  An affine row then
+    gets the family's closed-form residuals; a non-finite one is None.
+    """
+    p = start.to_point()
+    columns = _residual_columns(spec, start)
+    rows = []
+    for t in ts:
+        t = float(t)
+        cls = canonicalize(image(eval_subgroup(spec, t), p))
+        if cls.tag in PR_TAGS:  # an invertible matrix keeps the start admissible
+            raise DomainError(f"the subgroup matrix at t={t!r} loses a component to rounding")
+        if cls.tag is ClassTag.AFFINE:
+            u, v = cls.affine.a1, cls.affine.a2
+            rows.append(OrbitRow(t, cls, u, v, *(r if r is not None and math.isfinite(r)
+                                                 else None for r in columns(t, u, v))))
+        else:
+            rows.append(OrbitRow(t, cls, None, None))
+    return OrbitSample(spec, start, tuple(rows))
 
 
 @dataclass(frozen=True, slots=True)

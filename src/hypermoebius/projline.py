@@ -66,6 +66,11 @@ class ProjPoint:
         return render_point(self)
 
 
+def image(g: Mat2, p: ProjPoint) -> ProjPoint:
+    """[ax + by : cx + dy], the image of p = [x : y] under g = [[a, b], [c, d]]."""
+    return ProjPoint(p.kind, g.a * p.x + g.b * p.y, g.c * p.x + g.d * p.y)
+
+
 def point(kind: Kind, x, y) -> ProjPoint:
     conv = lambda v: v if isinstance(v, Hypercomplex) else algebra.number(kind, v)
     return ProjPoint(kind, conv(x), conv(y))
@@ -87,7 +92,7 @@ class ClassTag(Enum):
         return self.value
 
 
-_PR_TAGS = {ClassTag.PR_PLUS, ClassTag.PR_MINUS, ClassTag.PR}
+PR_TAGS = {ClassTag.PR_PLUS, ClassTag.PR_MINUS, ClassTag.PR}  # the non-admissible classes
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,7 +291,7 @@ def transporter_nonadmissible(kind: Kind, target: CanonicalClass,
     with the opposite idempotent; when the ratio's first entry vanishes the
     alternate column arrangement is used instead.
     """
-    if target.tag not in _PR_TAGS:
+    if target.tag not in PR_TAGS:
         raise InvalidPointError(f"{target.tag} is not a non-admissible class")
     lam, mu = target.ratio
     if target.tag is ClassTag.PR:

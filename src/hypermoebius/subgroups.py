@@ -53,9 +53,11 @@ from .matrix2 import (
     adj_real,
     det,
     double_from_components,
-    dual_from_parts,
+    join_double,
+    join_dual,
     mat_exp,
     mat_exp_real,
+    split_double,
 )
 
 
@@ -92,14 +94,19 @@ _LETTERS = {
 }
 
 
-def rotation_real(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> np.ndarray:
-    """H'_sigma(t) as a real matrix (H_sigma(t) when lam = 0)."""
+def rotation(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> tuple[float, ...]:
+    """H'_sigma(t) as the floats (a, b, c, d) (H_sigma(t) when lam = 0)."""
     scale = math.exp(lam * t)
     if sigma_kind is SigmaKind.TRIVIAL:
-        return scale * np.eye(2)
+        return (scale, 0.0, 0.0, scale)
     s = sigma_kind.sigma
     c, sn = cos_sigma(s, t), sin_sigma(s, t)
-    return scale * np.array([[c, s * sn], [sn, c]])
+    return (scale * c, scale * (s * sn), scale * sn, scale * c)
+
+
+def rotation_real(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> np.ndarray:
+    """:func:`rotation` as a 2x2 array."""
+    return np.reshape(rotation(sigma_kind, t, lam), (2, 2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,9 +135,8 @@ class DoubleGL:
     family = "double-gl"
 
     def eval(self, t: float) -> Mat2:
-        plus = rotation_real(self.sigma_plus, t, self.lam_plus)
-        minus = rotation_real(self.sigma_minus, self.a * t, self.lam_minus)
-        return double_from_components(plus, minus)
+        return join_double(rotation(self.sigma_plus, t, self.lam_plus),
+                           rotation(self.sigma_minus, self.a * t, self.lam_minus))
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,10 +171,10 @@ class DualGL:
             raise DomainError("the eps-deformation strength lam must be nonzero")
 
     def eval(self, t: float) -> Mat2:
-        a1 = rotation_real(self.sigma, t, self.lam1)
-        # rotation_real already carries exp(lam1*(t+t0)) at the shifted time
-        a2 = self.lam * t * rotation_real(self.sigma, t + self.t0, self.lam1)
-        return dual_from_parts(a1, a2)
+        k = self.lam * t
+        # rotation already carries exp(lam1*(t+t0)) at the shifted time
+        return join_dual(rotation(self.sigma, t, self.lam1),
+                         [k * v for v in rotation(self.sigma, t + self.t0, self.lam1)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,23 +201,28 @@ class DualSL:
             raise DomainError("the eps-deformation strength lam must be nonzero")
 
     def eval(self, t: float) -> Mat2:
-        h_t = rotation_real(self.sigma, t)
-        h_shift = rotation_real(self.sigma, t + self.t0)
-        a2 = self.lam * t * math.exp(self.lam1 * self.t0) \
-            * (h_shift - cos_sigma(self.sigma.sigma, self.t0) * h_t)
-        return dual_from_parts(h_t, a2)
+        h_t = rotation(self.sigma, t)
+        h_shift = rotation(self.sigma, t + self.t0)
+        k = self.lam * t * math.exp(self.lam1 * self.t0)
+        c0 = cos_sigma(self.sigma.sigma, self.t0)
+        return join_dual(h_t, [k * (h - c0 * g) for h, g in zip(h_shift, h_t)])
 
 
 SubgroupSpec = RealGL | DoubleSL | DoubleGL | DualGL | DualSL
 
 
 def eval_subgroup(spec, t: float):
-    """The subgroup matrix at parameter t (numpy for real, Mat2 otherwise);
-    :class:`DomainError` where an entry overflows the float range."""
+    """The subgroup matrix at t (numpy for real, Mat2 otherwise); :class:`DomainError`
+    where an entry overflows the float range, by an OverflowError or to inf or nan."""
     try:
-        return spec.eval(t)
+        m = spec.eval(t)
+        coords = m.flat if isinstance(m, np.ndarray) else (
+            x for e in m.entries() for x in (e.a1, e.a2))
+        if all(map(math.isfinite, coords)):
+            return m
     except OverflowError:
-        raise DomainError(f"the subgroup matrix at t={t!r} overflows the float range") from None
+        pass
+    raise DomainError(f"the subgroup matrix at t={t!r} overflows the float range")
 
 
 def _entry_gap(x, y) -> float:
@@ -332,8 +343,7 @@ def conjugate_spec(spec, k) -> ConjugatedSubgroup:
     """Conjugated subgroup; ``k`` may be a real or ring matrix or, for the
     double families, a component pair (K+, K-)."""
     if isinstance(k, tuple):
-        k = double_from_components(np.asarray(k[0], dtype=float),
-                                   np.asarray(k[1], dtype=float))
+        k = double_from_components(*k)
     if isinstance(k, np.ndarray):
         d = float(np.linalg.det(k))
         if abs(d) <= TAU_ZERO:
@@ -375,10 +385,8 @@ def swap_double(spec):
 
 def swap_image(m: Mat2) -> Mat2:
     """X+ P+ + X- P-  ->  X- P+ + X+ P- (a group homomorphism)."""
-    from .matrix2 import components_double
-
-    plus, minus = components_double(m)
-    return double_from_components(minus, plus)
+    plus, minus = split_double(m)
+    return join_double(minus, plus)
 
 
 _SIGMA_ORDER = {SigmaKind.ELLIPTIC: 0, SigmaKind.PARABOLIC: 1,

@@ -782,13 +782,13 @@ def check_orbit_shear_pair(rng, n_sets: int = 20) -> list[CheckResult]:
         for row in sample.rows:
             if row.residual_secondary is not None:
                 # rows near projective poles carry coordinates ~1/dist; the
-                # quadratic form is then computable only to ~(u^2+v^2)*eps
+                # quadratic form is then computable only to ~(u^2+v^2)*eps,
+                # so it is compared on that scale everywhere
                 scale = 1.0 + row.u * row.u + row.v * row.v
-                rows.add(abs(row.residual_secondary) < 1e-8 * scale,
-                         abs(row.residual_secondary) / scale)
-            if row.residual_primary is not None and row.residual_secondary is not None:
-                agree.add((abs(row.residual_primary) < 1e-8)
-                          == (abs(row.residual_secondary) < 1e-8))
+                ok = abs(row.residual_secondary) < 1e-8 * scale
+                rows.add(ok, abs(row.residual_secondary) / scale)
+                if row.residual_primary is not None:
+                    agree.add((abs(row.residual_primary) < 1e-8) == ok)
         # the two forms must also agree off orbit
         for _ in range(5):
             u, v = rng.uniform(-3, 3), rng.uniform(-3, 3)
@@ -796,7 +796,7 @@ def check_orbit_shear_pair(rng, n_sets: int = 20) -> list[CheckResult]:
             r1 = residual_shear_pair(spec.a, start, u, v)
             if r11 is None or r1 is None:
                 continue
-            agree.add((abs(r11) < 1e-8) == (abs(r1) < 1e-8))
+            agree.add((abs(r11) < 1e-8) == (abs(r1) < 1e-8 * (1.0 + u * u + v * v)))
     return [CheckResult("orbit-equation/shear-pair", rows.full and agree.full,
                         f"{rows.good}/{rows.total} rows, worst {_fmt(rows.worst)}; "
                         f"{agree.good}/{agree.total} vanish together with the general form")]

@@ -41,6 +41,9 @@ class TestClassifyCommands:
         assert "∞" in out
 
 
+HUGE_DUAL = "dual-sl(sigma=K,lambda=1e308,t0=1)"
+
+
 class TestSubgroupCommands:
     def test_eval_matrix(self, capsys):
         code, out, _ = run(["subgroup-eval", "--spec", "real-gl(sigma=N,lambda=0)",
@@ -66,6 +69,34 @@ class TestSubgroupCommands:
         assert code == 0
         obj = json.loads(out)
         assert len(obj["rows"]) == 3
+
+    def test_orbit_nonfinite_residual_is_blank(self, capsys):
+        # at t = 1 the dual residual overflows to -inf
+        argv = ["orbit", "--spec", HUGE_DUAL, "--start", "1,2", "--t", "0:1:0.5"]
+        code, out, _ = run(argv + ["--output", "json"], capsys)
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rows = json.loads(out, parse_constant=refuse)["rows"]
+        assert [row["residual_primary"] is None for row in rows] == [False, False, True]
+        code, out, _ = run(argv + ["--output", "csv"], capsys)
+        assert code == 0
+        assert out.strip().split("\n")[3].split(",")[4] == ""
+        code, out, _ = run(argv + ["--output", "text"], capsys)
+        assert code == 0
+        assert "inf" not in out and out.count("residual=") == 2
+
+    def test_orbit_near_attracting_fixed_point(self, capsys):
+        # at t = 20 cosh^2 - sinh^2 cancels in floats; the orbit still
+        # reaches the attracting fixed point [1 : 1] of both components
+        code, out, _ = run(["orbit", "--spec", "double-sl(sigma+=A,sigma-=A,a=1)",
+                            "--start", "1,2", "--t", "20", "--output", "json"], capsys)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["u"] == pytest.approx(1.0, abs=1e-12)
+        assert row["v"] == pytest.approx(0.0, abs=1e-12)
 
     def test_orbit_out_file(self, capsys, tmp_path):
         target = tmp_path / "orbit.csv"
@@ -111,6 +142,9 @@ class TestExitCodes:
             ["orbit", "--spec", "real-gl(sigma=K, lambda=0.5)", "--start", "1,2", "--t", "0"],
             ["orbit", "--spec", shear, "--start", "1,2", "--t", "0",
              "--out-file", str(tmp_path / "missing" / "orbit.csv")],
+            # entries overflow to inf without an OverflowError
+            ["subgroup-eval", "--spec", HUGE_DUAL, "--t", "3"],
+            ["orbit", "--spec", HUGE_DUAL, "--start", "1,2", "--t", "0:3:1"],
         ]
         for argv in cases:
             code, _, err = run(argv, capsys)

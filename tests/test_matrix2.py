@@ -16,6 +16,8 @@ from hypermoebius.matrix2 import (
     hat,
     identity,
     invert_mat,
+    join_double,
+    join_dual,
     mat2,
     mat_exp,
     mat_exp_real,
@@ -23,6 +25,8 @@ from hypermoebius.matrix2 import (
     normalize_to_sl,
     parse_mat,
     render_mat,
+    split_double,
+    split_dual,
     trace,
 )
 from hypermoebius.sampling import random_number, rng_from_seed
@@ -86,6 +90,24 @@ def test_invert_singular_carries_class():
     with pytest.raises(SingularMatrixError) as err:
         invert_mat(m)
     assert err.value.det_class is ElementClass.ZERO_DIVISOR_PLUS
+
+
+class TestComponentTuples:
+    def test_join_inverts_split(self):
+        rng = rng_from_seed(13)
+        for _ in range(100):
+            plus, minus, part1, part2 = (tuple(rng.uniform(-2, 2, 4).tolist()) for _ in range(4))
+            assert split_dual(join_dual(part1, part2)) == (part1, part2)
+            # the idempotent split rounds: (p+m)/2 + (p-m)/2 is p to an ulp
+            back = split_double(join_double(plus, minus))
+            assert np.allclose(back, (plus, minus), rtol=0, atol=1e-15)
+
+    def test_array_adapters(self):
+        a, b = np.array([[1.5, -2.0], [0.25, 3.0]]), np.array([[0, 1], [2, 3]])
+        assert double_from_components(a, b) == join_double((1.5, -2.0, 0.25, 3.0), (0, 1, 2, 3))
+        m = dual_from_parts(a, b)
+        assert m == join_dual((1.5, -2.0, 0.25, 3.0), (0.0, 1.0, 2.0, 3.0))
+        assert all(type(x) is float for e in m.entries() for x in (e.a1, e.a2))
 
 
 class TestComponentDeterminants:

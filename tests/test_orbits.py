@@ -10,7 +10,6 @@ from hypermoebius.orbits import (
     CSV_HEADER,
     MAX_GRID_STEPS,
     dual_orbit_report,
-    orbit_sample,
     residual_dual_orbit,
     residual_shear_pair,
     residual_trivial_minus,
@@ -24,7 +23,8 @@ from hypermoebius.orbits import (
 )
 from hypermoebius.projline import ClassTag
 from hypermoebius.sampling import rng_from_seed
-from hypermoebius.subgroups import DoubleSL, DualSL, SigmaKind
+from hypermoebius.subgroups import DoubleGL, DoubleSL, DualSL, SigmaKind
+from hypermoebius.verify import check_orbit_shear_pair
 
 SHEAR_PAIR = DoubleSL(SigmaKind.PARABOLIC, SigmaKind.PARABOLIC, 1.0)
 
@@ -52,12 +52,12 @@ class TestGrid:
 
 class TestOracle:
     def test_t_zero_returns_start(self):
-        sample = orbit_sample(SHEAR_PAIR, start_double(1.0, 2.0), [0.0])
+        sample = sampled_orbit(SHEAR_PAIR, start_double(1.0, 2.0), [0.0])
         row = sample.rows[0]
         assert (row.u, row.v) == (pytest.approx(1.5), pytest.approx(-0.5))
 
     def test_shear_pair_coordinates(self):
-        sample = orbit_sample(SHEAR_PAIR, start_double(1.0, 2.0), [1.0])
+        sample = sampled_orbit(SHEAR_PAIR, start_double(1.0, 2.0), [1.0])
         row = sample.rows[0]
         assert row.u == pytest.approx(7 / 12)
         assert row.v == pytest.approx(-1 / 12)
@@ -67,9 +67,27 @@ class TestOracle:
         # plus component pole: cos t + y+ sin t = 0 at t = atan(-1/y+) + pi
         y = 1.0
         t_pole = math.pi - math.atan(1 / y)
-        sample = orbit_sample(spec, start_double(y, 2.0), [t_pole])
+        sample = sampled_orbit(spec, start_double(y, 2.0), [t_pole])
         assert sample.rows[0].u is None
         assert sample.rows[0].cls.tag is not ClassTag.AFFINE
+
+
+    def test_fast_decaying_component_is_not_refused(self):
+        # exp(-10 t) on the plus side: at t = 2 the plus component's
+        # determinant is e^-40, far below the unit tolerance, yet the map
+        # still acts as the rotation H_K(2) on each component.  Entries
+        # hold the e^-20 plus component next to an O(1) minus component,
+        # so it is known only to about 1e-16 / e^-20 = 5e-8 relative.
+        spec = DoubleGL(SigmaKind.ELLIPTIC, -10.0, SigmaKind.ELLIPTIC, 0.0)
+        row = sampled_orbit(spec, start_double(1.0, 2.0), [2.0]).rows[0]
+        c, s = math.cos(2.0), math.sin(2.0)
+        plus, minus = ((c * y - s) / (s * y + c) for y in (1.0, 2.0))
+        assert row.u == pytest.approx((plus + minus) / 2.0, rel=1e-6)
+        assert row.v == pytest.approx((plus - minus) / 2.0, rel=1e-6)
+        # at t = 3 the e^-30 component is lost to rounding, and the image
+        # would read non-admissible
+        with pytest.raises(DomainError, match="rounding"):
+            sampled_orbit(spec, start_double(1.0, 2.0), [3.0])
 
 
 class TestShearPairEquation:
@@ -226,3 +244,29 @@ class TestExport:
         assert len(obj["rows"]) == 2
         assert obj["rows"][0]["u"] == pytest.approx(1.5)
         json.dumps(obj)  # serializable
+
+
+class TestShearPairCheck:
+    """``verify.check_orbit_shear_pair`` alone, from the generator states that
+    ``run_all`` reaches at that check for seeds 10 and 905.  Both seeds have a
+    row near a projective pole, where the polynomial residual is small only
+    relative to 1 + u^2 + v^2, so every tally of the check must compare it on
+    that scale."""
+
+    STATES = {
+        10: {"bit_generator": "PCG64",
+             "state": {"state": 247902803917799780294406469919654730884,
+                       "inc": 155168332176707774904512248224851075529},
+             "has_uint32": 0, "uinteger": 1998485525},
+        905: {"bit_generator": "PCG64",
+              "state": {"state": 11211235866211695504660782046081738277,
+                        "inc": 186851982319507023527387055156090427031},
+              "has_uint32": 1, "uinteger": 455994309},
+    }
+
+    @pytest.mark.parametrize("seed", sorted(STATES))
+    def test_passes_from_stored_state(self, seed):
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = self.STATES[seed]
+        [result] = check_orbit_shear_pair(rng)
+        assert result.passed, result.detail

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypermoebius.algebra import Kind, number, one
+from hypermoebius.algebra import Kind, cos_sigma, number, one
 from hypermoebius.errors import DomainError, InvalidLiteralError, NotInCentralizerError
 from hypermoebius.matrix2 import det, identity, mat_exp_real
 from hypermoebius.subgroups import (
@@ -91,6 +91,36 @@ class TestEval:
             with pytest.raises(DomainError, match="overflows"):
                 eval_subgroup(spec, t)
         eval_subgroup(double, 0.5)  # exp(400) is still a float
+
+    def test_nonfinite_entry_is_domain_error(self):
+        # lam*t*H overflows to inf in float arithmetic, which raises nothing
+        spec = parse_spec("dual-sl(sigma=K,lambda=1e308,t0=1)")
+        with pytest.raises(DomainError, match="overflows"):
+            eval_subgroup(spec, 3.0)
+        assert all(math.isfinite(x) for e in eval_subgroup(spec, 0.5).entries()
+                   for x in (e.a1, e.a2))
+
+    def test_ring_families_match_array_builders(self):
+        # the float-tuple builders give the bits of the numpy expressions
+        from hypermoebius.matrix2 import double_from_components, dual_from_parts
+
+        rng = rng_from_seed(12)
+        for _ in range(50):
+            sp, sm = (list(SigmaKind)[int(rng.integers(4))] for _ in range(2))
+            lp, lm, a, t, t0 = rng.uniform(-1.5, 1.5, 5).tolist()
+            got = eval_subgroup(DoubleGL(sp, lp, sm, lm, a), t)
+            want = double_from_components(rotation_real(sp, t, lp), rotation_real(sm, a * t, lm))
+            assert got == want
+            got = eval_subgroup(DualGL(sp, lm, lp, t0), t)
+            want = dual_from_parts(rotation_real(sp, t, lm),
+                                   lp * t * rotation_real(sp, t + t0, lm))
+            assert got == want
+            sl = NONTRIVIAL[int(rng.integers(3))]
+            got = eval_subgroup(DualSL(sl, lp, lm, t0), t)
+            h_t = rotation_real(sl, t)
+            shift = rotation_real(sl, t + t0) - cos_sigma(sl.sigma, t0) * h_t
+            want = dual_from_parts(h_t, lp * t * math.exp(lm * t0) * shift)
+            assert got == want
 
 
 class TestGroupLaw:
