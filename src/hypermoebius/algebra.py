@@ -438,10 +438,22 @@ def parse_number(kind: Kind, text: str) -> Hypercomplex:
 
 
 def _fmt(v: float) -> str:
+    """The shortest round-trip digits of v in positional notation, the text of
+    ``np.format_float_positional(v, trim="-")``: the grammar carries no
+    exponent part.  Built from ``repr``, which is about twice as fast."""
     if v == 0.0:
         v = 0.0  # normalize -0.0
-    # positional notation only: the grammar carries no exponent part
-    return np.format_float_positional(v, trim="-")
+    text = repr(float(v))
+    mantissa, e, exponent = text.partition("e")
+    if not e:
+        return text[:-2] if text.endswith(".0") else text
+    sign = "-" if mantissa[0] == "-" else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    point = int(exponent) + 1  # digits before the decimal point
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    # repr uses an exponent from 1e16 on, and has at most 17 digits
+    return f"{sign}{digits}{'0' * (point - len(digits))}"
 
 
 def render(x: Hypercomplex) -> str:

@@ -2,8 +2,12 @@
 
 :func:`sampled_orbit` builds each row in one pass.  Ground truth is the
 direct matrix action: evaluate the subgroup at t, act on the start point,
-canonicalize.  On an affine row the closed forms chosen once for the family
-are then evaluated, and a non-finite residual is reported as None.
+canonicalize.  The t values are evaluated as stacks: one stacked matrix per
+``STACK_SIZE`` values acts on the start point, and a row it certifies as
+affine takes its coordinate from the stack, the value canonicalize gives;
+any other row is made from its own matrix.  On an affine row the closed
+forms chosen once for the family are then evaluated, and a non-finite
+residual is reported as None.
 
 Three closed forms are covered for the det-1 double families:
 
@@ -29,13 +33,27 @@ import io
 import math
 from dataclasses import dataclass
 
-from .algebra import TAU_ZERO, Hypercomplex, Kind, arctan_sigma, cos_sigma, recompose, sin_sigma
+import numpy as np
+
+from .algebra import (
+    TAU_ZERO,
+    Hypercomplex,
+    Kind,
+    _inverse,
+    arctan_sigma,
+    cos_sigma,
+    decompose,
+    recompose,
+    sin_sigma,
+)
 from .errors import DomainError, KindMismatchError
-from .projline import PR_TAGS, CanonicalClass, ClassTag, ProjPoint, canonicalize, image
+from .matrix2 import Mat2
+from .projline import PR_TAGS, CanonicalClass, ClassTag, ProjPoint, act, canonicalize, image
 from .subgroups import DoubleSL, DualSL, SigmaKind, eval_subgroup
 from . import algebra
 
 MAX_GRID_STEPS = 10**6
+STACK_SIZE = 4096  # t values per stacked evaluation: bounds the arrays of one orbit
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,11 +101,14 @@ class OrbitSample:
 
 def t_grid(t_start: float, t_end: float, step: float) -> list[float]:
     """Inclusive grid from start to end; the endpoint joins within half a step.
-    More than ``MAX_GRID_STEPS`` steps raise :class:`DomainError` up front."""
+    An end before the start, or more than ``MAX_GRID_STEPS`` steps, raise
+    :class:`DomainError` up front."""
     if not all(math.isfinite(v) for v in (t_start, t_end, step)):
         raise DomainError("grid start, end and step must be finite")
     if step <= 0:
         raise DomainError("grid step must be positive")
+    if t_end < t_start:
+        raise DomainError(f"grid end {t_end!r} is before its start {t_start!r}")
     if (t_end - t_start) / step > MAX_GRID_STEPS:
         raise DomainError(f"grid spans more than {MAX_GRID_STEPS} steps")
     ts = []
@@ -246,22 +267,65 @@ def sampled_orbit(spec, start: StartPoint, ts) -> OrbitSample:
     Per t the subgroup matrix acts on the start point and the image is
     canonicalized: that direct action is the oracle.  An affine row then
     gets the family's closed-form residuals; a non-finite one is None.
+
+    The t values are taken ``STACK_SIZE`` at a time.  One stacked evaluation
+    of the family acts on the start point and certifies each affine row; its
+    coordinate is the one canonicalize gives, bit for bit.  Every other row is
+    made from the one matrix at its t, in t order, so it keeps its class and
+    a refusal is raised at the same first t as row by row.
     """
     p = start.to_point()
     columns = _residual_columns(spec, start)
+    ts = np.fromiter(ts, float)
     rows = []
-    for t in ts:
-        t = float(t)
-        cls = canonicalize(image(eval_subgroup(spec, t), p))
-        if cls.tag in PR_TAGS:  # an invertible matrix keeps the start admissible
-            raise DomainError(f"the subgroup matrix at t={t!r} loses a component to rounding")
-        if cls.tag is ClassTag.AFFINE:
-            u, v = cls.affine.a1, cls.affine.a2
-            rows.append(OrbitRow(t, cls, u, v, *(r if r is not None and math.isfinite(r)
-                                                 else None for r in columns(t, u, v))))
-        else:
-            rows.append(OrbitRow(t, cls, None, None))
+    for lo in range(0, len(ts), STACK_SIZE):
+        chunk = ts[lo:lo + STACK_SIZE]
+        for t, affine in zip(chunk.tolist(), _stacked_affine(spec, p, chunk)):
+            if affine is None:
+                cls = canonicalize(image(eval_subgroup(spec, t), p))
+                if cls.tag in PR_TAGS:  # an invertible matrix keeps the start admissible
+                    raise DomainError(
+                        f"the subgroup matrix at t={t!r} loses a component to rounding")
+            else:
+                cls = CanonicalClass(ClassTag.AFFINE, affine=affine)
+            if cls.tag is ClassTag.AFFINE:
+                u, v = cls.affine.a1, cls.affine.a2
+                rows.append(OrbitRow(t, cls, u, v, *(r if r is not None and math.isfinite(r)
+                                                     else None for r in columns(t, u, v))))
+            else:
+                rows.append(OrbitRow(t, cls, None, None))
     return OrbitSample(spec, start, tuple(rows))
+
+
+def _stacked_affine(spec, p: ProjPoint, ts: np.ndarray) -> list:
+    """Per t, the affine coordinate of the image of p when one stacked
+    evaluation over ts certifies the row, else None.
+
+    A row is certified when every entry of its matrix is finite (so
+    eval_subgroup accepts it) and the image is affine (so it is admissible
+    and canonicalize takes the x * invert(y) branch, whose value
+    ``x * _inverse(y)`` is).  No stack, every row None, when math raises on
+    an element or the family gives no stack of matrices of p's kind.
+    """
+    try:
+        g = eval_subgroup(spec, ts)
+    except (OverflowError, ValueError):
+        return [None] * len(ts)
+    if not isinstance(g, Mat2) or g.kind is not p.kind:
+        return [None] * len(ts)
+    with np.errstate(all="ignore"):
+        x, y = act(g, p.x, p.y)
+        if p.kind is Kind.DOUBLE:
+            y_plus, y_minus = decompose(y)
+            ok = (abs(y_plus) > TAU_ZERO) & (abs(y_minus) > TAU_ZERO)
+        else:
+            ok = abs(y.a1) > TAU_ZERO
+        for e in g.entries():
+            ok = ok & np.isfinite(e.a1) & np.isfinite(e.a2)
+        a = x * _inverse(y)
+    kind = p.kind
+    return [Hypercomplex(kind, u, v) if certified else None
+            for certified, u, v in zip(ok.tolist(), a.a1.tolist(), a.a2.tolist())]
 
 
 @dataclass(frozen=True, slots=True)

@@ -66,9 +66,15 @@ class ProjPoint:
         return render_point(self)
 
 
+def act(g: Mat2, x: Hypercomplex, y: Hypercomplex) -> tuple[Hypercomplex, Hypercomplex]:
+    """(ax + by, cx + dy) for g = [[a, b], [c, d]]: the homogeneous coordinates
+    of the image of [x : y], also for a stack of matrices g."""
+    return g.a * x + g.b * y, g.c * x + g.d * y
+
+
 def image(g: Mat2, p: ProjPoint) -> ProjPoint:
     """[ax + by : cx + dy], the image of p = [x : y] under g = [[a, b], [c, d]]."""
-    return ProjPoint(p.kind, g.a * p.x + g.b * p.y, g.c * p.x + g.d * p.y)
+    return ProjPoint(p.kind, *act(g, p.x, p.y))
 
 
 def point(kind: Kind, x, y) -> ProjPoint:

@@ -11,6 +11,12 @@ real subgroups riding the two idempotent components, the second one running
 at a rescaled time a*t.  Over the dual numbers a subgroup is a real subgroup
 plus an eps-deformation t * lam * H(t+t0) driven by a centralizer element.
 
+The double and dual families also evaluate at a float array of t, as a stack
+of matrices (``Mat2`` entries whose coordinates are arrays) equal bit for bit
+to the matrices at each t: the math library's exp, cos, sin, cosh and sinh
+are applied to each element, since numpy's own differ in the last bit, and
+the rest is numpy's elementwise arithmetic in the float path's order.
+
 The det-1 dual family deserves a note: normalizing the general-linear form
 exp(lam1*t)*H(t) + eps*lam*t*exp(lam1*(t+t0))*H(t+t0) by the square root of
 its determinant gives
@@ -95,12 +101,43 @@ _LETTERS = {
 
 
 def rotation(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> tuple[float, ...]:
-    """H'_sigma(t) as the floats (a, b, c, d) (H_sigma(t) when lam = 0)."""
+    """H'_sigma(t) as the floats (a, b, c, d) (H_sigma(t) when lam = 0).
+
+    At a float array of t the entries are arrays, or the float 0.0 where the
+    entry is zero for every t (see :func:`_rotation_stack`)."""
+    if isinstance(t, np.ndarray):
+        return _rotation_stack(sigma_kind, t, lam)
     scale = math.exp(lam * t)
     if sigma_kind is SigmaKind.TRIVIAL:
         return (scale, 0.0, 0.0, scale)
     s = sigma_kind.sigma
     c, sn = cos_sigma(s, t), sin_sigma(s, t)
+    return (scale * c, scale * (s * sn), scale * sn, scale * c)
+
+
+# the math functions of cos_sigma and sin_sigma, by regime
+_LIBM = {-1: (math.cos, math.sin), 1: (math.cosh, math.sinh)}
+
+
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """fn of each element of the 1-d array x, through math: numpy's own exp, cosh and
+    sinh differ from math's in the last bit for some arguments.  Raises what
+    fn raises (OverflowError, or ValueError at an infinite argument)."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
+def _rotation_stack(sigma_kind: SigmaKind, t: np.ndarray, lam: float) -> tuple:
+    """:func:`rotation` at each element of t, bit for bit: math per element,
+    then the float path's arithmetic in its order, elementwise."""
+    scale = _each(math.exp, lam * t)
+    if sigma_kind is SigmaKind.TRIVIAL:
+        return (scale, 0.0, 0.0, scale)
+    s = sigma_kind.sigma
+    if s == 0:
+        c, sn = 1.0, t
+    else:
+        cos, sin = _LIBM[s]
+        c, sn = _each(cos, t), _each(sin, t)
     return (scale * c, scale * (s * sn), scale * sn, scale * c)
 
 
@@ -213,7 +250,15 @@ SubgroupSpec = RealGL | DoubleSL | DoubleGL | DualGL | DualSL
 
 def eval_subgroup(spec, t: float):
     """The subgroup matrix at t (numpy for real, Mat2 otherwise); :class:`DomainError`
-    where an entry overflows the float range, by an OverflowError or to inf or nan."""
+    where an entry overflows the float range, by an OverflowError or to inf or nan.
+
+    At a 1-d float array of t a double or dual family gives the stack of its
+    matrices with no test: an entry may be inf or nan, without a numpy
+    warning, and math's OverflowError or ValueError propagates.  The caller
+    tests each matrix of the stack."""
+    if isinstance(t, np.ndarray):
+        with np.errstate(all="ignore"):
+            return spec.eval(t)
     try:
         m = spec.eval(t)
         coords = m.flat if isinstance(m, np.ndarray) else (
@@ -225,18 +270,28 @@ def eval_subgroup(spec, t: float):
     raise DomainError(f"the subgroup matrix at t={t!r} overflows the float range")
 
 
+def _magnitude(m) -> float:
+    """Max entry magnitude of a real or ring matrix."""
+    if isinstance(m, np.ndarray):
+        return float(np.max(np.abs(m)))
+    return m.max_entry_magnitude()
+
+
 def _entry_gap(x, y) -> float:
-    if isinstance(x, np.ndarray):
-        return float(np.max(np.abs(x - y)))
-    diff = x - y
-    return diff.max_entry_magnitude()
+    return _magnitude(x - y)
 
 
 def group_law_residual(spec, t1: float, t2: float) -> float:
     """Max entry gap between eval(t1+t2) and eval(t1) @ eval(t2)."""
+    return group_law_terms(spec, t1, t2)[0]
+
+
+def group_law_terms(spec, t1: float, t2: float) -> tuple[float, float, float]:
+    """:func:`group_law_residual` with the max entry magnitudes of eval(t1)
+    and eval(t2), each of the three matrices evaluated once."""
     lhs = eval_subgroup(spec, t1 + t2)
-    rhs = eval_subgroup(spec, t1) @ eval_subgroup(spec, t2)
-    return _entry_gap(lhs, rhs)
+    g1, g2 = eval_subgroup(spec, t1), eval_subgroup(spec, t2)
+    return _entry_gap(lhs, g1 @ g2), _magnitude(g1), _magnitude(g2)
 
 
 def sl_membership_check(spec, t: float) -> Hypercomplex:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -274,6 +275,19 @@ class TestTextForm:
         assert render(number(Kind.DOUBLE, 2.5, -1.5)) == "2.5-1.5j"
         assert render(number(Kind.DUAL, 0, 1)) == "0+1e"
         assert render_components(number(Kind.DOUBLE, 5, 3)) == "(8|2)"
+
+    def test_positional_text_matches_numpy(self):
+        # the repr-based formatter gives np.format_float_positional's text
+        rng = np.random.default_rng(41)
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1e16, -1e16,
+                  9999999999999998.0, 1e15, 1e-4, 1e-5, 0.1, 100.0, -2.0,
+                  math.inf, -math.inf]
+        for exponent in range(-324, 308):
+            values += (rng.uniform(-10.0, 10.0, 30) * 10.0 ** exponent).tolist()
+        for v in values:
+            want = np.format_float_positional(0.0 if v == 0.0 else v, trim="-")
+            assert algebra._fmt(v) == want, v
 
     def test_parse_forms(self):
         assert close(parse_number(Kind.DOUBLE, "1+2j"), 1, 2)

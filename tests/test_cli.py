@@ -139,6 +139,7 @@ class TestExitCodes:
              "--t", "1"],
             ["orbit", "--spec", "dual-sl(sigma=A,lambda=1,t0=1)", "--start", "1,2", "--t", "800"],
             ["orbit", "--spec", shear, "--start", "1,2", "--t", "0:1e6:1e-9"],
+            ["orbit", "--spec", shear, "--start", "1,2", "--t", "2:-2:0.1"],
             ["orbit", "--spec", "real-gl(sigma=K, lambda=0.5)", "--start", "1,2", "--t", "0"],
             ["orbit", "--spec", shear, "--start", "1,2", "--t", "0",
              "--out-file", str(tmp_path / "missing" / "orbit.csv")],

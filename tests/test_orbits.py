@@ -1,14 +1,18 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hypermoebius.algebra import Kind
-from hypermoebius.errors import DomainError
+from hypermoebius import orbits
+from hypermoebius.algebra import Hypercomplex, Kind
+from hypermoebius.errors import DomainError, InvalidPointError
+from hypermoebius.matrix2 import Mat2, mat2
 from hypermoebius.orbits import (
     CSV_HEADER,
     MAX_GRID_STEPS,
+    STACK_SIZE,
     dual_orbit_report,
     residual_dual_orbit,
     residual_shear_pair,
@@ -23,7 +27,14 @@ from hypermoebius.orbits import (
 )
 from hypermoebius.projline import ClassTag
 from hypermoebius.sampling import rng_from_seed
-from hypermoebius.subgroups import DoubleGL, DoubleSL, DualSL, SigmaKind
+from hypermoebius.subgroups import (
+    DoubleGL,
+    DoubleSL,
+    DualSL,
+    SigmaKind,
+    conjugate_spec,
+    parse_spec,
+)
 from hypermoebius.verify import check_orbit_shear_pair
 
 SHEAR_PAIR = DoubleSL(SigmaKind.PARABOLIC, SigmaKind.PARABOLIC, 1.0)
@@ -45,6 +56,9 @@ class TestGrid:
     def test_bad_step(self):
         with pytest.raises(DomainError):
             t_grid(0, 1, 0)
+        with pytest.raises(DomainError, match="before its start"):
+            t_grid(2, -2, 0.1)
+        assert t_grid(1.5, 1.5, 0.1) == [1.5]
         for bad in ((0, math.inf, 1), (0, 1, math.nan), (math.nan, 1, 0.5)):
             with pytest.raises(DomainError):
                 t_grid(*bad)
@@ -88,6 +102,137 @@ class TestOracle:
         # would read non-admissible
         with pytest.raises(DomainError, match="rounding"):
             sampled_orbit(spec, start_double(1.0, 2.0), [3.0])
+
+
+def _start(text: str, c1: float, c2: float):
+    return (start_double if text.startswith("double") else start_dual)(c1, c2)
+
+
+def _row_by_row(spec, start, ts):
+    """sampled_orbit with no row certified by the stacked evaluation: every
+    row from its own matrix, as before stacks."""
+    stacked = orbits._stacked_affine
+    orbits._stacked_affine = lambda spec, p, ts: [None] * len(ts)
+    try:
+        return sampled_orbit(spec, start, ts)
+    finally:
+        orbits._stacked_affine = stacked
+
+
+def _outcome(sample_fn, spec, start, ts):
+    """The repr of each row (bit for bit, nan and -0.0 included), or the
+    error's type and text."""
+    try:
+        return [repr(row) for row in sample_fn(spec, start, ts).rows]
+    except Exception as exc:  # compared by type and text
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.filterwarnings("error")
+class TestStackedRows:
+    """Rows certified by one stacked evaluation against rows made one t at a
+    time: field by field, and refusals with their type, text and first t."""
+
+    # all five families, the K, N and A regimes and trivial components
+    PINNED = (
+        ("double-sl(sigma+=K, sigma-=A, a=1.3)", 0.8, 1.7),
+        ("double-sl(sigma+=N, sigma-=N, a=0.7)", 1.0, 2.0),
+        ("double-sl(sigma+=A, sigma-=K, a=-1.2)", 2.5, 0.6),
+        ("double-sl(sigma+=K, sigma-=I)", 1.5, 2.5),
+        ("double-gl(sigma+=A, lambda+=0.4, sigma-=N, lambda-=-0.7, a=1.1)", 1.2, 0.9),
+        ("double-gl(sigma+=K, lambda+=-0.3, sigma-=I, lambda-=0.5)", 0.7, 2.2),
+        ("dual-gl(sigma=K, lambda=1.2, lambda1=0.3, t0=-0.5)", 1.1, 0.4),
+        ("dual-gl(sigma=I, lambda=-0.8, lambda1=-0.6, t0=0.2)", 2.0, -1.0),
+        ("dual-sl(sigma=A, lambda=0.9, lambda1=0.5, t0=0.7)", 0.6, 1.4),
+        ("dual-sl(sigma=N, lambda=-1.1, lambda1=0.2, t0=-0.3)", 1.3, 0.2),
+    )
+    # recorded from the row-by-row builder before rows were stacked
+    PINNED_SHA256 = "a5a6db491ccf8c10938ee727208b25899a24300cbac4d75e4554e90bd5d9800b"
+
+    def test_pinned_csv_digest(self):
+        ts = t_grid(-2, 2, 0.01)
+        digest = hashlib.sha256()
+        for text, c1, c2 in self.PINNED:
+            digest.update(to_csv(sampled_orbit(parse_spec(text), _start(text, c1, c2), ts))
+                          .encode())
+        assert digest.hexdigest() == self.PINNED_SHA256
+
+    def assert_same(self, spec, start, ts):
+        ts = list(ts)
+        want = _outcome(_row_by_row, spec, start, ts)
+        assert _outcome(sampled_orbit, spec, start, ts) == want
+        if isinstance(want, str):
+            # the refusal comes at the first t that refuses on its own
+            k = next(i for i, t in enumerate(ts)
+                     if isinstance(_outcome(_row_by_row, spec, start, [t]), str))
+            assert _outcome(sampled_orbit, spec, start, ts[:k]) \
+                == _outcome(_row_by_row, spec, start, ts[:k])
+            assert _outcome(sampled_orbit, spec, start, ts[:k + 1]) == want
+        return want
+
+    def test_families_on_the_grid(self):
+        for text, c1, c2 in self.PINNED:
+            self.assert_same(parse_spec(text), _start(text, c1, c2), t_grid(-2, 2, 0.05))
+
+    def test_conjugated_family(self):
+        k = mat2(Kind.DOUBLE, [[2.0, 1.0], [1.0, 1.0]])
+        spec = conjugate_spec(DoubleSL(SigmaKind.ELLIPTIC, SigmaKind.HYPERBOLIC, 0.8), k)
+        self.assert_same(spec, start_double(0.9, 1.6), t_grid(-2, 2, 0.1))
+
+    def test_exact_circular_pole(self):
+        spec = DoubleSL(SigmaKind.ELLIPTIC, SigmaKind.PARABOLIC, 1.0)
+        t_pole = math.pi - math.atan(1.0)
+        ts = [1.0, t_pole, 2.5]
+        self.assert_same(spec, start_double(1.0, 2.0), ts)
+        tags = [row.cls.tag for row in sampled_orbit(spec, start_double(1.0, 2.0), ts).rows]
+        assert tags[0] is tags[2] is ClassTag.AFFINE and tags[1] is not ClassTag.AFFINE
+
+    @pytest.mark.parametrize("text, ts, error", [
+        # entries overflow to inf in float arithmetic, without an OverflowError
+        ("dual-sl(sigma=K,lambda=1e308,t0=1)", [0.0, 1.0, 2.0, 3.0], "overflows"),
+        # math.exp(800) raises OverflowError on the stack
+        ("double-gl(sigma+=A,lambda+=800,sigma-=K,lambda-=0)", [0.0, 1.0, 2.0], "overflows"),
+        # the e^-30 plus component is lost next to the O(1) minus component
+        ("double-gl(sigma+=K,lambda+=-10,sigma-=K,lambda-=0)", [0.0, 1.0, 2.0, 3.0, 4.0],
+         "rounding"),
+        # the whole matrix decays below the zero tolerance
+        ("dual-gl(sigma=K,lambda=1,lambda1=-20)", [0.0, 1.0, 2.0, 3.0],
+         "both homogeneous coordinates vanish"),
+    ])
+    def test_refusals(self, text, ts, error):
+        outcome = self.assert_same(parse_spec(text), _start(text, 1.0, 2.0), ts)
+        assert error in outcome
+
+    def test_any_nonfinite_entry_refuses(self):
+        class TopLeftOverflow:
+            """The circular pair with an infinite top-left entry at t = 1 only,
+            which leaves the image's y coordinate affine."""
+
+            def eval(self, t):
+                m = DoubleSL(SigmaKind.ELLIPTIC, SigmaKind.ELLIPTIC).eval(t)
+                a1 = np.where(t == 1.0, math.inf, m.a.a1) if isinstance(t, np.ndarray) \
+                    else math.inf if t == 1.0 else m.a.a1
+                return Mat2(Kind.DOUBLE, Hypercomplex(Kind.DOUBLE, a1, m.a.a2), m.b, m.c, m.d)
+
+        outcome = self.assert_same(TopLeftOverflow(), start_double(1.0, 2.0), [0.0, 1.0])
+        assert "overflows" in outcome
+
+    def test_refusal_in_a_later_stack(self, monkeypatch):
+        monkeypatch.setattr(orbits, "STACK_SIZE", 3)
+        spec = parse_spec("dual-gl(sigma=K,lambda=1,lambda1=-20)")
+        with pytest.raises(InvalidPointError):
+            sampled_orbit(spec, start_dual(1.0, 2.0), t_grid(0, 3, 0.25))
+        self.assert_same(spec, start_dual(1.0, 2.0), t_grid(0, 3, 0.25))
+
+    def test_empty_single_and_more_than_one_stack(self):
+        spec = DoubleSL(SigmaKind.HYPERBOLIC, SigmaKind.ELLIPTIC, 1.4)
+        start = start_double(1.1, 0.7)
+        assert sampled_orbit(spec, start, []).rows == ()
+        self.assert_same(spec, start, [0.3])
+        ts = np.linspace(-3.0, 3.0, STACK_SIZE + 7)
+        sample = sampled_orbit(spec, start, ts)
+        assert len(sample.rows) == len(ts)
+        assert list(map(repr, sample.rows)) == list(map(repr, _row_by_row(spec, start, ts).rows))
 
 
 class TestShearPairEquation:

@@ -30,7 +30,7 @@ from hypermoebius.subgroups import (
     swap_double,
     swap_image,
 )
-from hypermoebius.sampling import rng_from_seed
+from hypermoebius.sampling import random_specs, rng_from_seed
 
 NONTRIVIAL = (SigmaKind.ELLIPTIC, SigmaKind.PARABOLIC, SigmaKind.HYPERBOLIC)
 
@@ -100,6 +100,27 @@ class TestEval:
         assert all(math.isfinite(x) for e in eval_subgroup(spec, 0.5).entries()
                    for x in (e.a1, e.a2))
 
+    def test_stacked_eval_matches_each_t(self):
+        # math per element: np.exp, np.cosh and np.sinh differ in the last bit
+        ts = rng_from_seed(13).uniform(-6.0, 6.0, 500)
+        specs = [DoubleGL(sp, 0.7, sm, -0.4, 1.3) for sp in SigmaKind for sm in SigmaKind]
+        specs += [DoubleSL(SigmaKind.HYPERBOLIC, SigmaKind.ELLIPTIC, -0.6)]
+        specs += [DualGL(sigma, -0.3, 1.1, 0.4) for sigma in SigmaKind]
+        specs += [DualSL(sigma, -0.8, 0.5, -0.7) for sigma in NONTRIVIAL]
+        for spec in specs:
+            stack = [np.broadcast_to(x, ts.shape)
+                     for e in eval_subgroup(spec, ts).entries() for x in (e.a1, e.a2)]
+            for i, t in enumerate(ts.tolist()):
+                one = [x for e in eval_subgroup(spec, t).entries() for x in (e.a1, e.a2)]
+                assert [x[i] for x in stack] == one, (spec, t)
+
+    def test_stacked_eval_raises_what_math_raises(self):
+        with pytest.raises(OverflowError):
+            eval_subgroup(parse_spec("double-gl(sigma+=A,lambda+=800,sigma-=K,lambda-=0)"),
+                          np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):  # math.cos(inf): a*t overflows
+            eval_subgroup(parse_spec("double-sl(sigma+=K,sigma-=K,a=1e308)"), np.array([10.0]))
+
     def test_ring_families_match_array_builders(self):
         # the float-tuple builders give the bits of the numpy expressions
         from hypermoebius.matrix2 import double_from_components, dual_from_parts
@@ -143,6 +164,25 @@ class TestGroupLaw:
             spec = DualSL(sigma, 1.3, 0.4, 0.9)
             for _ in range(50):
                 assert group_law_residual(spec, rng.uniform(-2, 2), rng.uniform(-2, 2)) < 1e-9
+
+
+    def test_verify_evaluates_each_factor_once(self, monkeypatch):
+        from hypermoebius import subgroups, verify
+
+        calls = []
+
+        def counted(spec, t):
+            calls.append(t)
+            return eval_subgroup(spec, t)
+
+        monkeypatch.setattr(subgroups, "eval_subgroup", counted)
+        monkeypatch.setattr(verify, "eval_subgroup", counted)
+        results = verify.check_group_law(rng_from_seed(3), n_specs=2, n_pairs=4)
+        assert all(r.passed for r in results)
+        n_specs = sum(map(len, random_specs(rng_from_seed(3), 2).values()))
+        # t1 + t2, t1 and t2 for each of the 4 pairs of each spec
+        assert len(calls) == 3 * 4 * n_specs
+        assert calls[::3] == [t1 + t2 for t1, t2 in zip(calls[1::3], calls[2::3])]
 
 
 class TestDeterminants:
