@@ -100,12 +100,17 @@ _LETTERS = {
 }
 
 
+# t of this type asks for a stack; an identity test costs the float path
+# less than isinstance
+_ARRAY = np.ndarray
+
+
 def rotation(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> tuple[float, ...]:
     """H'_sigma(t) as the floats (a, b, c, d) (H_sigma(t) when lam = 0).
 
-    At a float array of t the entries are arrays, or the float 0.0 where the
-    entry is zero for every t (see :func:`_rotation_stack`)."""
-    if isinstance(t, np.ndarray):
+    At a 1-d numpy float array of t the entries are arrays, or the float 0.0
+    where the entry is zero for every t (see :func:`_rotation_stack`)."""
+    if type(t) is _ARRAY:
         return _rotation_stack(sigma_kind, t, lam)
     scale = math.exp(lam * t)
     if sigma_kind is SigmaKind.TRIVIAL:
@@ -252,11 +257,11 @@ def eval_subgroup(spec, t: float):
     """The subgroup matrix at t (numpy for real, Mat2 otherwise); :class:`DomainError`
     where an entry overflows the float range, by an OverflowError or to inf or nan.
 
-    At a 1-d float array of t a double or dual family gives the stack of its
+    At a 1-d numpy float array of t a double or dual family gives the stack of its
     matrices with no test: an entry may be inf or nan, without a numpy
     warning, and math's OverflowError or ValueError propagates.  The caller
     tests each matrix of the stack."""
-    if isinstance(t, np.ndarray):
+    if type(t) is _ARRAY:
         with np.errstate(all="ignore"):
             return spec.eval(t)
     try:

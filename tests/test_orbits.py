@@ -110,7 +110,7 @@ def _start(text: str, c1: float, c2: float):
 
 def _row_by_row(spec, start, ts):
     """sampled_orbit with no row certified by the stacked evaluation: every
-    row from its own matrix, as before stacks."""
+    row from its own matrix, the reference for the stacked rows."""
     stacked = orbits._stacked_affine
     orbits._stacked_affine = lambda spec, p, ts: [None] * len(ts)
     try:
@@ -146,7 +146,7 @@ class TestStackedRows:
         ("dual-sl(sigma=A, lambda=0.9, lambda1=0.5, t0=0.7)", 0.6, 1.4),
         ("dual-sl(sigma=N, lambda=-1.1, lambda1=0.2, t0=-0.3)", 1.3, 0.2),
     )
-    # recorded from the row-by-row builder before rows were stacked
+    # recorded with every row built from its own matrix
     PINNED_SHA256 = "a5a6db491ccf8c10938ee727208b25899a24300cbac4d75e4554e90bd5d9800b"
 
     def test_pinned_csv_digest(self):
