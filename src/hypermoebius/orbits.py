@@ -310,7 +310,7 @@ def _stacked_affine(spec, p: ProjPoint, ts: np.ndarray) -> list:
     try:
         g = eval_subgroup(spec, ts)
     except (OverflowError, ValueError):
-        return [None] * len(ts)
+        g = None
     if not isinstance(g, Mat2) or g.kind is not p.kind:
         return [None] * len(ts)
     with np.errstate(all="ignore"):
