@@ -4,142 +4,10 @@ Ring arithmetic, projective lines and their canonical point classes,
 Moebius transformations, the classification of continuous one-parameter
 matrix subgroups over the two rings, and numerically verifiable orbit
 equations.
-"""
 
-from .algebra import (
-    TAU_ALG,
-    TAU_ZERO,
-    ElementClass,
-    Hypercomplex,
-    Kind,
-    P_MINUS,
-    P_PLUS,
-    arctan_sigma,
-    classify_element,
-    cos_sigma,
-    decompose,
-    generator,
-    invert,
-    number,
-    one,
-    parse_number,
-    recompose,
-    render,
-    sin_sigma,
-    sqrt_all,
-    tan_sigma,
-    trig_triple,
-    zero,
-)
-from .errors import (
-    DomainError,
-    FixesEverythingError,
-    HypermoebiusError,
-    InvalidLiteralError,
-    InvalidPointError,
-    KindMismatchError,
-    MembershipError,
-    NotAdmissibleError,
-    NotInCentralizerError,
-    NotInvertibleError,
-    NotNormalizableError,
-    SingularMatrixError,
-)
-from .matrix2 import (
-    GroupMembership,
-    Mat2,
-    det,
-    det_dual_formula,
-    det_split_double,
-    double_from_components,
-    dual_from_parts,
-    hat,
-    identity,
-    invert_mat,
-    mat2,
-    mat_exp,
-    mat_exp_real,
-    membership,
-    normalize_to_sl,
-    parse_mat,
-    trace,
-)
-from .moebius import (
-    FixedFamily,
-    FixedPointSet,
-    MapClass,
-    MapTag,
-    MoebiusMap,
-    apply,
-    apply_point,
-    classify_map,
-    compose,
-    fixed_points,
-    fixed_points_real,
-    identity_map,
-    kernel_check,
-    kernel_labels,
-    mob_equal,
-    tr_squared,
-)
-from .projline import (
-    CanonicalClass,
-    ClassTag,
-    OrbitLabel,
-    ProjPoint,
-    admissible,
-    bijection_f,
-    canonicalize,
-    equivalent,
-    orbit_label,
-    parse_point,
-    point,
-    project_sl,
-    render_point,
-    same_class,
-    transporter_nonadmissible,
-    transporter_to,
-)
-from .orbits import (
-    OrbitRow,
-    OrbitSample,
-    StartPoint,
-    dual_orbit_report,
-    residual_dual_orbit,
-    residual_shear_pair,
-    residual_trivial_minus,
-    residual_two_regime,
-    sampled_orbit,
-    start_double,
-    start_dual,
-    t_grid,
-    to_csv,
-    to_json_obj,
-)
-from .subgroups import (
-    CentralizerFit,
-    DoubleGL,
-    DoubleSL,
-    DualGL,
-    DualSL,
-    RealGL,
-    SigmaKind,
-    centralizer_solve,
-    classify_spec,
-    conjugate_spec,
-    dual_gl_det_closed_form,
-    dual_gl_det_printed_form,
-    eval_subgroup,
-    exp_cross_check,
-    generator_of,
-    group_law_residual,
-    parse_spec,
-    render_spec,
-    rotation_real,
-    similarity_residual,
-    sl_membership_check,
-    swap_double,
-    swap_image,
-)
+Import the modules by name, e.g. ``from hypermoebius import moebius``; the
+package root re-exports nothing, so importing one module loads only what it
+needs.
+"""
 
 __version__ = "0.1.0"

@@ -16,6 +16,10 @@ arithmetic, ``decompose`` and ``recompose`` then act on each number with the
 expression tree they use on floats.  The module also provides the
 sigma-parametrised trigonometric functions (circular for sigma=-1, linear
 for sigma=0, hyperbolic for sigma=+1) used by the one-parameter subgroups.
+
+numpy is imported only inside :func:`magnitude_many`: a float number needs
+none, and a stack is built by a caller that has loaded numpy already.  That
+keeps numpy off the import path of the scalar CLI commands.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -304,6 +306,8 @@ def stacked(kind: Kind, coords: np.ndarray) -> Hypercomplex:
 
 def magnitude_many(x: Hypercomplex) -> np.ndarray:
     """:meth:`Hypercomplex.magnitude` of each number of a stack."""
+    import numpy as np
+
     return np.maximum(abs(x.a1), abs(x.a2))
 
 

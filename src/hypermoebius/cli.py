@@ -5,6 +5,12 @@ orbit, verify, kernel.  Exit codes: 0 success, 2 domain error (non-unit
 inversion, bad literal, ...), 3 verification-suite failure, 64 usage error.
 The HM_SEED environment variable supplies the default seed for randomized
 sweeps.
+
+No module on this import path loads numpy at import time: each imports it
+inside the functions that build or read an array.  classify-element,
+classify-point, classify-map and subgroup-eval on a double or dual spec are
+plain float work and run without it.  orbit (its stacked evaluation),
+verify, kernel and real-gl specs load it on first use.
 """
 
 from __future__ import annotations
@@ -15,12 +21,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import algebra, orbits
 from .algebra import Kind, TAU_ALG, TAU_ZERO
 from .errors import DomainError, FixesEverythingError, HypermoebiusError, InvalidLiteralError
-from .matrix2 import parse_mat, render_mat
+from .matrix2 import Mat2, parse_mat, render_mat
 from .moebius import MoebiusMap, classify_map, fixed_points, kernel_labels
 from .projline import (
     ClassTag,
@@ -197,10 +201,10 @@ def _cmd_subgroup_eval(args) -> int:
     print(f"type: {descriptor.label}")
     for t in ts:
         m = eval_subgroup(spec, t)
-        if isinstance(m, np.ndarray):
-            body = f"[[{_fmt(m[0, 0])},{_fmt(m[0, 1])}],[{_fmt(m[1, 0])},{_fmt(m[1, 1])}]]"
-        else:
+        if isinstance(m, Mat2):
             body = render_mat(m)
+        else:  # a real-gl spec gives a numpy array
+            body = f"[[{_fmt(m[0, 0])},{_fmt(m[0, 1])}],[{_fmt(m[1, 0])},{_fmt(m[1, 1])}]]"
         print(f"t={_fmt(t)}: {body}")
     return 0
 

@@ -6,7 +6,8 @@ to real component matrices, rescaling to determinant one, and a matrix
 exponential used as an independent oracle for one-parameter subgroups.
 
 Real 2x2 matrices appear as float 4-tuples (a, b, c, d) in the split_* and
-join_* component maps, and as (2, 2) numpy arrays elsewhere.  A ``Mat2``
+join_* component maps, and as (2, 2) numpy arrays elsewhere; numpy is
+imported inside the functions that take or give an array.  A ``Mat2``
 whose entries are stacks of numbers is a stack of matrices, on which ``+``,
 ``-``, ``@``, ``scale``, ``det`` and ``hat`` act matrix by matrix.
 """
@@ -15,8 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import algebra
 from .algebra import (
@@ -175,6 +174,8 @@ def join_double(plus, minus) -> Mat2:
 
 def double_from_components(a_plus: np.ndarray, a_minus: np.ndarray) -> Mat2:
     """:func:`join_double` from 2x2 arrays."""
+    import numpy as np
+
     return join_double(map(float, np.ravel(a_plus)), map(float, np.ravel(a_minus)))
 
 
@@ -186,6 +187,8 @@ def split_double(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def components_double(x: Mat2) -> tuple[np.ndarray, np.ndarray]:
     """:func:`split_double` as 2x2 arrays."""
+    import numpy as np
+
     plus, minus = split_double(x)
     return np.array(plus).reshape(2, 2), np.array(minus).reshape(2, 2)
 
@@ -198,6 +201,8 @@ def join_dual(part1, part2) -> Mat2:
 
 def dual_from_parts(a1: np.ndarray, a2: np.ndarray) -> Mat2:
     """:func:`join_dual` from 2x2 arrays."""
+    import numpy as np
+
     return join_dual(map(float, np.ravel(a1)), map(float, np.ravel(a2)))
 
 
@@ -210,12 +215,16 @@ def split_dual(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def parts_dual(x: Mat2) -> tuple[np.ndarray, np.ndarray]:
     """:func:`split_dual` as 2x2 arrays."""
+    import numpy as np
+
     part1, part2 = split_dual(x)
     return np.array(part1).reshape(2, 2), np.array(part2).reshape(2, 2)
 
 
 def adj_real(m: np.ndarray) -> np.ndarray:
     """Adjugate [[d, -b], [-c, a]] of a real 2x2 matrix, or of each in a stack."""
+    import numpy as np
+
     out = np.empty_like(m)
     out[..., 0, 0], out[..., 0, 1] = m[..., 1, 1], -m[..., 0, 1]
     out[..., 1, 0], out[..., 1, 1] = -m[..., 1, 0], m[..., 0, 0]
@@ -232,12 +241,16 @@ def stacked_mat(x: Hypercomplex) -> Mat2:
 def det_split_double_many(a_plus: np.ndarray, a_minus: np.ndarray) -> Hypercomplex:
     """det(A+ P+ + A- P-) = det(A+) P+ + det(A-) P- for each pair of (..., 2, 2)
     component matrices, as a stack of double numbers."""
+    import numpy as np
+
     return algebra.recompose(np.linalg.det(a_plus), np.linalg.det(a_minus))
 
 
 def det_dual_formula_many(a1: np.ndarray, a2: np.ndarray) -> Hypercomplex:
     """det(A1 + eps*A2) = det(A1) + eps * tr(A1 @ adj(A2)) for each pair of
     (..., 2, 2) parts, as a stack of dual numbers."""
+    import numpy as np
+
     eps_part = np.trace(a1 @ adj_real(a2), axis1=-2, axis2=-1)
     return Hypercomplex(Kind.DUAL, np.linalg.det(a1), eps_part)
 
@@ -288,6 +301,8 @@ def mat_exp(b: Mat2, t: float) -> Mat2:
 
 def mat_exp_real(b: np.ndarray, t: float) -> np.ndarray:
     """Real-matrix twin of :func:`mat_exp` (same algorithm over floats)."""
+    import numpy as np
+
     m = np.asarray(b, dtype=float) * float(t)
     k = 0
     norm = float(np.max(np.abs(m)))

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from . import algebra
 from .algebra import (
     TAU_ALG,
@@ -181,6 +179,8 @@ def kernel_check(kind: "Kind | str", n_probes: int = 100, seed: int = 7):
 
     rng = rng_from_seed(seed)
     if isinstance(kind, str) and kind.strip().lower() == "real":
+        import numpy as np
+
         kernel = []
         for u in (1.0, -1.0):
             m = u * np.eye(2)
@@ -205,13 +205,13 @@ def kernel_labels(kind: "Kind | str", **kwargs) -> list[str]:
     mats = kernel_check(kind, **kwargs)
     labels = []
     for m in mats:
-        u = m[0, 0] if isinstance(m, np.ndarray) else m.a
+        u = m.a if isinstance(m, Mat2) else m[0, 0]
         labels.append(_scalar_label(u))
     return labels
 
 
 def _scalar_label(u) -> str:
-    if isinstance(u, (int, float, np.floating)):
+    if not isinstance(u, Hypercomplex):  # an entry of a real matrix
         return "I" if u > 0 else "-I"
     if abs(u.a2) <= TAU_ALG:
         return "I" if u.a1 > 0 else "-I"

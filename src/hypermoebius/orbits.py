@@ -33,8 +33,6 @@ import io
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import (
     TAU_ZERO,
     Hypercomplex,
@@ -274,6 +272,8 @@ def sampled_orbit(spec, start: StartPoint, ts) -> OrbitSample:
     made from the one matrix at its t, in t order, so it keeps its class and
     a refusal is raised at the same first t as row by row.
     """
+    import numpy as np
+
     p = start.to_point()
     columns = _residual_columns(spec, start)
     ts = np.fromiter(ts, float)
@@ -307,6 +307,8 @@ def _stacked_affine(spec, p: ProjPoint, ts: np.ndarray) -> list:
     ``x * _inverse(y)`` is).  No stack, every row None, when math raises on
     an element or the family gives no stack of matrices of p's kind.
     """
+    import numpy as np
+
     try:
         g = eval_subgroup(spec, ts)
     except (OverflowError, ValueError):

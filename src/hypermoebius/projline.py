@@ -23,8 +23,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import algebra
 from .algebra import (
     P_MINUS,

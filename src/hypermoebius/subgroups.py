@@ -16,6 +16,9 @@ of matrices (``Mat2`` entries whose coordinates are arrays) equal bit for bit
 to the matrices at each t: the math library's exp, cos, sin, cosh and sinh
 are applied to each element, since numpy's own differ in the last bit, and
 the rest is numpy's elementwise arithmetic in the float path's order.
+numpy is imported inside the functions that need it: the real family, the
+stacks and verify's sampled grids.  A double or dual family at a float t
+never loads it, so neither does ``subgroup-eval`` on such a spec.
 
 The det-1 dual family deserves a note: normalizing the general-linear form
 exp(lam1*t)*H(t) + eps*lam*t*exp(lam1*(t+t0))*H(t+t0) by the square root of
@@ -37,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-
-import numpy as np
 
 from .algebra import (
     TAU_ALG,
@@ -100,9 +101,16 @@ _LETTERS = {
 }
 
 
-# t of this type asks for a stack; an identity test costs the float path
-# less than isinstance
-_ARRAY = np.ndarray
+def _is_stack(t) -> bool:
+    """Whether t is a numpy array of t values, which asks for a stack.  A
+    Python number is answered without importing numpy.  Callers test
+    ``type(t) is not float`` first: an identity test costs the float path
+    less than a call."""
+    if isinstance(t, (int, float)):
+        return False
+    import numpy as np
+
+    return type(t) is np.ndarray
 
 
 def rotation(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> tuple[float, ...]:
@@ -110,7 +118,7 @@ def rotation(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> tuple[float, 
 
     At a 1-d numpy float array of t the entries are arrays, or the float 0.0
     where the entry is zero for every t (see :func:`_rotation_stack`)."""
-    if type(t) is _ARRAY:
+    if type(t) is not float and _is_stack(t):
         return _rotation_stack(sigma_kind, t, lam)
     scale = math.exp(lam * t)
     if sigma_kind is SigmaKind.TRIVIAL:
@@ -128,6 +136,8 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
     """fn of each element of the 1-d array x, through math: numpy's own exp, cosh and
     sinh differ from math's in the last bit for some arguments.  Raises what
     fn raises (OverflowError, or ValueError at an infinite argument)."""
+    import numpy as np
+
     return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
@@ -148,6 +158,8 @@ def _rotation_stack(sigma_kind: SigmaKind, t: np.ndarray, lam: float) -> tuple:
 
 def rotation_real(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> np.ndarray:
     """:func:`rotation` as a 2x2 array."""
+    import numpy as np
+
     return np.reshape(rotation(sigma_kind, t, lam), (2, 2))
 
 
@@ -255,31 +267,36 @@ SubgroupSpec = RealGL | DoubleSL | DoubleGL | DualGL | DualSL
 
 def eval_subgroup(spec, t: float):
     """The subgroup matrix at t (numpy for real, Mat2 otherwise); :class:`DomainError`
-    where an entry overflows the float range, by an OverflowError or to inf or nan.
+    where an entry overflows the float range: math raises OverflowError, or
+    ValueError at an argument that overflowed to inf, or the entry is inf or nan.
 
     At a 1-d numpy float array of t a double or dual family gives the stack of its
     matrices with no test: an entry may be inf or nan, without a numpy
     warning, and math's OverflowError or ValueError propagates.  The caller
     tests each matrix of the stack."""
-    if type(t) is _ARRAY:
+    if type(t) is not float and _is_stack(t):
+        import numpy as np
+
         with np.errstate(all="ignore"):
             return spec.eval(t)
     try:
         m = spec.eval(t)
-        coords = m.flat if isinstance(m, np.ndarray) else (
-            x for e in m.entries() for x in (e.a1, e.a2))
+        if isinstance(m, Mat2):
+            coords = (x for e in m.entries() for x in (e.a1, e.a2))
+        else:  # a real-gl spec gives a numpy array
+            coords = m.flat
         if all(map(math.isfinite, coords)):
             return m
-    except OverflowError:
+    except (OverflowError, ValueError):  # math's, past the float range or at inf
         pass
     raise DomainError(f"the subgroup matrix at t={t!r} overflows the float range")
 
 
 def _magnitude(m) -> float:
     """Max entry magnitude of a real or ring matrix."""
-    if isinstance(m, np.ndarray):
-        return float(np.max(np.abs(m)))
-    return m.max_entry_magnitude()
+    if isinstance(m, Mat2):
+        return m.max_entry_magnitude()
+    return float(abs(m).max())
 
 
 def _entry_gap(x, y) -> float:
@@ -306,7 +323,7 @@ def sl_membership_check(spec, t: float) -> Hypercomplex:
     general-linear family it should match ``dual_gl_det_closed_form``.
     """
     m = eval_subgroup(spec, t)
-    if isinstance(m, np.ndarray):
+    if not isinstance(m, Mat2):
         raise DomainError(f"sl_membership_check takes a double or dual spec, not {spec.family}")
     return det(m)
 
@@ -404,7 +421,9 @@ def conjugate_spec(spec, k) -> ConjugatedSubgroup:
     double families, a component pair (K+, K-)."""
     if isinstance(k, tuple):
         k = double_from_components(*k)
-    if isinstance(k, np.ndarray):
+    if not isinstance(k, Mat2):
+        import numpy as np
+
         d = float(np.linalg.det(k))
         if abs(d) <= TAU_ZERO:
             raise SingularMatrixError(None, "conjugating matrix is singular")
@@ -417,6 +436,8 @@ def conjugate_spec(spec, k) -> ConjugatedSubgroup:
 def similarity_residual(spec_a, spec_b, ts=None) -> float:
     """Max entry gap between the two subgroups over sampled times."""
     if ts is None:
+        import numpy as np
+
         ts = np.linspace(-2.0, 2.0, 17)
     return max(_entry_gap(eval_subgroup(spec_a, float(t)),
                           eval_subgroup(spec_b, float(t))) for t in ts)
@@ -532,9 +553,9 @@ def generator_of(spec):
     """Central-difference derivative of the subgroup at t = 0."""
     plus = eval_subgroup(spec, _DIFF_STEP)
     minus = eval_subgroup(spec, -_DIFF_STEP)
-    if isinstance(plus, np.ndarray):
-        return (plus - minus) / (2.0 * _DIFF_STEP)
-    return (plus - minus).scale(1.0 / (2.0 * _DIFF_STEP))
+    if isinstance(plus, Mat2):
+        return (plus - minus).scale(1.0 / (2.0 * _DIFF_STEP))
+    return (plus - minus) / (2.0 * _DIFF_STEP)
 
 
 def exp_cross_check(spec, ts=None) -> float:
@@ -546,15 +567,15 @@ def exp_cross_check(spec, ts=None) -> float:
     """
     gen = generator_of(spec)
     if ts is None:
+        import numpy as np
+
         ts = np.linspace(-2.0, 2.0, 9)
+    exp = mat_exp if isinstance(gen, Mat2) else mat_exp_real
     worst = 0.0
     for t in ts:
         t = float(t)
         closed = eval_subgroup(spec, t)
-        if isinstance(gen, np.ndarray):
-            worst = max(worst, _entry_gap(mat_exp_real(gen, t), closed))
-        else:
-            worst = max(worst, _entry_gap(mat_exp(gen, t), closed))
+        worst = max(worst, _entry_gap(exp(gen, t), closed))
     return worst
 
 

@@ -42,6 +42,7 @@ class TestClassifyCommands:
 
 
 HUGE_DUAL = "dual-sl(sigma=K,lambda=1e308,t0=1)"
+HUGE_RESCALE = "double-sl(sigma+=K,sigma-=K,a=1e308)"
 
 
 class TestSubgroupCommands:
@@ -146,6 +147,9 @@ class TestExitCodes:
             # entries overflow to inf without an OverflowError
             ["subgroup-eval", "--spec", HUGE_DUAL, "--t", "3"],
             ["orbit", "--spec", HUGE_DUAL, "--start", "1,2", "--t", "0:3:1"],
+            # a*t overflows to inf, where math.cos raises ValueError
+            ["subgroup-eval", "--spec", HUGE_RESCALE, "--t", "10"],
+            ["orbit", "--spec", HUGE_RESCALE, "--start", "1,2", "--t", "10"],
         ]
         for argv in cases:
             code, _, err = run(argv, capsys)
@@ -198,6 +202,43 @@ def test_start_imports_no_verify_suite():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert "'hypermoebius.verify'" not in out and "'hypermoebius.sampling'" not in out
+
+
+def run_fresh(argvs) -> tuple[list[int], bool]:
+    """cli.main on each argv in turn, after build_parser, in one fresh
+    interpreter: the exit codes, and whether numpy was imported by the end.
+    The test process has numpy loaded already."""
+    code = ("import json, sys, hypermoebius.cli as cli; cli.build_parser(); "
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, 'numpy' in sys.modules]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    codes, numpy_loaded = json.loads(out.splitlines()[-1])
+    return codes, numpy_loaded
+
+
+def test_scalar_commands_import_no_numpy():
+    argvs = [["classify-element", "--algebra", "dual", "2+3e"],
+             ["classify-element", "--algebra", "double", "2P+"],
+             ["classify-point", "--algebra", "double", "[3 : 2P+]"]]
+    argvs += [["classify-map", "--algebra", kind, "[[2,1],[1,1]]"]
+              for kind in ("complex", "double", "dual")]
+    argvs += [["subgroup-eval", "--spec", spec, "--t", "-1:1:0.5"]
+              for spec in ("double-sl(sigma+=K,sigma-=A,a=2)",
+                           "double-gl(sigma+=N,lambda+=0.5,sigma-=I,lambda-=1)",
+                           "dual-sl(sigma=K,lambda=1,t0=0.3)",
+                           "dual-gl(sigma=A,lambda1=0.5,lambda=2)")]
+    assert run_fresh(argvs) == ([0] * len(argvs), False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--spec", "double-sl(sigma+=K,sigma-=A,a=2)", "--start", "1,2", "--t", "0:1:0.5"],
+    ["kernel", "--algebra", "real"],
+    ["subgroup-eval", "--spec", "real-gl(sigma=K,lambda=0.5)", "--t", "1"],
+])
+def test_stacking_and_real_commands_import_numpy(argv):
+    assert run_fresh([argv]) == ([0], True)
 
 
 # the seed-5 report byte for byte, as the scalar sweeps printed it.  Generated
