@@ -214,8 +214,7 @@ def run_fresh(argvs) -> tuple[list[int], bool]:
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    codes, numpy_loaded = json.loads(out.splitlines()[-1])
-    return codes, numpy_loaded
+    return tuple(json.loads(out.splitlines()[-1]))
 
 
 def test_scalar_commands_import_no_numpy():
