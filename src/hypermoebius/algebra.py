@@ -17,9 +17,9 @@ expression tree they use on floats.  The module also provides the
 sigma-parametrised trigonometric functions (circular for sigma=-1, linear
 for sigma=0, hyperbolic for sigma=+1) used by the one-parameter subgroups.
 
-numpy is imported only inside :func:`magnitude_many`: a float number needs
-none, and a stack is built by a caller that has loaded numpy already.  That
-keeps numpy off the import path of the scalar CLI commands.
+numpy is imported only where a stack needs it: a float number needs none,
+and a stack is built by a caller that has loaded numpy already.  That keeps
+numpy off the import path of the scalar CLI commands.
 """
 
 from __future__ import annotations
@@ -93,6 +93,10 @@ class Hypercomplex:
     a1: float
     a2: float
 
+    # numpy defers ``array * number`` to __rmul__ instead of building an
+    # object array of products
+    __array_ufunc__ = None
+
     def __add__(self, other: "Hypercomplex | float") -> "Hypercomplex":
         other = _coerce(self.kind, other)
         _check_kinds(self, other)
@@ -121,6 +125,8 @@ class Hypercomplex:
             return Hypercomplex(self.kind, self.a1 * other, self.a2 * other)
         if isinstance(other, numbers.Real):
             return self * float(other)
+        if is_stack(other):  # a float array: the stack of this number times each
+            return Hypercomplex(self.kind, self.a1 * other, self.a2 * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -150,8 +156,14 @@ class Hypercomplex:
         return abs(self.a1) <= tol and abs(self.a2) <= tol
 
     def magnitude(self) -> float:
-        """Max-abs of the two scalar coordinates (used for error bounds)."""
-        return max(abs(self.a1), abs(self.a2))
+        """Max-abs of the two scalar coordinates (used for error bounds); for a
+        stack, the array of each number's."""
+        a1, a2 = self.a1, self.a2
+        if type(a1) is type(a2) is float:
+            return max(abs(a1), abs(a2))
+        import numpy as np
+
+        return np.maximum(abs(a1), abs(a2))
 
     def close_to(self, other: "Hypercomplex | float", tol: float = TAU_ALG) -> bool:
         other = _coerce(self.kind, other)
@@ -299,16 +311,20 @@ def sqrt_all(
 # stacks
 
 
+def is_stack(x) -> bool:
+    """Whether x is a numpy array: the coordinates of a stack, or the values
+    at which a stack is asked for.  A Python number is answered without
+    importing numpy."""
+    if isinstance(x, (int, float)):
+        return False
+    import numpy as np
+
+    return type(x) is np.ndarray
+
+
 def stacked(kind: Kind, coords: np.ndarray) -> Hypercomplex:
     """The stack of numbers whose (a1, a2) run along the last axis of coords."""
     return Hypercomplex(kind, coords[..., 0], coords[..., 1])
-
-
-def magnitude_many(x: Hypercomplex) -> np.ndarray:
-    """:meth:`Hypercomplex.magnitude` of each number of a stack."""
-    import numpy as np
-
-    return np.maximum(abs(x.a1), abs(x.a2))
 
 
 def invert_many(x: Hypercomplex) -> Hypercomplex:

@@ -9,7 +9,8 @@ Real 2x2 matrices appear as float 4-tuples (a, b, c, d) in the split_* and
 join_* component maps, and as (2, 2) numpy arrays elsewhere; numpy is
 imported inside the functions that take or give an array.  A ``Mat2``
 whose entries are stacks of numbers is a stack of matrices, on which ``+``,
-``-``, ``@``, ``scale``, ``det`` and ``hat`` act matrix by matrix.
+``-``, ``@``, ``scale``, ``max_entry_magnitude``, ``det``, ``hat`` and
+``mat_exp`` act matrix by matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .algebra import (
     Kind,
     classify_element,
     invert,
+    is_stack,
     is_unit,
     sqrt_all,
     zero,
@@ -86,7 +88,14 @@ class Mat2:
             )
 
     def max_entry_magnitude(self) -> float:
-        return max(entry.magnitude() for entry in self.entries())
+        """The largest entry magnitude; for a stack, the array of each matrix's."""
+        a, b, c, d = (self.a.magnitude(), self.b.magnitude(),
+                      self.c.magnitude(), self.d.magnitude())
+        if type(a) is type(b) is type(c) is type(d) is float:
+            return max(a, b, c, d)
+        import numpy as np
+
+        return np.maximum(np.maximum(a, b), np.maximum(c, d))
 
     def close_to(self, other: "Mat2", tol: float = TAU_ALG) -> bool:
         return all(p.close_to(q, tol) for p, q in zip(self.entries(), other.entries()))
@@ -281,43 +290,79 @@ def mat_exp(b: Mat2, t: float) -> Mat2:
     the series is summed to 20 terms, and the result squared back up; the
     truncation error is far below the tolerances this oracle is checked
     against.
+
+    At a 1-d float array of t, or for a stack b, the result is the stack of
+    exponentials.  Each matrix is halved and squared its own number of
+    times, so it is the matrix the scalar call gives, bit for bit.
     """
-    m = b.scale(float(t))
-    k = 0
-    norm = m.max_entry_magnitude()
-    while norm > _EXP_SCALE_LIMIT:
-        norm /= 2.0
-        k += 1
-    m = m.scale(0.5 ** k)
+    m = b.scale(t if is_stack(t) else float(t))
+    k, factor = _halvings(m.max_entry_magnitude())
+    m = m.scale(factor)
     term = identity(b.kind)
     acc = term
     for n in range(1, _EXP_TERMS + 1):
         term = (term @ m).scale(1.0 / n)
         acc = acc + term
+    if type(k) is not int:
+        return _squared(acc, k, _select)
     for _ in range(k):
         acc = acc @ acc
     return acc
 
 
 def mat_exp_real(b: np.ndarray, t: float) -> np.ndarray:
-    """Real-matrix twin of :func:`mat_exp` (same algorithm over floats)."""
+    """Real-matrix twin of :func:`mat_exp` (same algorithm over floats), for
+    one matrix or an (n, 2, 2) stack, at one t or a 1-d array of t."""
     import numpy as np
 
-    m = np.asarray(b, dtype=float) * float(t)
-    k = 0
-    norm = float(np.max(np.abs(m)))
-    while norm > _EXP_SCALE_LIMIT:
-        norm /= 2.0
-        k += 1
-    m = m * 0.5 ** k
+    m = np.asarray(b, dtype=float) * np.asarray(t, dtype=float)[..., None, None]
+    k, factor = _halvings(np.max(np.abs(m), axis=(-2, -1)))
+    m = m * factor[..., None, None]
     term = np.eye(2)
     acc = np.eye(2)
     for n in range(1, _EXP_TERMS + 1):
         term = term @ m / n
         acc = acc + term
-    for _ in range(k):
-        acc = acc @ acc
+    return _squared(acc, k, lambda keep, x, y: np.where(keep[..., None, None], x, y))
+
+
+def _halvings(norm):
+    """The number k of halvings that take norm to 0.5 or below, and 2**-k;
+    for an array of norms, arrays of each norm's."""
+    if type(norm) is float:
+        k = 0
+        while norm > _EXP_SCALE_LIMIT:
+            norm /= 2.0
+            k += 1
+        return k, 0.5 ** k
+    import numpy as np
+
+    k = np.zeros(np.shape(norm), dtype=int)
+    while (big := norm > _EXP_SCALE_LIMIT).any():
+        norm = np.where(big, norm / 2.0, norm)
+        k += big
+    return k, np.ldexp(1.0, -k)
+
+
+def _squared(acc, k, select):
+    """The stack acc with each matrix squared k times, its own k.  All are
+    squared max(k) times and ``select(keep, squares, acc)`` keeps the squares
+    where keep holds: an overflow in a square past a matrix's k is dropped."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(int(np.max(k, initial=0))):
+            acc = select(i < k, acc @ acc, acc)
     return acc
+
+
+def _select(keep, x: Mat2, y: Mat2) -> Mat2:
+    """The stack of x's matrices where keep holds and y's elsewhere."""
+    import numpy as np
+
+    return Mat2(x.kind, *(Hypercomplex(x.kind, np.where(keep, p.a1, q.a1),
+                                       np.where(keep, p.a2, q.a2))
+                          for p, q in zip(x.entries(), y.entries())))
 
 
 # ---------------------------------------------------------------------------

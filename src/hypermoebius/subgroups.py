@@ -11,11 +11,12 @@ real subgroups riding the two idempotent components, the second one running
 at a rescaled time a*t.  Over the dual numbers a subgroup is a real subgroup
 plus an eps-deformation t * lam * H(t+t0) driven by a centralizer element.
 
-The double and dual families also evaluate at a float array of t, as a stack
-of matrices (``Mat2`` entries whose coordinates are arrays) equal bit for bit
-to the matrices at each t: the math library's exp, cos, sin, cosh and sinh
-are applied to each element, since numpy's own differ in the last bit, and
-the rest is numpy's elementwise arithmetic in the float path's order.
+Every family also evaluates at a float array of t, as a stack of matrices
+(``Mat2`` entries whose coordinates are arrays, or an (n, 2, 2) array for
+real-gl) equal bit for bit to the matrices at each t: the math library's
+exp, cos, sin, cosh and sinh are applied to each element, since numpy's own
+differ in the last bit, and the rest is numpy's elementwise arithmetic in
+the float path's order.
 numpy is imported inside the functions that need it: the real family, the
 stacks and verify's sampled grids.  A double or dual family at a float t
 never loads it, so neither does ``subgroup-eval`` on such a spec.
@@ -47,6 +48,7 @@ from .algebra import (
     Hypercomplex,
     Kind,
     cos_sigma,
+    is_stack,
     sin_sigma,
 )
 from .errors import (
@@ -101,24 +103,13 @@ _LETTERS = {
 }
 
 
-def _is_stack(t) -> bool:
-    """Whether t is a numpy array of t values, which asks for a stack.  A
-    Python number is answered without importing numpy.  Callers test
-    ``type(t) is not float`` first: an identity test costs the float path
-    less than a call."""
-    if isinstance(t, (int, float)):
-        return False
-    import numpy as np
-
-    return type(t) is np.ndarray
-
-
 def rotation(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> tuple[float, ...]:
     """H'_sigma(t) as the floats (a, b, c, d) (H_sigma(t) when lam = 0).
 
     At a 1-d numpy float array of t the entries are arrays, or the float 0.0
     where the entry is zero for every t (see :func:`_rotation_stack`)."""
-    if type(t) is not float and _is_stack(t):
+    # an identity test first costs the float path less than a call
+    if type(t) is not float and is_stack(t):
         return _rotation_stack(sigma_kind, t, lam)
     scale = math.exp(lam * t)
     if sigma_kind is SigmaKind.TRIVIAL:
@@ -157,10 +148,14 @@ def _rotation_stack(sigma_kind: SigmaKind, t: np.ndarray, lam: float) -> tuple:
 
 
 def rotation_real(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> np.ndarray:
-    """:func:`rotation` as a 2x2 array."""
+    """:func:`rotation` as a 2x2 array, or as an (n, 2, 2) stack at a 1-d
+    array of t."""
     import numpy as np
 
-    return np.reshape(rotation(sigma_kind, t, lam), (2, 2))
+    out = np.empty(np.shape(t) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = \
+        rotation(sigma_kind, t, lam)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,11 +265,11 @@ def eval_subgroup(spec, t: float):
     where an entry overflows the float range: math raises OverflowError, or
     ValueError at an argument that overflowed to inf, or the entry is inf or nan.
 
-    At a 1-d numpy float array of t a double or dual family gives the stack of its
+    At a 1-d numpy float array of t the family gives the stack of its
     matrices with no test: an entry may be inf or nan, without a numpy
     warning, and math's OverflowError or ValueError propagates.  The caller
     tests each matrix of the stack."""
-    if type(t) is not float and _is_stack(t):
+    if type(t) is not float and is_stack(t):
         import numpy as np
 
         with np.errstate(all="ignore"):
@@ -293,10 +288,10 @@ def eval_subgroup(spec, t: float):
 
 
 def _magnitude(m) -> float:
-    """Max entry magnitude of a real or ring matrix."""
+    """Max entry magnitude of a real or ring matrix, or of each of a stack."""
     if isinstance(m, Mat2):
         return m.max_entry_magnitude()
-    return float(abs(m).max())
+    return abs(m).max(axis=(-2, -1))
 
 
 def _entry_gap(x, y) -> float:
@@ -310,7 +305,9 @@ def group_law_residual(spec, t1: float, t2: float) -> float:
 
 def group_law_terms(spec, t1: float, t2: float) -> tuple[float, float, float]:
     """:func:`group_law_residual` with the max entry magnitudes of eval(t1)
-    and eval(t2), each of the three matrices evaluated once."""
+    and eval(t2), each of the three matrices evaluated once.  At two 1-d
+    float arrays of t, the evaluations are stacks and each term is an array
+    over the (t1, t2) pairs."""
     lhs = eval_subgroup(spec, t1 + t2)
     g1, g2 = eval_subgroup(spec, t1), eval_subgroup(spec, t2)
     return _entry_gap(lhs, g1 @ g2), _magnitude(g1), _magnitude(g2)
@@ -563,7 +560,10 @@ def exp_cross_check(spec, ts=None) -> float:
 
     The generator comes from numerical differentiation at zero, so the
     comparison is an independent check that the closed form really is the
-    one-parameter subgroup it claims to be.
+    one-parameter subgroup it claims to be.  Both sides are evaluated once,
+    as stacks over ts, a 1-d float array (nine points on [-2, 2] by
+    default); a matrix past the float range gives an infinite or NaN
+    residual.
     """
     gen = generator_of(spec)
     if ts is None:
@@ -571,12 +571,7 @@ def exp_cross_check(spec, ts=None) -> float:
 
         ts = np.linspace(-2.0, 2.0, 9)
     exp = mat_exp if isinstance(gen, Mat2) else mat_exp_real
-    worst = 0.0
-    for t in ts:
-        t = float(t)
-        closed = eval_subgroup(spec, t)
-        worst = max(worst, _entry_gap(exp(gen, t), closed))
-    return worst
+    return float(_entry_gap(exp(gen, ts), eval_subgroup(spec, ts)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

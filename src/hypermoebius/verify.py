@@ -5,12 +5,14 @@ report byte for byte.  Checks are keyed by what they verify; each line of
 the report reads "<key>: PASS|FAIL (<counts / worst residuals>)".
 
 The fixed-draw sweeps (ring laws, unit inverses, the idempotent split, det
-multiplicativity, the det component formulas and the adjugate identity) run
-the library's own ``Hypercomplex`` and ``Mat2`` operations on stacks of
-``_CHUNK`` samples at a time.  Each chunk draws from the generator exactly
-what the scalar loop over the same samples would draw, in the same order,
-so the generator reaches every later check in the same state and the
-report is the one the scalar loops give.
+multiplicativity, the det component formulas, the adjugate identity and
+the exponential law) run the library's own ``Hypercomplex`` and ``Mat2``
+operations on stacks of ``_CHUNK`` samples at a time; the group law and the
+exponential oracle evaluate each subgroup once per spec, at a stack of t.
+Each stack draws from the generator exactly what the scalar loop over the
+same samples would draw, in the same order, so the generator reaches every
+later check in the same state and the report is the one the scalar loops
+give.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ from .algebra import (
     Kind,
     decompose,
     invert_many,
-    magnitude_many,
     recompose,
     stacked,
 )
 from .errors import NotInCentralizerError
 from .matrix2 import (
-    Mat2,
     det,
     det_dual_formula_many,
     det_split_double_many,
@@ -167,12 +167,12 @@ def check_ring_laws(rng, n: int = 10_000) -> list[CheckResult]:
         def rel(xyz):
             x, y, z = (stacked(kind, v) for v in xyz.swapaxes(0, 1))
             # Python's pow: numpy's vectorised power may differ in the last bit
-            cube = [m ** 3 for m in magnitude_many(stacked(kind, xyz)).max(axis=1).tolist()]
+            cube = [m ** 3 for m in stacked(kind, xyz).magnitude().max(axis=1).tolist()]
             xy = x * y
             gaps = (
-                magnitude_many(xy - y * x),
-                magnitude_many(xy * z - x * (y * z)),
-                magnitude_many(x * (y + z) - (xy + x * z)),
+                (xy - y * x).magnitude(),
+                (xy * z - x * (y * z)).magnitude(),
+                (x * (y + z) - (xy + x * z)).magnitude(),
             )
             return np.maximum.reduce(gaps) / (1.0 + np.array(cube))
 
@@ -195,7 +195,7 @@ def check_inverses(rng, n: int = 10_000) -> list[CheckResult]:
     for kind in RING_KINDS:
         def gap(units):  # |x * x^-1 - 1|
             x = stacked(kind, units)
-            return magnitude_many(x * invert_many(x) - 1.0)
+            return (x * invert_many(x) - 1.0).magnitude()
 
         out.append(_sweep(f"unit-inverse/{kind.name.lower()}", "units, worst", n,
                           lambda k: sampling.random_units(kind, rng, k), gap, 1e-12))
@@ -291,8 +291,7 @@ def check_det_multiplicative(rng, n: int = 10_000) -> list[CheckResult]:
         def rel(xy):
             x, y = (stacked_mat(stacked(kind, v)) for v in xy.swapaxes(0, 1))
             prod = det(x) * det(y)
-            gap = magnitude_many(det(x @ y) - prod)
-            return gap / (1.0 + magnitude_many(prod))
+            return (det(x @ y) - prod).magnitude() / (1.0 + prod.magnitude())
 
         out.append(_sweep(f"det-multiplicative/{kind.name.lower()}", "pairs, worst rel", n,
                           lambda k: sampling.random_numbers(rng, (k, 2, 2, 2)), rel, 1e-10))
@@ -308,7 +307,7 @@ def check_det_component_formulas(rng, n: int = 10_000) -> list[CheckResult]:
 
         def gap(pairs):
             first, second = pairs.swapaxes(0, 1)
-            return magnitude_many(det(stacked_mat(build(first, second))) - formula(first, second))
+            return (det(stacked_mat(build(first, second))) - formula(first, second)).magnitude()
 
         out.append(_sweep(name, f"{what}, worst", n,
                           lambda k: rng.uniform(-2, 2, size=(k, 2, 2, 2)), gap, 1e-10))
@@ -320,8 +319,7 @@ def check_adjugate_identity(rng, n: int = 2_000) -> list[CheckResult]:
     for kind in RING_KINDS:
         def gap(coords):
             x = stacked_mat(stacked(kind, coords))
-            entries = (x @ hat(x) - identity(kind).scale(det(x))).entries()
-            return np.maximum.reduce([magnitude_many(e) for e in entries])
+            return (x @ hat(x) - identity(kind).scale(det(x))).max_entry_magnitude()
 
         out.append(_sweep(f"adjugate-identity/{kind.name.lower()}", "matrices, worst", n,
                           lambda k: sampling.random_numbers(rng, (k, 2, 2)), gap, 1e-10))
@@ -331,22 +329,19 @@ def check_adjugate_identity(rng, n: int = 2_000) -> list[CheckResult]:
 def check_exp_law(rng, n: int = 100) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        tally = _Tally()
-        for _ in range(n):
-            b = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
-            s = rng.uniform(-3, 3)
-            t = rng.uniform(-3, 3)
-            lhs = mat_exp(b, s + t)
-            e_s = mat_exp(b, s)
-            e_t = mat_exp(b, t)
-            gap = (lhs - e_s @ e_t).max_entry_magnitude()
+        def rel(u):
+            # per sample the scalar draws: uniform(-2, 2) for the 8 coordinates
+            # of b, then uniform(-3, 3) for s and t, each as lo + (hi - lo) * u
+            b = stacked_mat(stacked(kind, (-2.0 + 4.0 * u[:, :8]).reshape(-1, 2, 2, 2)))
+            s, t = (-3.0 + 6.0 * u[:, 8:]).T
+            lhs, e_s, e_t = mat_exp(b, s + t), mat_exp(b, s), mat_exp(b, t)
             # exponentials can reach 1e10 here; compare at the problem's scale
-            scale = 1.0 + max(e_s.max_entry_magnitude() * e_t.max_entry_magnitude(),
-                              lhs.max_entry_magnitude())
-            tally.add(gap / scale <= 1e-8, gap / scale)
-        out.append(CheckResult(
-            f"exp-one-parameter/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} triples, worst rel {_fmt(tally.worst)}"))
+            scale = 1.0 + np.maximum(e_s.max_entry_magnitude() * e_t.max_entry_magnitude(),
+                                     lhs.max_entry_magnitude())
+            return (lhs - e_s @ e_t).max_entry_magnitude() / scale
+
+        out.append(_sweep(f"exp-one-parameter/{kind.name.lower()}", "triples, worst rel", n,
+                          lambda k: rng.random((k, 10)), rel, 1e-8))
     return out
 
 
@@ -627,13 +622,12 @@ def check_group_law(rng, n_specs: int = 20, n_pairs: int = 100) -> list[CheckRes
     for family, specs in sampling.random_specs(rng, n_specs).items():
         tally = _Tally()
         for spec in specs:
-            for _ in range(n_pairs):
-                t1 = rng.uniform(-3, 3)
-                t2 = rng.uniform(-3, 3)
-                r, m1, m2 = group_law_terms(spec, t1, t2)
-                # exp-scaled families reach 1e10 at |t1+t2| = 6: relative check
-                scale = 1.0 + m1 * m2
-                tally.add(r / scale < 1e-8, r / scale)
+            # the doubles of the scalar loop's uniform(-3, 3) calls t1, t2, t1, ...
+            t1, t2 = rng.uniform(-3, 3, size=(n_pairs, 2)).T
+            r, m1, m2 = group_law_terms(spec, t1, t2)
+            # exp-scaled families reach 1e10 at |t1+t2| = 6: relative check
+            rel = r / (1.0 + m1 * m2)
+            tally.add_many(rel < 1e-8, rel)
         out.append(CheckResult(
             f"one-parameter-law/{family}", tally.full,
             f"{tally.good}/{tally.total} (t1,t2) pairs, worst rel {_fmt(tally.worst)}"))

@@ -12,8 +12,8 @@ import operator
 import numpy as np
 import pytest
 
-from hypermoebius import algebra, sampling, verify
-from hypermoebius.algebra import Hypercomplex, Kind, invert_many, magnitude_many, stacked
+from hypermoebius import algebra, matrix2, sampling, subgroups, verify
+from hypermoebius.algebra import Hypercomplex, Kind, invert_many, stacked
 from hypermoebius.errors import NotInvertibleError
 from hypermoebius.matrix2 import (
     Mat2,
@@ -27,8 +27,11 @@ from hypermoebius.matrix2 import (
     dual_from_parts,
     hat,
     identity,
+    mat_exp,
+    mat_exp_real,
     stacked_mat,
 )
+from hypermoebius.subgroups import eval_subgroup, exp_cross_check, generator_of, group_law_terms
 
 KINDS = (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL)
 N = 1_537  # not a multiple of verify._CHUNK
@@ -94,8 +97,18 @@ class TestStackedNumbers:
 
     def test_magnitude(self, kind, rng):
         x = sampling.random_numbers(rng, (N,))
-        assert same(magnitude_many(stacked(kind, x)),
+        assert same(stacked(kind, x).magnitude(),
                     np.array([v.magnitude() for v in numbers(kind, x)]))
+        # a float coordinate beside an array one, as a stacked family entry has
+        mixed = Hypercomplex(kind, 0.0, x[:, 1])
+        assert same(mixed.magnitude(), abs(x[:, 1]))
+
+    def test_times_a_float_array(self, kind, rng):
+        x, s = sampling.random_numbers(rng, (2,)), rng.uniform(-2, 2, N)
+        for p in numbers(kind, x):
+            want = stack([p * f for f in s.tolist()])
+            assert same(coords(p * s), want)
+            assert same(coords(s * p), want)
 
     def test_invert(self, kind, rng):
         x = sampling.random_units(kind, rng, N)
@@ -151,6 +164,76 @@ class TestStackedMatrices:
         # one matrix scaled by a stack of numbers, as in the adjugate identity
         assert same(coords(identity(kind).scale(factors)),
                     stack([identity(kind).scale(f) for _, f in pairs]))
+        # one matrix, or each of a stack, times its own real
+        reals = rng.uniform(-2, 2, N)
+        assert same(coords(mats.scale(reals)),
+                    stack([m.scale(r) for (m, _), r in zip(pairs, reals.tolist())]))
+        assert same(coords(identity(kind).scale(reals)),
+                    stack([identity(kind).scale(r) for r in reals.tolist()]))
+
+    def test_max_entry_magnitude(self, kind, rng):
+        x = sampling.random_numbers(rng, (N, 2, 2))
+        assert same(stacked_mat(stacked(kind, x)).max_entry_magnitude(),
+                    np.array([m.max_entry_magnitude() for m in matrices(kind, x)]))
+
+
+def scalar_mat_exp_real(b, t):
+    """The one-matrix real exponential as it was written before it stacked."""
+    m = np.asarray(b, dtype=float) * float(t)
+    k = 0
+    norm = float(np.max(np.abs(m)))
+    while norm > 0.5:
+        norm /= 2.0
+        k += 1
+    m = m * 0.5 ** k
+    term = np.eye(2)
+    acc = np.eye(2)
+    for n in range(1, 21):
+        term = term @ m / n
+        acc = acc + term
+    for _ in range(k):
+        acc = acc @ acc
+    return acc
+
+
+class TestStackedExp:
+    """mat_exp on stacks against one matrix at a time; exp-law reaches k = 5
+    halvings (norms up to 2 * 6), the sweep here k = 0 to 7 and the zero
+    matrix."""
+
+    @pytest.fixture
+    def sweep(self, rng):
+        x = sampling.random_numbers(rng, (300, 2, 2))  # a scalar mat_exp takes 0.5 ms
+        x[0] = 0.0
+        return x, np.linspace(-25.0, 25.0, len(x))
+
+    def test_halving_counts_covered(self, sweep):
+        x, ts = sweep
+        k, _ = matrix2._halvings(np.max(abs(x), axis=(1, 2, 3)) * abs(ts))
+        assert set(k.tolist()) == set(range(8))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stack_at_a_stack_of_t(self, kind, sweep):
+        x, ts = sweep
+        want = stack([mat_exp(m, t) for m, t in zip(matrices(kind, x), ts.tolist())])
+        assert same(coords(mat_exp(stacked_mat(stacked(kind, x)), ts)), want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_matrix_at_a_stack_of_t_and_a_stack_at_one_t(self, kind, sweep):
+        x, ts = sweep
+        one = matrices(kind, x[1:2])[0]
+        assert same(coords(mat_exp(one, ts)), stack([mat_exp(one, t) for t in ts.tolist()]))
+        assert same(coords(mat_exp(stacked_mat(stacked(kind, x)), -7.5)),
+                    stack([mat_exp(m, -7.5) for m in matrices(kind, x)]))
+
+    def test_real(self, sweep):
+        x, ts = sweep
+        reals = x[..., 0]
+        want = np.array([scalar_mat_exp_real(m, t) for m, t in zip(reals, ts.tolist())])
+        assert same(mat_exp_real(reals, ts), want)
+        assert same(np.array([mat_exp_real(m, t) for m, t in zip(reals, ts.tolist())]), want)
+        assert same(mat_exp_real(reals[1], ts),
+                    np.array([scalar_mat_exp_real(reals[1], t) for t in ts.tolist()]))
 
 
 class TestComponentFormulas:
@@ -335,3 +418,116 @@ class TestSweepsMatchScalarLoops:
                 assert result.passed == tally.full
                 assert result.detail.startswith(f"{tally.good}/{n} ")
                 assert result.detail.endswith(verify._fmt(tally.worst))
+
+
+# ---------------------------------------------------------------------------
+# the scalar loops of the subgroup checks, as an oracle for the stacked ones
+
+
+def scalar_exp_law(kind, rng, n):
+    residuals = []
+    for _ in range(n):
+        b = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
+        s = rng.uniform(-3, 3)
+        t = rng.uniform(-3, 3)
+        lhs, e_s, e_t = mat_exp(b, s + t), mat_exp(b, s), mat_exp(b, t)
+        gap = (lhs - e_s @ e_t).max_entry_magnitude()
+        scale = 1.0 + max(e_s.max_entry_magnitude() * e_t.max_entry_magnitude(),
+                          lhs.max_entry_magnitude())
+        residuals.append(gap / scale)
+    return residuals
+
+
+def scalar_group_law(rng, n_specs, n_pairs):
+    residuals = {}
+    for family, specs in sampling.random_specs(rng, n_specs).items():
+        residuals[family] = []
+        for spec in specs:
+            for _ in range(n_pairs):
+                t1 = rng.uniform(-3, 3)
+                t2 = rng.uniform(-3, 3)
+                r, m1, m2 = group_law_terms(spec, t1, t2)
+                residuals[family].append(r / (1.0 + m1 * m2))
+    return residuals
+
+
+def scalar_exp_cross(spec):
+    gen = generator_of(spec)
+    exp = mat_exp if isinstance(gen, Mat2) else scalar_mat_exp_real
+    worst = 0.0
+    for t in np.linspace(-2.0, 2.0, 9).tolist():
+        worst = max(worst, subgroups._entry_gap(exp(gen, t), eval_subgroup(spec, t)))
+    return worst
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The residual arrays the checks hand to ``_Tally.add_many``, in order."""
+    seen = []
+    add_many = verify._Tally.add_many
+
+    def recording(self, ok, residual):
+        seen.append(residual.copy())
+        add_many(self, ok, residual)
+
+    monkeypatch.setattr(verify._Tally, "add_many", recording)
+    return seen
+
+
+def tally_of(residuals, passes):
+    tally = verify._Tally()
+    for r in residuals:
+        tally.add(passes(r), r)
+    return tally
+
+
+class TestSubgroupChecksMatchScalarLoops:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exp_law(self, seed, recorded):
+        n = 150
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        results = verify.check_exp_law(rng, n=n)
+        for kind, result, got in zip(verify.RING_KINDS, results, recorded, strict=True):
+            want = scalar_exp_law(kind, ref, n)
+            assert same(got, np.array(want))
+            tally = tally_of(want, lambda r: r <= 1e-8)
+            assert result.passed == tally.full
+            assert result.detail == f"{tally.good}/{n} triples, worst rel {verify._fmt(tally.worst)}"
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_group_law(self, seed, recorded):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        results = verify.check_group_law(rng, n_specs=3, n_pairs=40)
+        want = scalar_group_law(ref, 3, 40)
+        assert same(np.concatenate(recorded), np.concatenate(list(want.values())))
+        for result, (family, residuals) in zip(results, want.items(), strict=True):
+            tally = tally_of(residuals, lambda r: r < 1e-8)
+            assert result.name == f"one-parameter-law/{family}"
+            assert result.passed == tally.full
+            assert result.detail == (f"{tally.good}/{tally.total} (t1,t2) pairs, "
+                                     f"worst rel {verify._fmt(tally.worst)}")
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_group_law_terms_pair_by_pair(self, rng):
+        t1, t2 = rng.uniform(-3, 3, size=(2, 60))
+        for specs in sampling.random_specs(rng, 3).values():
+            for spec in specs:
+                got = np.stack(group_law_terms(spec, t1, t2), axis=-1)
+                want = np.array([group_law_terms(spec, a, b)
+                                 for a, b in zip(t1.tolist(), t2.tolist())])
+                assert same(got, want), spec
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exp_cross(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        results = verify.check_exp_cross(rng, n_specs=4)
+        specs = sampling.random_specs(ref, 4)
+        for result, (family, family_specs) in zip(results, specs.items(), strict=True):
+            residuals = [scalar_exp_cross(verify._clamp_params(spec)) for spec in family_specs]
+            assert [exp_cross_check(verify._clamp_params(spec))
+                    for spec in family_specs] == residuals
+            tally = tally_of(residuals, lambda r: r < 1e-5)
+            assert result.detail == (f"{tally.good}/{len(family_specs)} descriptions, "
+                                     f"worst {verify._fmt(tally.worst)}")
+        assert rng.bit_generator.state == ref.bit_generator.state

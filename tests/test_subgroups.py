@@ -107,12 +107,17 @@ class TestEval:
         specs += [DoubleSL(SigmaKind.HYPERBOLIC, SigmaKind.ELLIPTIC, -0.6)]
         specs += [DualGL(sigma, -0.3, 1.1, 0.4) for sigma in SigmaKind]
         specs += [DualSL(sigma, -0.8, 0.5, -0.7) for sigma in NONTRIVIAL]
+        specs += [RealGL(sigma, -0.9) for sigma in SigmaKind]
+
+        def coordinates(m):
+            if isinstance(m, np.ndarray):  # real-gl: a (2, 2) matrix or an (n, 2, 2) stack
+                return list(np.moveaxis(m.reshape(*m.shape[:-2], 4), -1, 0))
+            return [x for e in m.entries() for x in (e.a1, e.a2)]
+
         for spec in specs:
-            stack = [np.broadcast_to(x, ts.shape)
-                     for e in eval_subgroup(spec, ts).entries() for x in (e.a1, e.a2)]
+            stack = [np.broadcast_to(x, ts.shape) for x in coordinates(eval_subgroup(spec, ts))]
             for i, t in enumerate(ts.tolist()):
-                one = [x for e in eval_subgroup(spec, t).entries() for x in (e.a1, e.a2)]
-                assert [x[i] for x in stack] == one, (spec, t)
+                assert [x[i] for x in stack] == coordinates(eval_subgroup(spec, t)), (spec, t)
 
     def test_stacked_eval_raises_what_math_raises(self):
         with pytest.raises(OverflowError):
@@ -180,9 +185,11 @@ class TestGroupLaw:
         results = verify.check_group_law(rng_from_seed(3), n_specs=2, n_pairs=4)
         assert all(r.passed for r in results)
         n_specs = sum(map(len, random_specs(rng_from_seed(3), 2).values()))
-        # t1 + t2, t1 and t2 for each of the 4 pairs of each spec
-        assert len(calls) == 3 * 4 * n_specs
-        assert calls[::3] == [t1 + t2 for t1, t2 in zip(calls[1::3], calls[2::3])]
+        # t1 + t2, t1 and t2 for each spec, each a stack over its 4 pairs
+        assert len(calls) == 3 * n_specs
+        assert all(type(t) is np.ndarray and t.shape == (4,) for t in calls)
+        for t12, t1, t2 in zip(calls[::3], calls[1::3], calls[2::3]):
+            assert np.array_equal(t12, t1 + t2)
 
 
 class TestDeterminants:
