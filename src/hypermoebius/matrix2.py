@@ -15,6 +15,7 @@ whose entries are stacks of numbers is a stack of matrices, on which ``+``,
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -328,17 +329,18 @@ def mat_exp_real(b: np.ndarray, t: float) -> np.ndarray:
 
 def _halvings(norm):
     """The number k of halvings that take norm to 0.5 or below, and 2**-k;
-    for an array of norms, arrays of each norm's."""
+    for an array of norms, arrays of each norm's.  An infinite norm, which
+    no halving brings down, gets k = 0."""
     if type(norm) is float:
         k = 0
-        while norm > _EXP_SCALE_LIMIT:
+        while _EXP_SCALE_LIMIT < norm < math.inf:
             norm /= 2.0
             k += 1
         return k, 0.5 ** k
     import numpy as np
 
     k = np.zeros(np.shape(norm), dtype=int)
-    while (big := norm > _EXP_SCALE_LIMIT).any():
+    while (big := (_EXP_SCALE_LIMIT < norm) & (norm < np.inf)).any():
         norm = np.where(big, norm / 2.0, norm)
         k += big
     return k, np.ldexp(1.0, -k)

@@ -226,6 +226,19 @@ class TestStackedExp:
         assert same(coords(mat_exp(stacked_mat(stacked(kind, x)), -7.5)),
                     stack([mat_exp(m, -7.5) for m in matrices(kind, x)]))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_infinite_entry_returns(self, kind, sweep):
+        # halving an infinite norm never ends; such a matrix is not scaled.
+        # Its inf * 0 products warn, as in any stack arithmetic
+        x, ts = sweep
+        x[5, 0, 1, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = mat_exp(stacked_mat(stacked(kind, x)), ts)
+        assert not np.isfinite(got.a.a1[5]) and np.isfinite(got.a.a1[6])
+        assert same(coords(got)[6:], stack([mat_exp(m, t) for m, t in
+                                            zip(matrices(kind, x[6:]), ts[6:].tolist())]))
+        assert not np.isfinite(mat_exp(matrices(kind, x[5:6])[0], 1.0).a.a1)
+
     def test_real(self, sweep):
         x, ts = sweep
         reals = x[..., 0]
@@ -234,6 +247,8 @@ class TestStackedExp:
         assert same(np.array([mat_exp_real(m, t) for m, t in zip(reals, ts.tolist())]), want)
         assert same(mat_exp_real(reals[1], ts),
                     np.array([scalar_mat_exp_real(reals[1], t) for t in ts.tolist()]))
+        with np.errstate(invalid="ignore"):  # returns, where halving inf never ends
+            assert not np.isfinite(mat_exp_real(np.diag([np.inf, 1.0]), 1.0)).all()
 
 
 class TestComponentFormulas:
