@@ -399,11 +399,6 @@ def arctan_sigma(sigma: int, x: float) -> float:
     return math.atanh(x)
 
 
-def trig_triple(sigma: int, t: float) -> tuple[float, float, float]:
-    """(cos_sigma t, sin_sigma t, tan_sigma t)."""
-    return (cos_sigma(sigma, t), sin_sigma(sigma, t), tan_sigma(sigma, t))
-
-
 # ---------------------------------------------------------------------------
 # text form
 
@@ -424,7 +419,20 @@ def parse_number(kind: Kind, text: str) -> Hypercomplex:
 
     Decimal literals carry no exponent part; the generator symbol must match
     the algebra (j double, e dual, i complex).  A unicode minus is accepted.
+    A literal whose value is past the float range is refused.
     """
+    return finite_literal(_parse_number(kind, text), text)
+
+
+def finite_literal(x: Hypercomplex, text: str) -> Hypercomplex:
+    """x, the value of the literal text; :class:`InvalidLiteralError` when a
+    coordinate is past the float range, as a decimal of 310 digits is."""
+    if math.isfinite(x.a1) and math.isfinite(x.a2):
+        return x
+    raise InvalidLiteralError(f"{text!r} is past the float range")
+
+
+def _parse_number(kind: Kind, text: str) -> Hypercomplex:
     s = _normalize_literal(text)
     if kind is Kind.DOUBLE:
         m = _COMPONENT_RE.match(s)

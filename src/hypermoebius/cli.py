@@ -219,6 +219,8 @@ def _cmd_orbit(args) -> int:
         c1, c2 = (float(v) for v in args.start.split(","))
     except ValueError:
         raise HypermoebiusError(f"start must be two comma-separated reals, got {args.start!r}")
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise DomainError(f"start coordinates must be finite, got {args.start!r}")
     sample = orbits.sampled_orbit(spec, make_start(c1, c2), _parse_t(args.t))
     if args.output == "csv":
         text = orbits.to_csv(sample)
@@ -255,7 +257,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_kernel(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    labels = kernel_labels(args.algebra, n_probes=100, seed=seed)
+    labels = kernel_labels(args.algebra, seed)
     # fold u and -u into one +- entry
     folded = []
     seen = set()

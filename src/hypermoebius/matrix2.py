@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from . import algebra
 from .algebra import (
     TAU_ALG,
-    TAU_ZERO,
     ElementClass,
     Hypercomplex,
     Kind,
@@ -129,12 +128,12 @@ def hat(x: Mat2) -> Mat2:
     return Mat2(x.kind, x.d, -x.b, -x.c, x.a)
 
 
-def invert_mat(x: Mat2, tol: float = TAU_ZERO) -> Mat2:
+def invert_mat(x: Mat2) -> Mat2:
     d = det(x)
-    cls = classify_element(d, tol)
+    cls = classify_element(d)
     if cls is not ElementClass.UNIT:
         raise SingularMatrixError(cls)
-    return hat(x).scale(invert(d, tol))
+    return hat(x).scale(invert(d))
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,14 +143,14 @@ class GroupMembership:
     det: Hypercomplex
 
 
-def membership(x: Mat2, tol_zero: float = TAU_ZERO, tol_alg: float = TAU_ALG) -> GroupMembership:
+def membership(x: Mat2) -> GroupMembership:
     d = det(x)
-    in_gl = is_unit(d, tol_zero)
-    in_sl = in_gl and d.close_to(algebra.one(x.kind), tol_alg)
+    in_gl = is_unit(d)
+    in_sl = in_gl and d.close_to(algebra.one(x.kind))
     return GroupMembership(in_gl, in_sl, d)
 
 
-def normalize_to_sl(x: Mat2, tol_zero: float = TAU_ZERO) -> Mat2:
+def normalize_to_sl(x: Mat2) -> Mat2:
     """Rescale by an invertible square root of det to reach determinant one.
 
     Root choice is deterministic: the root whose leading coordinate
@@ -159,7 +158,7 @@ def normalize_to_sl(x: Mat2, tol_zero: float = TAU_ZERO) -> Mat2:
     the second coordinate breaking ties.
     """
     d = det(x)
-    roots = [r for r in sqrt_all(d, tol_zero) if is_unit(r, tol_zero)]
+    roots = [r for r in sqrt_all(d) if is_unit(r)]
     if not roots:
         raise NotNormalizableError(
             f"determinant {d} has no invertible square root"
@@ -169,7 +168,7 @@ def normalize_to_sl(x: Mat2, tol_zero: float = TAU_ZERO) -> Mat2:
     else:
         key = lambda r: (r.a1, r.a2)
     u = max(roots, key=key)
-    return x.scale(invert(u, tol_zero))
+    return x.scale(invert(u))
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +194,6 @@ def split_double(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(zip(*(algebra.decompose(e) for e in x.entries())))
 
 
-def components_double(x: Mat2) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`split_double` as 2x2 arrays."""
-    import numpy as np
-
-    plus, minus = split_double(x)
-    return np.array(plus).reshape(2, 2), np.array(minus).reshape(2, 2)
-
-
 def join_dual(part1, part2) -> Mat2:
     """The dual matrix A1 + eps*A2 from its real part A1 and eps-part A2, each
     given as the floats (a, b, c, d); the inverse of :func:`split_dual`."""
@@ -223,14 +214,6 @@ def split_dual(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return (a.a1, b.a1, c.a1, d.a1), (a.a2, b.a2, c.a2, d.a2)
 
 
-def parts_dual(x: Mat2) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`split_dual` as 2x2 arrays."""
-    import numpy as np
-
-    part1, part2 = split_dual(x)
-    return np.array(part1).reshape(2, 2), np.array(part2).reshape(2, 2)
-
-
 def adj_real(m: np.ndarray) -> np.ndarray:
     """Adjugate [[d, -b], [-c, a]] of a real 2x2 matrix, or of each in a stack."""
     import numpy as np
@@ -248,33 +231,23 @@ def stacked_mat(x: Hypercomplex) -> Mat2:
                           for i in (0, 1) for j in (0, 1)))
 
 
-def det_split_double_many(a_plus: np.ndarray, a_minus: np.ndarray) -> Hypercomplex:
-    """det(A+ P+ + A- P-) = det(A+) P+ + det(A-) P- for each pair of (..., 2, 2)
-    component matrices, as a stack of double numbers."""
+def det_split_double(a_plus: np.ndarray, a_minus: np.ndarray) -> Hypercomplex:
+    """det(A+ P+ + A- P-) = det(A+) P+ + det(A-) P- for one pair of 2x2
+    component matrices, or for each pair of two (..., 2, 2) stacks as a
+    stack of double numbers."""
     import numpy as np
 
     return algebra.recompose(np.linalg.det(a_plus), np.linalg.det(a_minus))
 
 
-def det_dual_formula_many(a1: np.ndarray, a2: np.ndarray) -> Hypercomplex:
-    """det(A1 + eps*A2) = det(A1) + eps * tr(A1 @ adj(A2)) for each pair of
-    (..., 2, 2) parts, as a stack of dual numbers."""
+def det_dual_formula(a1: np.ndarray, a2: np.ndarray) -> Hypercomplex:
+    """det(A1 + eps*A2) = det(A1) + eps * tr(A1 @ adj(A2)) for one pair of
+    2x2 parts, or for each pair of two (..., 2, 2) stacks as a stack of dual
+    numbers."""
     import numpy as np
 
     eps_part = np.trace(a1 @ adj_real(a2), axis1=-2, axis2=-1)
     return Hypercomplex(Kind.DUAL, np.linalg.det(a1), eps_part)
-
-
-def det_split_double(a_plus: np.ndarray, a_minus: np.ndarray) -> Hypercomplex:
-    """det(A+ P+ + A- P-) assembled componentwise: det(A+) P+ + det(A-) P-."""
-    x = det_split_double_many(a_plus, a_minus)
-    return Hypercomplex(Kind.DOUBLE, float(x.a1), float(x.a2))
-
-
-def det_dual_formula(a1: np.ndarray, a2: np.ndarray) -> Hypercomplex:
-    """det(A1 + eps*A2) = det(A1) + eps * tr(A1 @ adj(A2))."""
-    x = det_dual_formula_many(a1, a2)
-    return Hypercomplex(Kind.DUAL, float(x.a1), float(x.a2))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .algebra import (
     recompose,
 )
 from .errors import (
+    DomainError,
     FixesEverythingError,
     KindMismatchError,
     SingularMatrixError,
@@ -104,8 +105,8 @@ def apply_point(m: MoebiusMap, p: ProjPoint) -> ProjPoint:
     return image(m.rep, p)
 
 
-def apply(m: MoebiusMap, p: ProjPoint, tol: float = TAU_ZERO) -> CanonicalClass:
-    return canonicalize(apply_point(m, p), tol)
+def apply(m: MoebiusMap, p: ProjPoint) -> CanonicalClass:
+    return canonicalize(apply_point(m, p))
 
 
 def compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
@@ -114,7 +115,7 @@ def compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(m1.rep @ m2.rep)
 
 
-def mob_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = TAU_ALG) -> bool:
+def mob_equal(m1: MoebiusMap, m2: MoebiusMap) -> bool:
     """True when the representatives differ by a unit scalar.
 
     The scalar is solved for from the best-conditioned entry (componentwise
@@ -129,7 +130,7 @@ def mob_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = TAU_ALG) -> bool:
     if m2 is _IDENTITY_MAPS[kind]:
         r = m1.rep
         u = recompose(*decompose(r.a)) if kind is Kind.DOUBLE else r.a
-        tt = tol * (1.0 + max(r.max_entry_magnitude(), 1.0))
+        tt = TAU_ALG * (1.0 + max(r.max_entry_magnitude(), 1.0))
         return r.a.close_to(u, tt) and r.b.is_zero(tt) and r.c.is_zero(tt) and r.d.close_to(u, tt)
     e1 = m1.rep.entries()
     e2 = m2.rep.entries()
@@ -154,7 +155,7 @@ def mob_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = TAU_ALG) -> bool:
             return False
         u = e1[i1] * invert(e2[i1])
     scale = 1.0 + max(m1.rep.max_entry_magnitude(), m2.rep.max_entry_magnitude())
-    return all(a.close_to(b * u, tol * scale) for a, b in zip(e1, e2))
+    return all(a.close_to(b * u, TAU_ALG * scale) for a, b in zip(e1, e2))
 
 
 # ---------------------------------------------------------------------------
@@ -166,43 +167,46 @@ def _unit_square_roots_of_one(kind: Kind) -> list[Hypercomplex]:
     return [r for r in roots if algebra.is_unit(r)]
 
 
-def kernel_check(kind: "Kind | str", n_probes: int = 100, seed: int = 7):
+N_PROBES = 100  # random points each kernel candidate must fix
+
+
+def kernel_check(name: str, seed: int = 7):
     """det-1 scalar matrices acting as the identity on a random probe set.
 
-    ``kind`` may be a :class:`Kind` or one of the names "real", "complex",
-    "double", "dual".  Real matrices come back as numpy arrays, ring
-    matrices as :class:`Mat2`.  Every candidate scalar u with u^2 = 1 is
-    checked against ``n_probes`` random points.
+    ``name`` is one of "real", "complex", "double", "dual".  Real matrices
+    come back as numpy arrays, ring matrices as :class:`Mat2`.  Every
+    candidate scalar u with u^2 = 1 is checked against ``N_PROBES`` random
+    points.
     """
     from .projline import equivalent
     from .sampling import random_point, rng_from_seed
 
     rng = rng_from_seed(seed)
-    if isinstance(kind, str) and kind.strip().lower() == "real":
+    if name.strip().lower() == "real":
         import numpy as np
 
         kernel = []
         for u in (1.0, -1.0):
             m = u * np.eye(2)
-            probes = [rng.uniform(-3, 3, size=2) for _ in range(n_probes)]
+            probes = [rng.uniform(-3, 3, size=2) for _ in range(N_PROBES)]
             if all(real_projective_equal(m @ v, v) for v in probes):
                 kernel.append(m)
         return kernel
-    k = kind if isinstance(kind, Kind) else Kind.from_name(kind)
+    k = Kind.from_name(name)
     kernel = []
     for u in _unit_square_roots_of_one(k):
         m = MoebiusMap(identity(k).scale(u))
         if all(
             equivalent(apply_point(m, p), p)
-            for p in (random_point(k, rng) for _ in range(n_probes))
+            for p in (random_point(k, rng) for _ in range(N_PROBES))
         ):
             kernel.append(m.rep)
     return kernel
 
 
-def kernel_labels(kind: "Kind | str", **kwargs) -> list[str]:
+def kernel_labels(name: str, seed: int = 7) -> list[str]:
     """Human-readable names of the kernel scalars, e.g. ["I", "-I", "jI", "-jI"]."""
-    mats = kernel_check(kind, **kwargs)
+    mats = kernel_check(name, seed)
     labels = []
     for m in mats:
         u = m.a if isinstance(m, Mat2) else m[0, 0]
@@ -253,12 +257,6 @@ class MapClass:
         return str(self.tags[0])
 
 
-def tr_squared(m: MoebiusMap, tol_zero: float = TAU_ZERO) -> Hypercomplex:
-    """(a+d)^2 of the determinant-one representative."""
-    t = trace(normalize_to_sl(m.rep, tol_zero))
-    return t * t
-
-
 def _classify_real_tr2(t2: float) -> MapTag:
     if abs(t2 - 4.0) < TAU_CLASS:
         return MapTag.PARABOLIC
@@ -292,7 +290,17 @@ def classify_map(m: MoebiusMap) -> MapClass:
 def _classify_real_component(a: float, b: float, c: float, d: float) -> MapTag:
     if _is_scalar_real(a, b, c, d):
         return MapTag.IDENTITY
-    return _classify_real_tr2((a + d) ** 2)
+    return _classify_real_tr2(_square(a + d))
+
+
+def _square(x):
+    """x ** 2 of a float or complex entry expression; :class:`DomainError`
+    where ``**`` raises OverflowError past the float range (``*`` would
+    give inf)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise DomainError("a square of the map's entries overflows the float range") from None
 
 
 def _is_scalar_real(a, b, c, d, tol: float = TAU_ALG) -> bool:
@@ -338,7 +346,7 @@ def _fixed_roots(a, b, c, d, tol: float) -> list:
     def root(x, y):
         return _INF if abs(y) <= small else (x / y, 1.0)
 
-    disc = (d - a) ** 2 + 4.0 * c * b
+    disc = _square(d - a) + 4.0 * c * b
     spread = math.hypot(abs(a - d), abs(2.0 * c)) * math.hypot(abs(2.0 * b), abs(d - a))
     if abs(disc) <= tol * spread:
         if abs(d - a) >= abs(2.0 * c):
@@ -354,15 +362,9 @@ def _fixed_roots(a, b, c, d, tol: float) -> list:
     return [root(q, 2.0 * c), (-2.0 * b / q, 1.0)]
 
 
-def fixed_points_real(g: np.ndarray, tol: float = TAU_ALG):
-    """Real projective fixed points of a real matrix as (x, y) pairs.
-
-    Returns None when the matrix is scalar (everything is fixed).
-    """
-    return _real_fixed_points(*(float(v) for v in g.flat), tol)
-
-
-def _real_fixed_points(a: float, b: float, c: float, d: float, tol: float):
+def _real_fixed_points(a: float, b: float, c: float, d: float, tol: float = TAU_ALG):
+    """Real projective fixed points of the real matrix (a, b, c, d) as (x, y)
+    pairs; None when the matrix is scalar (everything is fixed)."""
     return None if _is_scalar_real(a, b, c, d, tol) else _fixed_roots(a, b, c, d, tol)
 
 

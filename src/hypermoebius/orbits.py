@@ -100,7 +100,8 @@ class OrbitSample:
 def t_grid(t_start: float, t_end: float, step: float) -> list[float]:
     """Inclusive grid from start to end; the endpoint joins within half a step.
     An end before the start, or more than ``MAX_GRID_STEPS`` steps, raise
-    :class:`DomainError` up front."""
+    :class:`DomainError` up front; a step too small to move t in floats
+    raises it after ``MAX_GRID_STEPS`` values."""
     if not all(math.isfinite(v) for v in (t_start, t_end, step)):
         raise DomainError("grid start, end and step must be finite")
     if step <= 0:
@@ -115,6 +116,8 @@ def t_grid(t_start: float, t_end: float, step: float) -> list[float]:
         t = t_start + k * step
         if t > t_end + step / 2.0:
             break
+        if k > MAX_GRID_STEPS + 1:
+            raise DomainError(f"grid step {step!r} does not move t from {t!r}")
         ts.append(t)
         k += 1
     return ts
@@ -125,8 +128,7 @@ def t_grid(t_start: float, t_end: float, step: float) -> list[float]:
 
 
 def residual_two_regime(sigma_plus: int, sigma_minus: int, a: float,
-                        start: StartPoint, u: float, v: float,
-                        tol: float = TAU_ZERO) -> float | None:
+                        start: StartPoint, u: float, v: float) -> float | None:
     """General double-family orbit equation (difference of the two sides).
 
     arctan_{s+}[(y+ - (u+v)) / (y+ (u+v) - s+)]
@@ -135,7 +137,7 @@ def residual_two_regime(sigma_plus: int, sigma_minus: int, a: float,
     Returns None (inapplicable) for a = 0, vanishing denominators, or
     arguments outside the hyperbolic-inverse domain.
     """
-    if abs(a) <= tol:
+    if abs(a) <= TAU_ZERO:
         return None
     y_plus, y_minus = start.c1, start.c2
     u_prime, v_prime = u + v, u - v
@@ -143,7 +145,7 @@ def residual_two_regime(sigma_plus: int, sigma_minus: int, a: float,
     den_m = y_minus * v_prime - sigma_minus
     scale_p = 1.0 + abs(y_plus * u_prime)
     scale_m = 1.0 + abs(y_minus * v_prime)
-    if abs(den_p) <= tol * scale_p or abs(den_m) <= tol * scale_m:
+    if abs(den_p) <= TAU_ZERO * scale_p or abs(den_m) <= TAU_ZERO * scale_m:
         return None
     arg_p = (y_plus - u_prime) / den_p
     arg_m = (y_minus - v_prime) / den_m
@@ -154,15 +156,14 @@ def residual_two_regime(sigma_plus: int, sigma_minus: int, a: float,
     return arctan_sigma(sigma_plus, arg_p) - arctan_sigma(sigma_minus, arg_m) / a
 
 
-def residual_shear_pair(a: float, start: StartPoint, u: float, v: float,
-                        tol: float = TAU_ZERO) -> float | None:
+def residual_shear_pair(a: float, start: StartPoint, u: float, v: float) -> float | None:
     """Polynomial orbit equation for the shear-shear double family:
 
     u^2 - v^2 + (a-1) y+ y- / (y+ - a y-) * u - (a+1) y+ y- / (y+ - a y-) * v
     """
     y_plus, y_minus = start.c1, start.c2
     den = y_plus - a * y_minus
-    if abs(den) <= tol * (1.0 + abs(y_plus) + abs(a * y_minus)):
+    if abs(den) <= TAU_ZERO * (1.0 + abs(y_plus) + abs(a * y_minus)):
         return None
     coef = y_plus * y_minus / den
     # (u+v)(u-v) instead of u^2 - v^2: same value, no cancellation blowup
@@ -196,8 +197,7 @@ def residual_trivial_minus(start: StartPoint, u: float, v: float) -> LineOrbitRe
     )
 
 
-def residual_dual_orbit(spec: DualSL, start: StartPoint, u: float, v: float,
-                        tol: float = TAU_ZERO) -> float | None:
+def residual_dual_orbit(spec: DualSL, start: StartPoint, u: float, v: float) -> float | None:
     """Literal transcription of the long displayed dual orbit equation.
 
     The value is the left side of the displayed "... = 0" statement; it is
@@ -210,7 +210,7 @@ def residual_dual_orbit(spec: DualSL, start: StartPoint, u: float, v: float,
     den2 = a * a - s
     den3 = u * u - s
     scale = 1.0 + max(abs(a * u), abs(a * a), abs(u * u))
-    if min(abs(den1), abs(den2), abs(den3)) <= tol * scale:
+    if min(abs(den1), abs(den2), abs(den3)) <= TAU_ZERO * scale:
         return None
     arg = (a - u) / den1
     if s == 1 and abs(arg) >= 1.0:
@@ -340,14 +340,14 @@ class DualOrbitVerdict:
     agrees: bool
 
 
-def dual_orbit_report(cases, ts=None, threshold: float = 1e-6) -> list[DualOrbitVerdict]:
+def dual_orbit_report(cases) -> list[DualOrbitVerdict]:
     """Evaluate the displayed dual orbit equation on oracle rows, case by case.
 
-    Each verdict records whether the displayed expression vanished (within
-    ``threshold``) on every applicable row of the sampled orbit.
+    Each verdict records whether the displayed expression vanished (below
+    1e-6) on every applicable row of the orbit sampled on [-2, 2] in steps
+    of 0.1.
     """
-    if ts is None:
-        ts = t_grid(-2.0, 2.0, 0.1)
+    ts = t_grid(-2.0, 2.0, 0.1)
     out = []
     for spec, start in cases:
         sample = sampled_orbit(spec, start, ts)
@@ -355,7 +355,7 @@ def dual_orbit_report(cases, ts=None, threshold: float = 1e-6) -> list[DualOrbit
                   if r.residual_primary is not None]
         worst = max(values) if values else None
         out.append(DualOrbitVerdict(spec, start, len(sample.rows), len(values),
-                                    worst, worst is not None and worst < threshold))
+                                    worst, worst is not None and worst < 1e-6))
     return out
 
 

@@ -42,7 +42,7 @@ from .errors import (
     MembershipError,
     NotAdmissibleError,
 )
-from .matrix2 import Mat2, components_double, mat2, membership, parts_dual
+from .matrix2 import Mat2, mat2, membership, split_double, split_dual
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,17 +162,17 @@ def canonical_ratio(x: float, y: float, tol: float = TAU_ZERO) -> tuple[float, f
     return (x, y)
 
 
-def same_class(p: CanonicalClass, q: CanonicalClass, tol: float = TAU_ALG) -> bool:
+def same_class(p: CanonicalClass, q: CanonicalClass) -> bool:
     if p.tag is not q.tag:
         return False
     if p.tag is ClassTag.AFFINE:
         scale = 1.0 + max(p.affine.magnitude(), q.affine.magnitude())
-        return p.affine.close_to(q.affine, tol * scale)
+        return p.affine.close_to(q.affine, TAU_ALG * scale)
     if p.lam is not None:
-        return abs(p.lam - q.lam) <= tol * (1.0 + max(abs(p.lam), abs(q.lam)))
+        return abs(p.lam - q.lam) <= TAU_ALG * (1.0 + max(abs(p.lam), abs(q.lam)))
     if p.ratio is not None:
-        return (abs(p.ratio[0] - q.ratio[0]) <= tol
-                and abs(p.ratio[1] - q.ratio[1]) <= tol)
+        return (abs(p.ratio[0] - q.ratio[0]) <= TAU_ALG
+                and abs(p.ratio[1] - q.ratio[1]) <= TAU_ALG)
     return True
 
 
@@ -239,11 +239,10 @@ def _canonicalize_dual(p: ProjPoint, tol: float) -> CanonicalClass:
     return CanonicalClass(ClassTag.DUAL_OMEGA, lam=p.y.a2 / p.x.a1)
 
 
-def equivalent(p: ProjPoint, q: ProjPoint,
-               tol_zero: float = TAU_ZERO, tol_alg: float = TAU_ALG) -> bool:
+def equivalent(p: ProjPoint, q: ProjPoint) -> bool:
     if p.kind is not q.kind:
         raise KindMismatchError("cannot compare points of different kinds")
-    return same_class(canonicalize(p, tol_zero), canonicalize(q, tol_zero), tol_alg)
+    return same_class(canonicalize(p), canonicalize(q))
 
 
 def orbit_label(p: ProjPoint, tol: float = TAU_ZERO) -> OrbitLabel:
@@ -262,14 +261,14 @@ def orbit_label(p: ProjPoint, tol: float = TAU_ZERO) -> OrbitLabel:
 # constructive transitivity
 
 
-def transporter_to(p: ProjPoint, tol: float = TAU_ZERO) -> Mat2:
+def transporter_to(p: ProjPoint) -> Mat2:
     """An invertible matrix sending [1 : 0] to the admissible point p.
 
     The first column is (x, y); the second column [[-y], [x]] makes
     det = x^2 + y^2, a unit exactly when p is admissible (over the complex
     field the second column is conjugated so the determinant is |x|^2+|y|^2).
     """
-    if not admissible(p, tol):
+    if not admissible(p):
         raise NotAdmissibleError("no transporter: point is not admissible")
     if p.kind is Kind.COMPLEX:
         return Mat2(p.kind, p.x, -p.y.conjugate(), p.y, p.x.conjugate())
@@ -287,8 +286,7 @@ def pr_base_point(kind: Kind, tag: ClassTag) -> ProjPoint:
     raise InvalidPointError(f"{tag} is not a non-admissible family tag")
 
 
-def transporter_nonadmissible(kind: Kind, target: CanonicalClass,
-                              tol: float = TAU_ZERO) -> Mat2:
+def transporter_nonadmissible(kind: Kind, target: CanonicalClass) -> Mat2:
     """An invertible matrix sending the family base point onto ``target``.
 
     For the double families the transporter columns mix the target ratio
@@ -306,7 +304,7 @@ def transporter_nonadmissible(kind: Kind, target: CanonicalClass,
     if kind is not Kind.DOUBLE:
         raise KindMismatchError("PR+- targets live over the double numbers")
     same, other = (P_PLUS, P_MINUS) if target.tag is ClassTag.PR_PLUS else (P_MINUS, P_PLUS)
-    if abs(lam) > tol:
+    if abs(lam) > TAU_ZERO:
         return Mat2(Kind.DOUBLE, same * lam, other, same * mu + other, same)
     return Mat2(Kind.DOUBLE, same * lam + other, same, same * mu, other)
 
@@ -315,18 +313,19 @@ def transporter_nonadmissible(kind: Kind, target: CanonicalClass,
 # projections onto the real group and line
 
 
-def project_sl(g: Mat2, tol_alg: float = TAU_ALG):
-    """Component projection(s) of a det-1 matrix onto real det-1 matrices.
+def project_sl(g: Mat2):
+    """Component projection(s) of a det-1 matrix onto real det-1 matrices,
+    each as the floats (a, b, c, d).
 
     Double matrices project onto the pair of idempotent components, dual
     matrices onto their a1-part.  Raises MembershipError when det(g) != 1.
     """
-    if not membership(g, tol_alg=tol_alg).in_sl:
+    if not membership(g).in_sl:
         raise MembershipError("matrix is not in the det-1 group")
     if g.kind is Kind.DOUBLE:
-        return components_double(g)
+        return split_double(g)
     if g.kind is Kind.DUAL:
-        return parts_dual(g)[0]
+        return split_dual(g)[0]
     raise KindMismatchError("projection is defined for double and dual matrices")
 
 
@@ -344,15 +343,15 @@ def bijection_f(kind: Kind, x: float, y: float, family: str = "+") -> ProjPoint:
     raise KindMismatchError("embedding is defined for double and dual kinds")
 
 
-def real_projective_equal(v: tuple[float, float], w: tuple[float, float],
-                          tol: float = TAU_ALG) -> bool:
+def real_projective_equal(v: tuple[float, float], w: tuple[float, float]) -> bool:
     cross = v[0] * w[1] - v[1] * w[0]
-    return abs(cross) <= tol * (1.0 + math.hypot(*v) * math.hypot(*w))
+    return abs(cross) <= TAU_ALG * (1.0 + math.hypot(*v) * math.hypot(*w))
 
 
-def real_apply(m: np.ndarray, v: tuple[float, float]) -> tuple[float, float]:
-    """Action of a real matrix on a real projective point."""
-    return (m[0, 0] * v[0] + m[0, 1] * v[1], m[1, 0] * v[0] + m[1, 1] * v[1])
+def real_apply(m: tuple[float, ...], v: tuple[float, float]) -> tuple[float, float]:
+    """Action of the real matrix (a, b, c, d) on a real projective point."""
+    a, b, c, d = m
+    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +369,7 @@ def parse_entry(kind: Kind, text: str) -> Hypercomplex:
         if m:
             coef = float(m.group("coef")) if m.group("coef") else 1.0
             base = P_PLUS if m.group("sign") == "+" else P_MINUS
-            return base * coef
+            return algebra.finite_literal(base * coef, text)
     return algebra.parse_number(kind, s)
 
 

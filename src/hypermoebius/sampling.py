@@ -13,6 +13,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import Hypercomplex, Kind
+from .errors import DomainError
 from .matrix2 import Mat2, adj_real, double_from_components, dual_from_parts
 from .projline import ProjPoint, point
 from .subgroups import DoubleGL, DoubleSL, DualGL, DualSL, RealGL, SigmaKind
@@ -21,6 +22,10 @@ NONTRIVIAL = (SigmaKind.ELLIPTIC, SigmaKind.PARABOLIC, SigmaKind.HYPERBOLIC)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
+    """The generator of a seed; :class:`DomainError` for a negative seed,
+    which numpy refuses."""
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -86,8 +91,8 @@ def random_point(kind: Kind, rng: np.random.Generator) -> ProjPoint:
             return ProjPoint(kind, x, y)
 
 
-def _nonzero_real(rng: np.random.Generator, lo: float = 0.2, hi: float = 3.0) -> float:
-    return _signed_magnitude(rng, lo, hi)
+def _nonzero_real(rng: np.random.Generator) -> float:
+    return _signed_magnitude(rng, 0.2, 3.0)
 
 
 def random_point_mixed(kind: Kind, rng: np.random.Generator) -> ProjPoint:

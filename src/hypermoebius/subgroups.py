@@ -61,7 +61,6 @@ from .matrix2 import (
     Mat2,
     adj_real,
     det,
-    double_from_components,
     join_double,
     join_dual,
     mat_exp,
@@ -257,9 +256,6 @@ class DualSL:
         return join_dual(h_t, [k * (h - c0 * g) for h, g in zip(h_shift, h_t)])
 
 
-SubgroupSpec = RealGL | DoubleSL | DoubleGL | DualGL | DualSL
-
-
 def eval_subgroup(spec, t: float):
     """The subgroup matrix at t (numpy for real, Mat2 otherwise); :class:`DomainError`
     where an entry overflows the float range: math raises OverflowError, or
@@ -298,16 +294,11 @@ def _entry_gap(x, y) -> float:
     return _magnitude(x - y)
 
 
-def group_law_residual(spec, t1: float, t2: float) -> float:
-    """Max entry gap between eval(t1+t2) and eval(t1) @ eval(t2)."""
-    return group_law_terms(spec, t1, t2)[0]
-
-
 def group_law_terms(spec, t1: float, t2: float) -> tuple[float, float, float]:
-    """:func:`group_law_residual` with the max entry magnitudes of eval(t1)
-    and eval(t2), each of the three matrices evaluated once.  At two 1-d
-    float arrays of t, the evaluations are stacks and each term is an array
-    over the (t1, t2) pairs."""
+    """The max entry gap between eval(t1+t2) and eval(t1) @ eval(t2), with
+    the max entry magnitudes of eval(t1) and eval(t2), each of the three
+    matrices evaluated once.  At two 1-d float arrays of t, the evaluations
+    are stacks and each term is an array over the (t1, t2) pairs."""
     lhs = eval_subgroup(spec, t1 + t2)
     g1, g2 = eval_subgroup(spec, t1), eval_subgroup(spec, t2)
     return _entry_gap(lhs, g1 @ g2), _magnitude(g1), _magnitude(g2)
@@ -364,8 +355,7 @@ class CentralizerFit:
     s0: float | None
 
 
-def centralizer_solve(sigma_kind: SigmaKind, b: np.ndarray,
-                      tol: float = TAU_ALG) -> CentralizerFit:
+def centralizer_solve(sigma_kind: SigmaKind, b: np.ndarray) -> CentralizerFit:
     """Solve B = lam * H_sigma(s0) for a matrix commuting with H_sigma.
 
     Succeeds exactly when B has equal diagonal entries and its off-diagonal
@@ -377,17 +367,17 @@ def centralizer_solve(sigma_kind: SigmaKind, b: np.ndarray,
     a, bb = float(b[0, 0]), float(b[0, 1])
     c, d = float(b[1, 0]), float(b[1, 1])
     scale = 1.0 + max(abs(a), abs(bb), abs(c), abs(d))
-    if abs(a - d) > tol * scale or abs(bb - s * c) > tol * scale:
+    if abs(a - d) > TAU_ALG * scale or abs(bb - s * c) > TAU_ALG * scale:
         raise NotInCentralizerError(
             "matrix lacks the equal-diagonal / b = sigma*c structure")
     if s == -1:
-        if abs(a) > tol:
+        if abs(a) > TAU_ALG:
             return CentralizerFit(math.copysign(math.hypot(a, c), a), math.atan(c / a))
-        if abs(c) > tol:
+        if abs(c) > TAU_ALG:
             return CentralizerFit(c, math.pi / 2.0)
         return CentralizerFit(None, None)
     if s == 0:
-        if abs(a) > tol:
+        if abs(a) > TAU_ALG:
             return CentralizerFit(a, c / a)
         return CentralizerFit(None, None)
     # hyperbolic: lam*cosh(s0) = a, lam*sinh(s0) = c needs |c| < |a|
@@ -414,10 +404,7 @@ class ConjugatedSubgroup:
 
 
 def conjugate_spec(spec, k) -> ConjugatedSubgroup:
-    """Conjugated subgroup; ``k`` may be a real or ring matrix or, for the
-    double families, a component pair (K+, K-)."""
-    if isinstance(k, tuple):
-        k = double_from_components(*k)
+    """Conjugated subgroup; ``k`` is a real (numpy) or ring matrix."""
     if not isinstance(k, Mat2):
         import numpy as np
 
@@ -428,16 +415,6 @@ def conjugate_spec(spec, k) -> ConjugatedSubgroup:
     from .matrix2 import invert_mat
 
     return ConjugatedSubgroup(spec, k, invert_mat(k))
-
-
-def similarity_residual(spec_a, spec_b, ts=None) -> float:
-    """Max entry gap between the two subgroups over sampled times."""
-    if ts is None:
-        import numpy as np
-
-        ts = np.linspace(-2.0, 2.0, 17)
-    return max(_entry_gap(eval_subgroup(spec_a, float(t)),
-                          eval_subgroup(spec_b, float(t))) for t in ts)
 
 
 # ---------------------------------------------------------------------------
@@ -555,21 +532,19 @@ def generator_of(spec):
     return (plus - minus) / (2.0 * _DIFF_STEP)
 
 
-def exp_cross_check(spec, ts=None) -> float:
+def exp_cross_check(spec) -> float:
     """Compare the closed form against exp(generator * t) pointwise.
 
     The generator comes from numerical differentiation at zero, so the
     comparison is an independent check that the closed form really is the
     one-parameter subgroup it claims to be.  Both sides are evaluated once,
-    as stacks over ts, a 1-d float array (nine points on [-2, 2] by
-    default); a matrix past the float range gives an infinite or NaN
-    residual.
+    as stacks over nine points on [-2, 2]; a matrix past the float range
+    gives an infinite or NaN residual.
     """
-    gen = generator_of(spec)
-    if ts is None:
-        import numpy as np
+    import numpy as np
 
-        ts = np.linspace(-2.0, 2.0, 9)
+    gen = generator_of(spec)
+    ts = np.linspace(-2.0, 2.0, 9)
     exp = mat_exp if isinstance(gen, Mat2) else mat_exp_real
     return float(_entry_gap(exp(gen, ts), eval_subgroup(spec, ts)).max(initial=0.0))
 

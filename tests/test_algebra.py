@@ -26,7 +26,6 @@ from hypermoebius.algebra import (
     sin_sigma,
     sqrt_all,
     tan_sigma,
-    trig_triple,
     zero,
 )
 from hypermoebius.errors import (
@@ -238,10 +237,10 @@ class TestClassify:
 
 class TestSigmaTrig:
     def test_shear_table(self):
-        assert trig_triple(0, 2.5) == (1.0, 2.5, 2.5)
+        assert (cos_sigma(0, 2.5), sin_sigma(0, 2.5), tan_sigma(0, 2.5)) == (1.0, 2.5, 2.5)
 
     def test_hyperbolic_at_zero(self):
-        assert trig_triple(1, 0.0) == (1.0, 0.0, 0.0)
+        assert (cos_sigma(1, 0.0), sin_sigma(1, 0.0), tan_sigma(1, 0.0)) == (1.0, 0.0, 0.0)
 
     def test_arctan_circular(self):
         assert abs(arctan_sigma(-1, 1.0) - math.pi / 4) < 1e-15
@@ -249,7 +248,7 @@ class TestSigmaTrig:
     def test_quotient_identity(self):
         for sigma in (-1, 0, 1):
             t = 0.35
-            c, s, tn = trig_triple(sigma, t)
+            c, s, tn = cos_sigma(sigma, t), sin_sigma(sigma, t), tan_sigma(sigma, t)
             assert abs(tn - s / c) < 1e-15
 
     def test_tangent_pole_rejected(self):

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermoebius import cli, verify
 
@@ -43,6 +47,8 @@ class TestClassifyCommands:
 
 HUGE_DUAL = "dual-sl(sigma=K,lambda=1e308,t0=1)"
 HUGE_RESCALE = "double-sl(sigma+=K,sigma-=K,a=1e308)"
+PAST_FLOAT = "1" + "0" * 400  # a decimal literal past the float range
+BIG, TINY = "1" + "0" * 200, "0." + "0" * 199 + "1"  # 1e200 and 1e-200
 
 
 class TestSubgroupCommands:
@@ -150,11 +156,27 @@ class TestExitCodes:
             # a*t overflows to inf, where math.cos raises ValueError
             ["subgroup-eval", "--spec", HUGE_RESCALE, "--t", "10"],
             ["orbit", "--spec", HUGE_RESCALE, "--start", "1,2", "--t", "10"],
+            # a step below the float spacing of t never moves it
+            ["subgroup-eval", "--spec", shear, "--t", "1e300:1e300:1"],
+            # negative seeds, which numpy refuses
+            ["verify", "--seed", "-1"],
+            ["kernel", "--algebra", "real", "--seed", "-1"],
+            # non-finite starts and literals past the float range
+            ["orbit", "--spec", "double-sl(sigma+=K,sigma-=A)", "--start", "nan,1",
+             "--t", "0:1:0.5"],
+            ["orbit", "--spec", "dual-sl(sigma=K,lambda=1)", "--start", "1,nan",
+             "--t", "0:1:0.5", "--output", "json"],
+            ["classify-point", "--algebra", "dual", f"[{PAST_FLOAT}:1]"],
+            ["classify-element", "--algebra", "double", f"({PAST_FLOAT}|1)"],
+            ["classify-point", "--algebra", "double", f"[{PAST_FLOAT}P+ : 1]"],
+            # ** raises OverflowError where * would give inf
+            ["classify-map", "--algebra", "complex", f"[[{BIG},1],[1,1]]"],
+            ["classify-map", "--algebra", "double", f"[[{BIG},0],[0,{TINY}]]"],
         ]
         for argv in cases:
             code, _, err = run(argv, capsys)
             assert code == 2, argv
-            assert err.startswith("error: "), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
     def test_nonpositive_tolerance_is_usage_error(self, capsys):
         code, _, _ = run(["classify-element", "--algebra", "dual",
@@ -185,6 +207,11 @@ class TestExitCodes:
             lambda seed: [verify.CheckResult("stub", False, "forced")])
         assert run(["verify", "--seed", "1"], capsys)[0] == 3
 
+    def test_negative_env_seed_is_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("HM_SEED", "-3")
+        code, _, err = run(["kernel", "--algebra", "double"], capsys)
+        assert code == 2 and err == "error: seed must be non-negative, got -3\n"
+
     def test_hm_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("HM_SEED", "123")
         monkeypatch.setattr(
@@ -202,6 +229,22 @@ def test_start_imports_no_verify_suite():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert "'hypermoebius.verify'" not in out and "'hypermoebius.sampling'" not in out
+
+
+PARSER_STEP = 8_192  # CPython 3.11's parser doubles its token array at this count
+
+
+def test_modules_stay_under_the_parser_token_step():
+    # the workloads compile the package on every start; a module past the
+    # step costs about 0.5 MB of peak RSS
+    over = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        with path.open(encoding="utf-8") as fh:
+            n = sum(1 for _ in tokenize.generate_tokens(fh.readline))
+        if n >= PARSER_STEP:
+            over[path.name] = n
+    assert not over, (f"{over} tokens, at or past the {PARSER_STEP}-token parser step: "
+                      "split the module by layer first (ROADMAP item 10)")
 
 
 def run_fresh(argvs) -> tuple[list[int], bool]:
@@ -253,3 +296,64 @@ class TestVerifyDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1 == VERIFY_GOLDEN.read_text(encoding="utf-8")
+
+
+# Literals for the exit-code property: grammar fragments, most of them finite
+# and small, then the non-finite spellings and decimals of 200 to 400 digits,
+# on both sides of the float range.
+SMALL = st.one_of(st.sampled_from(["0", "1", "-2", "0.5", "-.25", "3."]),
+                  st.floats(-5.0, 5.0).map(lambda v: format(v, ".6f")))
+ODD = st.one_of(
+    st.sampled_from(["", "1e-3", "nan", "inf", "-inf"]),
+    st.integers(200, 400).map(lambda n: "9" * n),
+    st.integers(200, 400).map(lambda n: "0." + "0" * n + "1"),
+)
+REAL = st.one_of(SMALL, SMALL, ODD)
+NUMBER = st.one_of(
+    REAL,
+    st.tuples(REAL, st.sampled_from(["+", "-"]), REAL, st.sampled_from("jei")).map("".join),
+    st.tuples(REAL, st.sampled_from("jei")).map("".join),
+    st.tuples(REAL, REAL).map(lambda pm: f"({pm[0]}|{pm[1]})"),
+    st.tuples(REAL, st.sampled_from(["P+", "P-"])).map("".join),
+)
+ALGEBRA = st.sampled_from(["complex", "double", "dual"])
+SIGMA = st.sampled_from("KNAKNAIX")
+SPEC = st.one_of(
+    st.builds("real-gl(sigma={},lambda={})".format, SIGMA, REAL),
+    st.builds("double-sl(sigma+={},sigma-={},a={})".format, SIGMA, SIGMA, REAL),
+    st.builds("double-gl(sigma+={},lambda+={},sigma-={},lambda-={},a={})".format,
+              SIGMA, REAL, SIGMA, REAL, REAL),
+    st.builds("dual-gl(sigma={},lambda={},lambda1={},t0={})".format, SIGMA, REAL, REAL, REAL),
+    st.builds("dual-sl(sigma={},lambda={},lambda1={},t0={})".format, SIGMA, REAL, REAL, REAL),
+)
+# one t, a grid of at most 50 steps, or a grid with an odd or reversed part
+T = st.one_of(
+    REAL,
+    st.builds(lambda lo, n, step: f"{lo!r}:{lo + n * step!r}:{step!r}",
+              st.floats(-5.0, 5.0), st.integers(0, 50), st.floats(0.01, 1.0)),
+    st.builds("{}:{}:{}".format, REAL, REAL, REAL),
+)
+SEED = st.one_of(st.integers(-5, 50), st.integers(200, 400).map(lambda n: -(10 ** n)))
+# "=" and "--" keep a value that starts with "-" from reading as an option
+ARGV = st.one_of(
+    st.builds(lambda a, x: ["classify-element", "--algebra", a, "--", x], ALGEBRA, NUMBER),
+    st.builds(lambda a, x, y: ["classify-point", "--algebra", a, "--", f"[{x}:{y}]"],
+              ALGEBRA, NUMBER, NUMBER),
+    st.builds(lambda a, e: ["classify-map", "--algebra", a, "--", "[[{},{}],[{},{}]]".format(*e)],
+              ALGEBRA, st.tuples(NUMBER, NUMBER, NUMBER, NUMBER)),
+    st.builds(lambda s, t: ["subgroup-eval", "--spec", s, f"--t={t}"], SPEC, T),
+    st.builds(lambda s, c1, c2, t, out: ["orbit", "--spec", s, f"--start={c1},{c2}",
+                                         f"--t={t}", "--output", out],
+              SPEC, REAL, REAL, T, st.sampled_from(["csv", "json", "text"])),
+    st.builds(lambda a, s: ["kernel", "--algebra", a, f"--seed={s}"],
+              st.sampled_from(["real", "complex", "double", "dual"]), SEED),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(ARGV)
+def test_every_argv_exits_with_a_documented_code(argv):
+    # no exception may escape main: a traceback is exit 1
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 64), argv

@@ -10,18 +10,17 @@ from hypermoebius.matrix2 import Mat2, double_from_components, identity, mat2, m
 from hypermoebius.moebius import (
     MapTag,
     MoebiusMap,
+    _real_fixed_points,
     apply,
     apply_point,
     class_point,
     classify_map,
     compose,
     fixed_points,
-    fixed_points_real,
     identity_map,
     kernel_check,
     kernel_labels,
     mob_equal,
-    tr_squared,
 )
 from hypermoebius.projline import ClassTag, canonicalize, parse_point, point, same_class
 from hypermoebius.sampling import (
@@ -183,13 +182,15 @@ class TestKernel:
 class TestClassification:
     def test_shear_is_parabolic(self):
         m = MoebiusMap(mat2(Kind.COMPLEX, [[1, 1], [0, 1]]))
-        assert classify_map(m).tags == (MapTag.PARABOLIC,)
-        assert tr_squared(m).close_to(number(Kind.COMPLEX, 4, 0), 1e-12)
+        record = classify_map(m)
+        assert record.tags == (MapTag.PARABOLIC,)
+        assert record.tr2.close_to(number(Kind.COMPLEX, 4, 0), 1e-12)
 
     def test_diagonal_is_hyperbolic(self):
         m = MoebiusMap(mat2(Kind.COMPLEX, [[2, 0], [0, 0.5]]))
-        assert classify_map(m).tags == (MapTag.HYPERBOLIC,)
-        assert tr_squared(m).close_to(number(Kind.COMPLEX, 6.25, 0), 1e-12)
+        record = classify_map(m)
+        assert record.tags == (MapTag.HYPERBOLIC,)
+        assert record.tr2.close_to(number(Kind.COMPLEX, 6.25, 0), 1e-12)
 
     def test_rotation_is_elliptic(self):
         m = MoebiusMap(mat2(Kind.COMPLEX, [[math.cos(1), -math.sin(1)],
@@ -248,24 +249,29 @@ class TestClassification:
         assert record.is_identity
 
 
+def real_fixed(g):
+    """The fixed points of a real 2x2 array, as verify asks for them."""
+    return _real_fixed_points(*g.ravel().tolist())
+
+
 class TestRealFixedPoints:
     def test_parabolic_single_point(self):
-        assert fixed_points_real(np.array([[1.0, 1.0], [0.0, 1.0]])) == [(1.0, 0.0)]
+        assert real_fixed(np.array([[1.0, 1.0], [0.0, 1.0]])) == [(1.0, 0.0)]
 
     def test_hyperbolic_two_points(self):
-        fps = fixed_points_real(np.array([[2.0, 0.0], [0.0, 0.5]]))
+        fps = real_fixed(np.array([[2.0, 0.0], [0.0, 0.5]]))
         assert len(fps) == 2
 
     def test_elliptic_none(self):
-        assert fixed_points_real(K(1.0)) == []
+        assert real_fixed(K(1.0)) == []
 
     def test_scalar_returns_none(self):
-        assert fixed_points_real(-np.eye(2)) is None
+        assert real_fixed(-np.eye(2)) is None
 
     def test_near_parabolic_double_root(self):
         # disc is zero up to rounding and c ~ 1e-10: one root, at 1e5, not
         # infinity plus a second root
-        (x, y), = fixed_points_real(np.array([[1.00001, -1.0], [1e-10, 0.99999]]))
+        (x, y), = real_fixed(np.array([[1.00001, -1.0], [1e-10, 0.99999]]))
         assert y == 1.0 and abs(x - 1e5) < 1e-4
 
     @pytest.mark.parametrize("d", [1.00002, 1.00005])
@@ -273,7 +279,7 @@ class TestRealFixedPoints:
         # disc = (d-1)^2 is tiny in absolute terms, but the roots infinity
         # and 1/(d-1) are far apart: no double root
         g = np.array([[1.0, 1.0], [0.0, d]])
-        (x0, y0), (x1, y1) = fixed_points_real(g)
+        (x0, y0), (x1, y1) = real_fixed(g)
         assert (x0, y0) == (1.0, 0.0) and y1 == 1.0
         assert abs(x1 - 1.0 / (d - 1.0)) <= 1e-9 * x1
         assert abs((x1 + 1.0) / d - x1) <= 1e-9 * x1
@@ -282,7 +288,7 @@ class TestRealFixedPoints:
         # c above the structural zero: the finite root must not lose digits
         # to cancellation in (a - d - sqrt(disc)) / 2c
         g = np.array([[2.0, 1.0], [1e-8, 0.5]])
-        fps = fixed_points_real(g)
+        fps = real_fixed(g)
         assert len(fps) == 2
         for x, _ in fps:
             assert abs((g[0, 0] * x + g[0, 1]) / (g[1, 0] * x + g[1, 1]) - x) <= 1e-9 * abs(x)
@@ -292,7 +298,7 @@ class TestRealFixedPoints:
         for _ in range(300):
             g = random_sl_real(rng)
             t2 = float(np.trace(g)) ** 2
-            fps = fixed_points_real(g)
+            fps = real_fixed(g)
             if fps is None or abs(t2 - 4) < 1e-9:
                 continue
             assert len(fps) == (0 if t2 < 4 else 2)
