@@ -176,9 +176,30 @@ class Hypercomplex:
         return f"Hypercomplex({self.kind.name}, {self.a1!r}, {self.a2!r})"
 
 
+# The dataclass __init__ of a frozen class stores each field through
+# object.__setattr__; the slot descriptors store them at half the cost, and
+# assignment after construction still raises FrozenInstanceError.
+_set_kind = Hypercomplex.kind.__set__
+_set_a1 = Hypercomplex.a1.__set__
+_set_a2 = Hypercomplex.a2.__set__
+
+
+def _init(self, kind: Kind, a1: float, a2: float) -> None:
+    _set_kind(self, kind)
+    _set_a1(self, a1)
+    _set_a2(self, a2)
+
+
+Hypercomplex.__init__ = _init
+
+
 def _coerce(kind: Kind, value: "Hypercomplex | float") -> Hypercomplex:
     if isinstance(value, Hypercomplex):
         return value
+    if is_stack(value):  # a float array: the stack of those real numbers
+        import numpy as np
+
+        return Hypercomplex(kind, value, np.zeros(value.shape))
     return Hypercomplex(kind, float(value), 0.0)
 
 
@@ -264,6 +285,13 @@ def _inverse(x: Hypercomplex) -> Hypercomplex:
         r = 1.0 / x.a1
         return Hypercomplex(Kind.DUAL, r, -r * r * x.a2)
     d = x.a1 * x.a1 + x.a2 * x.a2
+    if isinstance(d, float) and not math.isfinite(d):
+        # past about 1e154 the squares overflow: scale by the larger
+        # coordinate first, as math.hypot does
+        s = max(abs(x.a1), abs(x.a2))
+        a1, a2 = x.a1 / s, x.a2 / s
+        d = a1 * a1 + a2 * a2
+        return Hypercomplex(Kind.COMPLEX, a1 / d / s, -a2 / d / s)
     return Hypercomplex(Kind.COMPLEX, x.a1 / d, -x.a2 / d)
 
 

@@ -176,6 +176,14 @@ def _cmd_classify_map(args) -> int:
     mat = parse_mat(kind, args.literal, lambda raw: parse_entry(kind, raw))
     m = MoebiusMap(mat)
     record = classify_map(m)
+    # the fixed points first, so that an error leaves stdout empty
+    try:
+        fps = fixed_points(m, args.tol_alg)
+        labels = [c.label() for c in fps.points]
+        fixed = ["fixed: " + (", ".join(labels) if labels else "none")]
+        fixed += [f"fixed family: {fam.description}" for fam in fps.families]
+    except FixesEverythingError:
+        fixed = ["fixed: every class (identity map)"]
     print(f"kind: {kind.name.lower()}")
     print(f"tr2: {algebra.render(record.tr2)}")
     scope = {Kind.DOUBLE: " (component pair)", Kind.DUAL: " (a1-projection)"}.get(kind, "")
@@ -183,14 +191,7 @@ def _cmd_classify_map(args) -> int:
         print("class: Identity")
     else:
         print(f"class: {record.label()}{scope}")
-    try:
-        fps = fixed_points(m, args.tol_alg)
-        labels = [c.label() for c in fps.points]
-        print("fixed: " + (", ".join(labels) if labels else "none"))
-        for fam in fps.families:
-            print(f"fixed family: {fam.description}")
-    except FixesEverythingError:
-        print("fixed: every class (identity map)")
+    print("\n".join(fixed))
     return 0
 
 

@@ -302,10 +302,11 @@ def _stacked_affine(spec, p: ProjPoint, ts: np.ndarray) -> list:
     evaluation over ts certifies the row, else None.
 
     A row is certified when every entry of its matrix is finite (so
-    eval_subgroup accepts it) and the image is affine (so it is admissible
-    and canonicalize takes the x * invert(y) branch, whose value
-    ``x * _inverse(y)`` is).  No stack, every row None, when math raises on
-    an element or the family gives no stack of matrices of p's kind.
+    eval_subgroup accepts it) and the image is affine with a finite
+    coordinate (so it is admissible and canonicalize takes the
+    x * invert(y) branch, whose value ``x * _inverse(y)`` is, and does not
+    refuse it).  No stack, every row None, when math raises on an element or
+    the family gives no stack of matrices of p's kind.
     """
     import numpy as np
 
@@ -325,6 +326,7 @@ def _stacked_affine(spec, p: ProjPoint, ts: np.ndarray) -> list:
         for e in g.entries():
             ok = ok & np.isfinite(e.a1) & np.isfinite(e.a2)
         a = x * _inverse(y)
+        ok = ok & np.isfinite(a.a1) & np.isfinite(a.a2)
     kind = p.kind
     return [Hypercomplex(kind, u, v) if certified else None
             for certified, u, v in zip(ok.tolist(), a.a1.tolist(), a.a2.tolist())]

@@ -36,6 +36,7 @@ from .algebra import (
     invert,
 )
 from .errors import (
+    DomainError,
     InvalidLiteralError,
     InvalidPointError,
     KindMismatchError,
@@ -199,7 +200,16 @@ def canonicalize(p: ProjPoint, tol: float = TAU_ZERO) -> CanonicalClass:
         return _canonicalize_dual(p, tol)
     if p.y.is_zero(tol):
         return CanonicalClass(ClassTag.INFINITY)
-    return CanonicalClass(ClassTag.AFFINE, affine=p.x * invert(p.y, tol))
+    return _affine_class(p, tol)
+
+
+def _affine_class(p: ProjPoint, tol: float) -> CanonicalClass:
+    """The affine class of p, whose y is a unit; :class:`DomainError` when
+    its coordinate x / y overflows the float range or is NaN."""
+    a = p.x * invert(p.y, tol)
+    if not (math.isfinite(a.a1) and math.isfinite(a.a2)):
+        raise DomainError("the affine coordinate x / y of the point is not a finite float")
+    return CanonicalClass(ClassTag.AFFINE, affine=a)
 
 
 def _canonicalize_double(p: ProjPoint, tol: float) -> CanonicalClass:
@@ -215,7 +225,7 @@ def _canonicalize_double(p: ProjPoint, tol: float) -> CanonicalClass:
         return CanonicalClass(ClassTag.PR_MINUS, ratio=canonical_ratio(xm, ym, tol))
     # both component pairs nonzero: the admissible cases
     if abs(yp) > tol and abs(ym) > tol:
-        return CanonicalClass(ClassTag.AFFINE, affine=p.x * invert(p.y, tol))
+        return _affine_class(p, tol)
     if abs(yp) <= tol and abs(ym) <= tol:
         return CanonicalClass(ClassTag.INFINITY)
     if abs(ym) <= tol:  # y is a plus-family zero divisor, and xm != 0
@@ -232,7 +242,7 @@ def _canonicalize_dual(p: ProjPoint, tol: float) -> CanonicalClass:
     if abs(p.x.a1) <= tol and abs(p.y.a1) <= tol:
         return CanonicalClass(ClassTag.PR, ratio=canonical_ratio(p.x.a2, p.y.a2, tol))
     if abs(p.y.a1) > tol:
-        return CanonicalClass(ClassTag.AFFINE, affine=p.x * invert(p.y, tol))
+        return _affine_class(p, tol)
     # x is a unit here
     if abs(p.y.a2) <= tol:
         return CanonicalClass(ClassTag.INFINITY)

@@ -1,13 +1,17 @@
 """Seeded random generators for sweeps and probes.
 
-All randomness in the verification suites flows through a
-``numpy.random.Generator`` so that a fixed seed reproduces identical runs
-byte for byte.  Units and invertible matrices are drawn well-conditioned
-(components bounded away from the zero-divisor locus) so that identity
-checks are limited by the formulas under test, not by float conditioning.
+All randomness in the verification suites flows from one seeded stream, a
+:class:`Draws` over ``numpy.random.PCG64``, so that a fixed seed reproduces
+identical runs byte for byte.  Units and invertible matrices are drawn
+well-conditioned (components bounded away from the zero-divisor locus) so
+that identity checks are limited by the formulas under test, not by float
+conditioning.  Every function here also accepts a ``numpy.random.Generator``,
+whose stream a :class:`Draws` of the same seed reproduces.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,25 +24,149 @@ from .subgroups import DoubleGL, DoubleSL, DualGL, DualSL, RealGL, SigmaKind
 
 NONTRIVIAL = (SigmaKind.ELLIPTIC, SigmaKind.PARABOLIC, SigmaKind.HYPERBOLIC)
 
+_BLOCK = 1_024  # words per refill: a small buffer keeps small bulk draws cheap
+_UNIT = 2.0 ** -53  # a double in [0, 1) is the top 53 bits of a word times this
+_SMALL = 8  # bulk draws this small (a 2x2 draw) cost less in Python than in ufuncs
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """The generator of a seed; :class:`DomainError` for a negative seed,
+
+class Draws:
+    """The draws of ``numpy.random.default_rng(seed)``, served from a buffer
+    of its 64-bit words.
+
+    A scalar ``Generator`` call costs about 1-2.5 us in numpy's argument
+    handling; a double here costs a list lookup.  The words come from the
+    generator's ``PCG64``, ``_BLOCK`` at a time, and each method applies
+    numpy's formula to them:
+
+    - ``random`` is ``(word >> 11) * 2**-53``, PCG64's ``next_double``;
+    - ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``;
+    - ``integers`` is Lemire's bounded method on 32-bit halves, the low half
+      of a word first; the high half waits for the next 32-bit request, also
+      across calls, as PCG64's ``has_uint32``/``uinteger`` pair keeps it.
+
+    Bulk calls (``size=``) take their doubles from the same buffer, and the
+    generator itself fills what the buffer lacks, so scalar and bulk calls
+    keep stream order.
+    """
+
+    __slots__ = ("_gen", "_words", "_array", "_doubles", "_next", "_half")
+
+    def __init__(self, seed: int):
+        self._gen = np.random.default_rng(seed)
+        self._words = self._array = np.empty(0)
+        self._doubles: list[float] = []
+        self._next = _BLOCK  # the buffer is empty: the first call refills it
+        self._half: int | None = None  # the pending high half of a word
+
+    def _refill(self) -> None:
+        self._doubles = []  # frees the spent block before the next is built
+        self._words = self._gen.bit_generator.random_raw(_BLOCK)
+        self._array = (self._words >> 11) * _UNIT
+        self._doubles = self._array.tolist()
+        self._next = 0
+
+    def random(self, size=None):
+        """A double in [0, 1), or an array of them of shape ``size``."""
+        if size is not None:
+            return self._bulk(size, 0.0, 1.0)
+        i = self._next
+        if i == _BLOCK:
+            self._refill()
+            i = 0
+        self._next = i + 1
+        return self._doubles[i]
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """``low + (high - low) * random()``, or an array of shape ``size``."""
+        if size is not None:
+            return self._bulk(size, low, high)
+        i = self._next
+        if i == _BLOCK:
+            self._refill()
+            i = 0
+        self._next = i + 1
+        return low + (high - low) * self._doubles[i]
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """An int in [low, high), or in [0, low) without ``high``."""
+        if high is None:
+            low, high = 0, low
+        bound = high - low
+        if not 0 < bound <= 1 << 32:
+            raise ValueError(f"integers serves bounds up to 2**32, got [{low}, {high})")
+        if bound == 1:  # numpy draws nothing for a single value
+            return low
+        m = self._uint32() * bound
+        if m & 0xFFFFFFFF < bound:
+            threshold = (1 << 32) % bound
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * bound
+        return low + (m >> 32)
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        i = self._next
+        if i == _BLOCK:
+            self._refill()
+            i = 0
+        self._next = i + 1
+        word = int(self._words[i])  # 7% of verify's draws: no list of words
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def _bulk(self, size, low, high) -> np.ndarray:
+        """A new array, shaped ``size``, of ``low + (high - low) * u`` for each
+        of the next ``prod(size)`` doubles u."""
+        n = math.prod(size) if isinstance(size, tuple) else size
+        i = self._next
+        if i == _BLOCK:
+            if n > _SMALL:  # the buffer is spent: one call of the generator
+                return self._gen.uniform(low, high, size)
+            self._refill()
+            i = 0
+        j = i + n
+        span = high - low
+        if j <= _BLOCK:
+            self._next = j
+            if n <= _SMALL:
+                return np.array([low + span * u for u in self._doubles[i:j]]).reshape(size)
+            out = self._array[i:j] * span
+        else:  # the rest of the buffer, then the generator
+            out = np.empty(n)
+            out[:_BLOCK - i] = self._array[i:]
+            self._next = _BLOCK
+            self._gen.random(out=out[_BLOCK - i:])
+            out *= span
+        out += low
+        return out.reshape(size)
+
+
+# a string, so that numpy.random loads with the first draw, not with this
+# module: loading it at import raised verify's peak RSS by about 0.4 MB
+Rng = "Draws | np.random.Generator"
+
+
+def rng_from_seed(seed: int) -> Draws:
+    """The draws of a seed; :class:`DomainError` for a negative seed,
     which numpy refuses."""
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
+    return Draws(seed)
 
 
-def _signed_magnitude(rng: np.random.Generator, lo: float, hi: float) -> float:
+def _signed_magnitude(rng: Rng, lo: float, hi: float) -> float:
     sign = 1.0 if rng.random() < 0.5 else -1.0
     return sign * rng.uniform(lo, hi)
 
 
-def random_number(kind: Kind, rng: np.random.Generator) -> Hypercomplex:
+def random_number(kind: Kind, rng: Rng) -> Hypercomplex:
     return Hypercomplex(kind, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
 
 
-def random_unit(kind: Kind, rng: np.random.Generator,
+def random_unit(kind: Kind, rng: Rng,
                 lo: float = 0.1, hi: float = 10.0) -> Hypercomplex:
     """A unit with both coordinates of magnitude in [lo, hi].
 
@@ -56,13 +184,13 @@ def random_unit(kind: Kind, rng: np.random.Generator,
         return x
 
 
-def random_numbers(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def random_numbers(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
     """A (*shape, 2) stack of :func:`random_number` draws, in the same stream
     order as the scalar calls made one after another."""
     return rng.uniform(-2.0, 2.0, size=(*shape, 2))
 
 
-def random_units(kind: Kind, rng: np.random.Generator, count: int) -> np.ndarray:
+def random_units(kind: Kind, rng: Rng, count: int) -> np.ndarray:
     """A (count, 2) stack of default :func:`random_unit` draws, in the same
     stream order.
 
@@ -83,7 +211,7 @@ def random_units(kind: Kind, rng: np.random.Generator, count: int) -> np.ndarray
     return out
 
 
-def random_point(kind: Kind, rng: np.random.Generator) -> ProjPoint:
+def random_point(kind: Kind, rng: Rng) -> ProjPoint:
     while True:
         x = random_number(kind, rng)
         y = random_number(kind, rng)
@@ -91,11 +219,11 @@ def random_point(kind: Kind, rng: np.random.Generator) -> ProjPoint:
             return ProjPoint(kind, x, y)
 
 
-def _nonzero_real(rng: np.random.Generator) -> float:
+def _nonzero_real(rng: Rng) -> float:
     return _signed_magnitude(rng, 0.2, 3.0)
 
 
-def random_point_mixed(kind: Kind, rng: np.random.Generator) -> ProjPoint:
+def random_point_mixed(kind: Kind, rng: Rng) -> ProjPoint:
     """Points drawn across every canonical class, including the
     non-admissible families and boundary constructions, then rescaled by a
     random unit half of the time."""
@@ -114,7 +242,7 @@ def random_point_mixed(kind: Kind, rng: np.random.Generator) -> ProjPoint:
     return p
 
 
-def _random_double_mixed(rng: np.random.Generator) -> ProjPoint:
+def _random_double_mixed(rng: Rng) -> ProjPoint:
     from .algebra import P_MINUS, P_PLUS
 
     which = rng.integers(0, 9)
@@ -152,7 +280,7 @@ def _random_double_mixed(rng: np.random.Generator) -> ProjPoint:
     return ProjPoint(Kind.DOUBLE, zd, random_unit(Kind.DOUBLE, rng, 0.2, 3.0))
 
 
-def _random_dual_mixed(rng: np.random.Generator) -> ProjPoint:
+def _random_dual_mixed(rng: Rng) -> ProjPoint:
     eps = algebra.generator(Kind.DUAL)
     which = rng.integers(0, 6)
     if which == 0:
@@ -179,7 +307,7 @@ def _random_dual_mixed(rng: np.random.Generator) -> ProjPoint:
                      random_unit(Kind.DUAL, rng, 0.2, 3.0))
 
 
-def random_gl(kind: Kind, rng: np.random.Generator) -> Mat2:
+def random_gl(kind: Kind, rng: Rng) -> Mat2:
     """Random invertible matrix with a well-conditioned determinant."""
     from .matrix2 import det
 
@@ -198,7 +326,7 @@ def random_gl(kind: Kind, rng: np.random.Generator) -> Mat2:
                 return m
 
 
-def random_sl_real(rng: np.random.Generator) -> np.ndarray:
+def random_sl_real(rng: Rng) -> np.ndarray:
     """Random real matrix of determinant one."""
     while True:
         m = rng.uniform(-2.0, 2.0, size=(2, 2))
@@ -207,7 +335,7 @@ def random_sl_real(rng: np.random.Generator) -> np.ndarray:
             return m / np.sqrt(d)
 
 
-def random_sl(kind: Kind, rng: np.random.Generator) -> Mat2:
+def random_sl(kind: Kind, rng: Rng) -> Mat2:
     """Random determinant-one matrix over the given algebra."""
     if kind is Kind.DOUBLE:
         return double_from_components(random_sl_real(rng), random_sl_real(rng))
@@ -222,7 +350,7 @@ def random_sl(kind: Kind, rng: np.random.Generator) -> Mat2:
     return normalize_to_sl(random_gl(kind, rng))
 
 
-def random_specs(rng: np.random.Generator, n_per_family: int = 20) -> dict[str, list]:
+def random_specs(rng: Rng, n_per_family: int = 20) -> dict[str, list]:
     """Random subgroup specs keyed by family: n_per_family of each with
     nontrivial regimes, plus one with a trivial component for real-gl,
     double-sl and dual-gl."""

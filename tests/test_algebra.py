@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -92,6 +93,14 @@ class TestRingOps:
             with pytest.raises(TypeError):
                 bad()
 
+    def test_float_array_operand_is_a_stack(self):
+        # as for *, each element of the array is the real number it names
+        x, v = number(Kind.DOUBLE, 1, 2), np.array([1.0, 2.0])
+        for got, a1, a2 in ((x + v, [2, 3], [2, 2]), (v + x, [2, 3], [2, 2]),
+                            (x - v, [0, -1], [2, 2]), (v - x, [0, 1], [-2, -2])):
+            assert got.kind is Kind.DOUBLE
+            assert np.array_equal(got.a1, a1) and np.array_equal(got.a2, a2)
+
     def test_generator_squares_exact(self):
         for kind, want in ((Kind.COMPLEX, -1.0), (Kind.DUAL, 0.0), (Kind.DOUBLE, 1.0)):
             sq = generator(kind) * generator(kind)
@@ -111,6 +120,26 @@ class TestRingOps:
             rhs = x * y + x * z
             scale = 1 + x.magnitude() * (y.magnitude() + z.magnitude())
             assert lhs.close_to(rhs, 1e-9 * scale)
+
+
+class TestValueType:
+    def test_fields_are_frozen(self):
+        x = number(Kind.DUAL, 1, 2)
+        for field in ("kind", "a1", "a2"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, field, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, field)
+        assert (x.kind, x.a1, x.a2) == (Kind.DUAL, 1.0, 2.0)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        x = Hypercomplex(Kind.DUAL, 1.0, 2.0)
+        assert x == Hypercomplex(kind=Kind.DUAL, a1=1.0, a2=2.0)
+        assert x != Hypercomplex(Kind.DOUBLE, 1.0, 2.0)
+        assert x != Hypercomplex(Kind.DUAL, 1.0, 3.0)
+        assert hash(x) == hash((Kind.DUAL, 1.0, 2.0))
+        assert len({x, number(Kind.DUAL, 1, 2)}) == 1
+        assert dataclasses.replace(x, a2=5.0) == Hypercomplex(Kind.DUAL, 1.0, 5.0)
 
 
 class TestDecompose:
@@ -156,6 +185,17 @@ class TestInvert:
     def test_complex(self):
         x = number(Kind.COMPLEX, 1, 1)
         assert (x * invert(x)).close_to(one(Kind.COMPLEX), 1e-12)
+
+    def test_complex_past_the_squares_overflow(self):
+        # a1**2 + a2**2 overflows from about 1e154; the inverse is still finite
+        for a1, a2 in ((1e-11, 1e307), (3e200, 4e200), (1.5e308, -1.5e308)):
+            x = number(Kind.COMPLEX, a1, a2)
+            inv = invert(x)
+            assert inv.a2 != 0.0
+            assert (x * inv).close_to(one(Kind.COMPLEX), 1e-12)
+
+    def test_complex_in_range_keeps_its_expression(self):
+        assert invert(number(Kind.COMPLEX, 3, 4)) == number(Kind.COMPLEX, 3 / 25, -4 / 25)
 
     def test_zero_divisor_rejected_with_class(self):
         with pytest.raises(NotInvertibleError) as err:

@@ -29,6 +29,7 @@ from hypermoebius.matrix2 import (
     mat_exp_real,
     stacked_mat,
 )
+from hypermoebius.moebius import kernel_labels
 from hypermoebius.subgroups import eval_subgroup, exp_cross_check, generator_of, group_law_terms
 
 KINDS = (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL)
@@ -299,6 +300,80 @@ class TestDraws:
         sampling.random_units(Kind.DOUBLE, rng, N)
         ref.random(4 * N)
         assert rng.bit_generator.state != ref.bit_generator.state
+
+    # Draws against numpy's Generator: a numpy release that changes how a
+    # Generator turns words into doubles or bounded integers fails these
+    # tests instead of silently changing what verify draws
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 905])
+    def test_draws_reproduce_default_rng(self, seed):
+        draws, ref = sampling.rng_from_seed(seed), np.random.default_rng(seed)
+        for method, args, kwargs in draw_plan(seed):
+            got = getattr(draws, method)(*args, **kwargs)
+            want = getattr(ref, method)(*args, **kwargs)
+            assert np.shape(got) == np.shape(want), (method, args, kwargs)
+            assert np.array_equal(got, want), (method, args, kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_sampling_functions_draw_as_default_rng(self, seed):
+        got = sampling_draws(sampling.rng_from_seed(seed))
+        want = sampling_draws(np.random.default_rng(seed))
+        for a, b in zip(got, want, strict=True):
+            if isinstance(a, np.ndarray):
+                assert same(a, b)
+            else:
+                assert a == b
+
+    @pytest.mark.parametrize("name", ["real", "complex", "double", "dual"])
+    def test_kernel_labels_draw_as_default_rng(self, name, monkeypatch):
+        want = kernel_labels(name, 5)
+        monkeypatch.setattr(sampling, "rng_from_seed", np.random.default_rng)
+        assert kernel_labels(name, 5) == want
+
+
+def draw_plan(seed: int, n: int = 4_000) -> list:
+    """Seeded calls of every Generator method the package uses: scalar and
+    bulk, int and float bounds, bulk sizes past the 1,024-word block, and
+    integers whose leftover 32-bit half the next integers call takes, with
+    the bounds the package uses and three that take numpy's other branches."""
+    plan = np.random.default_rng(10_000 + seed)
+    calls = []
+    for _ in range(n):
+        which = int(plan.integers(8))
+        # 1 draws nothing; 3 * 2**30 rejects a quarter of its first draws
+        bound = int(plan.choice([1, 2, 3, 4, 6, 9, 3 << 30, 1 << 32]))
+        if which == 0:
+            calls.append(("random", (), {}))
+        elif which == 1:
+            shape = tuple(plan.integers(1, 5, size=int(plan.integers(1, 4))).tolist())
+            calls.append(("random", (shape,), {}))
+        elif which == 2:
+            calls.append(("uniform", (-2, 2), {}))
+        elif which == 3:
+            calls.append(("uniform", (0.05, 9.0), {}))
+        elif which == 4:
+            size = (2, 2) if plan.random() < 0.7 else int(plan.choice([3, 9, 200, 1_023,
+                                                                      1_024, 1_025, 2_500]))
+            calls.append(("uniform", (-3.0, 3.0), {"size": size}))
+        elif which == 5:
+            calls.append(("integers", (bound,), {}))
+        else:
+            calls.append(("integers", (0, bound), {}))
+    return calls
+
+
+def sampling_draws(rng) -> list:
+    """What each sampling function draws from rng, in one fixed order."""
+    out = []
+    for kind in (Kind.DOUBLE, Kind.DUAL):
+        out += [sampling.random_point_mixed(kind, rng) for _ in range(300)]
+    for kind in KINDS:
+        out += [sampling.random_gl(kind, rng) for _ in range(40)]
+        out += [sampling.random_sl(kind, rng) for _ in range(40)]
+        out.append(sampling.random_units(kind, rng, 200))
+    out += list(sampling.random_specs(rng).values())
+    out.append(sampling.random_numbers(rng, (300, 2)))
+    return out
 
 
 # doubles each ported check draws from the generator for n samples

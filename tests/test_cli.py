@@ -44,6 +44,15 @@ class TestClassifyCommands:
         assert "Parabolic" in out
         assert "∞" in out
 
+    def test_element_inverse_past_the_squares_overflow(self, capsys):
+        # 1e-11 + 1e307 i: the sum of squares overflows, the inverse does not
+        code, out, _ = run(["classify-element", "--algebra", "complex",
+                            "0.00000000001+1" + "0" * 307 + "i"], capsys)
+        assert code == 0
+        inverse = out.splitlines()[1]
+        assert inverse.startswith("inverse 0-0.") and inverse.endswith("i")
+        assert float(inverse[len("inverse 0-"):-1]) == pytest.approx(1e-307, rel=1e-15)
+
 
 HUGE_DUAL = "dual-sl(sigma=K,lambda=1e308,t0=1)"
 HUGE_RESCALE = "double-sl(sigma+=K,sigma-=K,a=1e308)"
@@ -177,6 +186,23 @@ class TestExitCodes:
             code, _, err = run(argv, capsys)
             assert code == 2, argv
             assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+    @pytest.mark.parametrize("argv", [
+        # the affine coordinate 1e309 is past the float range
+        *(["classify-point", "--algebra", kind, "[1" + "0" * 307 + " : 0.01]"]
+          for kind in ("complex", "dual", "double")),
+        # the fixed points overflow after the class is known
+        ["classify-map", "--algebra", "complex", f"[[{BIG},1],[1,1]]"],
+        # finite matrices whose images of a start near 1e300 have no finite
+        # affine coordinate, which the stacked rows left as nan
+        ["orbit", "--spec", "dual-gl(sigma=K,lambda=1.5,lambda1=-10)",
+         "--start", "1" + "0" * 300 + ",2", "--t", "-5:-4:0.5"],
+    ])
+    def test_domain_error_prints_nothing_on_stdout(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_nonpositive_tolerance_is_usage_error(self, capsys):
         code, _, _ = run(["classify-element", "--algebra", "dual",
