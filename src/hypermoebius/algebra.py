@@ -159,7 +159,7 @@ class Hypercomplex:
         """Max-abs of the two scalar coordinates (used for error bounds); for a
         stack, the array of each number's."""
         a1, a2 = self.a1, self.a2
-        if type(a1) is type(a2) is float:
+        if type(a1) is float:  # a stack's coordinates are arrays of one shape
             return max(abs(a1), abs(a2))
         import numpy as np
 
@@ -285,9 +285,9 @@ def _inverse(x: Hypercomplex) -> Hypercomplex:
         r = 1.0 / x.a1
         return Hypercomplex(Kind.DUAL, r, -r * r * x.a2)
     d = x.a1 * x.a1 + x.a2 * x.a2
-    if isinstance(d, float) and not math.isfinite(d):
+    if isinstance(d, float) and d == math.inf:
         # past about 1e154 the squares overflow: scale by the larger
-        # coordinate first, as math.hypot does
+        # coordinate first, as math.hypot does (a NaN d needs no scaling)
         s = max(abs(x.a1), abs(x.a2))
         a1, a2 = x.a1 / s, x.a2 / s
         d = a1 * a1 + a2 * a2
@@ -355,8 +355,9 @@ def stacked(kind: Kind, coords: np.ndarray) -> Hypercomplex:
     return Hypercomplex(kind, coords[..., 0], coords[..., 1])
 
 
-def invert_many(x: Hypercomplex) -> Hypercomplex:
-    """:func:`invert` of each number of a stack; raises for the first non-unit."""
+def classify_first(x: Hypercomplex) -> ElementClass:
+    """:func:`classify_element` of the first number of the stack x that is
+    not a unit, or ``UNIT`` when every number is one."""
     if x.kind is Kind.DOUBLE:
         p, m = decompose(x)
         singular = (abs(p) <= TAU_ZERO) | (abs(m) <= TAU_ZERO)
@@ -364,10 +365,59 @@ def invert_many(x: Hypercomplex) -> Hypercomplex:
         singular = abs(x.a1) <= TAU_ZERO
     else:
         singular = (abs(x.a1) <= TAU_ZERO) & (abs(x.a2) <= TAU_ZERO)
-    if singular.any():
-        first = Hypercomplex(x.kind, float(x.a1[singular][0]), float(x.a2[singular][0]))
-        raise NotInvertibleError(classify_element(first))
+    if not singular.any():
+        return ElementClass.UNIT
+    return classify_element(Hypercomplex(x.kind, float(x.a1[singular][0]),
+                                         float(x.a2[singular][0])))
+
+
+def invert_many(x: Hypercomplex) -> Hypercomplex:
+    """:func:`invert` of each number of a stack; raises for the first non-unit."""
+    cls = classify_first(x)
+    if cls is not ElementClass.UNIT:
+        raise NotInvertibleError(cls)
     return _inverse(x)
+
+
+def sqrt_all_many(x: Hypercomplex, tol_zero: float = TAU_ZERO, tol_alg: float = TAU_ALG):
+    """:func:`sqrt_all` of each number of a double or dual stack x, as
+    ``(roots, kept)``: a stack of candidate roots of shape ``(k,) + shape``
+    and a bool array of that shape.  The roots of number i are
+    ``roots[j, i]`` at each j where ``kept[j, i]``, in j order: the list
+    sqrt_all gives, bit for bit.  A candidate that is not kept is finite
+    where x is, so the roots can be squared without numpy warnings.
+
+    Double numbers take sqrt_all's four sign choices per idempotent
+    component, each kept unless it is within ``tol_alg`` of a kept one
+    before it; dual numbers take the root of the a1-part and its negative,
+    or zero.  Complex stacks raise :class:`KindMismatchError`.
+    """
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # roots of negative or zero parts are not kept
+        if x.kind is Kind.DOUBLE:
+            p, m = decompose(x)
+            rp = np.where(p > tol_zero, np.sqrt(p), 0.0)
+            rm = np.where(m > tol_zero, np.sqrt(m), 0.0)
+            roots = recompose(np.stack((rp, rp, -rp, -rp)), np.stack((rm, -rm, rm, -rm)))
+            kept = np.empty(roots.a1.shape, bool)
+            kept[0] = ~((p < -tol_zero) | (m < -tol_zero))
+            for j in range(1, 4):
+                dup = np.zeros(p.shape, bool)
+                for i in range(j):
+                    dup |= (kept[i] & (abs(roots.a1[j] - roots.a1[i]) <= tol_alg)
+                            & (abs(roots.a2[j] - roots.a2[i]) <= tol_alg))
+                kept[j] = kept[0] & ~dup
+            return roots, kept
+        if x.kind is not Kind.DUAL:
+            raise KindMismatchError("stacked square roots are defined for double and dual numbers")
+        zero_part = abs(x.a1) <= tol_zero
+        two = ~zero_part & ~(x.a1 < 0)
+        r = np.sqrt(x.a1)
+        # zero where the a1-part has no two roots: the root kept at x = 0
+        r1, r2 = np.where(two, r, 0.0), np.where(two, x.a2 / (2.0 * r), 0.0)
+        kept = np.stack((two | (zero_part & (abs(x.a2) <= tol_zero)), two))
+        return Hypercomplex(Kind.DUAL, np.stack((r1, -r1)), np.stack((r2, -r2))), kept
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .algebra import (
     Kind,
     decompose,
     invert,
+    is_stack,
     recompose,
 )
 from .errors import (
@@ -61,6 +62,9 @@ TAU_CLASS = 1e-9  # half-width of the parabolic band around tr^2 = 4
 class MoebiusMap:
     """A class map [x:y] -> [ax+by : cx+dy] carried by an invertible matrix.
 
+    A stack of matrices makes a stack of maps, each matrix tested; then
+    :func:`compose` and :func:`apply_point` act map by map.
+
     The private slot ``_sl`` holds the determinant-one representative.  It is
     filled at most once, on first use by :func:`classify_map` or
     :func:`fixed_points`; maps that are only applied never compute it.
@@ -70,7 +74,9 @@ class MoebiusMap:
     _sl: "Mat2 | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cls = algebra.classify_element(det(self.rep))
+        d = det(self.rep)
+        stacked = type(d.a1) is not float and is_stack(d.a1)
+        cls = (algebra.classify_first if stacked else algebra.classify_element)(d)
         if cls is not ElementClass.UNIT:
             raise SingularMatrixError(
                 cls, "a Moebius map needs an invertible representative matrix")

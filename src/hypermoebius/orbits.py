@@ -37,16 +37,23 @@ from .algebra import (
     TAU_ZERO,
     Hypercomplex,
     Kind,
-    _inverse,
     arctan_sigma,
     cos_sigma,
-    decompose,
     recompose,
     sin_sigma,
 )
 from .errors import DomainError, KindMismatchError
 from .matrix2 import Mat2
-from .projline import PR_TAGS, CanonicalClass, ClassTag, ProjPoint, act, canonicalize, image
+from .projline import (
+    PR_TAGS,
+    CanonicalClass,
+    ClassTag,
+    ProjPoint,
+    act,
+    canonicalize,
+    certify_affine,
+    image,
+)
 from .subgroups import DoubleSL, DualSL, SigmaKind, eval_subgroup
 from . import algebra
 
@@ -202,8 +209,18 @@ def residual_dual_orbit(spec: DualSL, start: StartPoint, u: float, v: float) -> 
 
     The value is the left side of the displayed "... = 0" statement; it is
     reported, not asserted, since the displayed expression does not match
-    the oracle rows (see ``dual_orbit_report``).
+    the oracle rows (see ``dual_orbit_report``).  None where it is
+    inapplicable, or where one of its powers overflows the float range
+    (``**`` raises OverflowError there), as a non-finite value is None in
+    the orbit row.
     """
+    try:
+        return _dual_orbit_value(spec, start, u, v)
+    except OverflowError:
+        return None
+
+
+def _dual_orbit_value(spec: DualSL, start: StartPoint, u: float, v: float) -> float | None:
     s = spec.sigma.sigma
     a, b = start.c1, start.c2
     den1 = a * u - s
@@ -302,11 +319,10 @@ def _stacked_affine(spec, p: ProjPoint, ts: np.ndarray) -> list:
     evaluation over ts certifies the row, else None.
 
     A row is certified when every entry of its matrix is finite (so
-    eval_subgroup accepts it) and the image is affine with a finite
-    coordinate (so it is admissible and canonicalize takes the
-    x * invert(y) branch, whose value ``x * _inverse(y)`` is, and does not
-    refuse it).  No stack, every row None, when math raises on an element or
-    the family gives no stack of matrices of p's kind.
+    eval_subgroup accepts it) and :func:`projline.certify_affine` certifies
+    the image (so canonicalize takes the affine branch, whose value it gives,
+    and does not refuse it).  No stack, every row None, when math raises on
+    an element or the family gives no stack of matrices of p's kind.
     """
     import numpy as np
 
@@ -317,16 +333,9 @@ def _stacked_affine(spec, p: ProjPoint, ts: np.ndarray) -> list:
     if not isinstance(g, Mat2) or g.kind is not p.kind:
         return [None] * len(ts)
     with np.errstate(all="ignore"):
-        x, y = act(g, p.x, p.y)
-        if p.kind is Kind.DOUBLE:
-            y_plus, y_minus = decompose(y)
-            ok = (abs(y_plus) > TAU_ZERO) & (abs(y_minus) > TAU_ZERO)
-        else:
-            ok = abs(y.a1) > TAU_ZERO
+        ok, a = certify_affine(*act(g, p.x, p.y))
         for e in g.entries():
             ok = ok & np.isfinite(e.a1) & np.isfinite(e.a2)
-        a = x * _inverse(y)
-        ok = ok & np.isfinite(a.a1) & np.isfinite(a.a2)
     kind = p.kind
     return [Hypercomplex(kind, u, v) if certified else None
             for certified, u, v in zip(ok.tolist(), a.a1.tolist(), a.a2.tolist())]

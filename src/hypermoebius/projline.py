@@ -32,8 +32,10 @@ from .algebra import (
     Hypercomplex,
     Kind,
     _DEC,
+    _inverse,
     decompose,
     invert,
+    is_stack,
 )
 from .errors import (
     DomainError,
@@ -53,9 +55,15 @@ class ProjPoint:
     y: Hypercomplex
 
     def __post_init__(self):
-        if self.x.kind is not self.kind or self.y.kind is not self.kind:
+        x, y = self.x, self.y
+        if x.kind is not self.kind or y.kind is not self.kind:
             raise KindMismatchError("point coordinates must share the point kind")
-        if self.x.is_zero(TAU_ZERO) and self.y.is_zero(TAU_ZERO):
+        if type(x.a1) is not float and is_stack(x.a1):  # a stack: each point's test
+            vanish = ((abs(x.a1) <= TAU_ZERO) & (abs(x.a2) <= TAU_ZERO)
+                      & (abs(y.a1) <= TAU_ZERO) & (abs(y.a2) <= TAU_ZERO)).any()
+        else:
+            vanish = x.is_zero(TAU_ZERO) and y.is_zero(TAU_ZERO)
+        if vanish:
             raise InvalidPointError("both homogeneous coordinates vanish")
 
     def scaled(self, u: Hypercomplex) -> "ProjPoint":
@@ -247,6 +255,133 @@ def _canonicalize_dual(p: ProjPoint, tol: float) -> CanonicalClass:
     if abs(p.y.a2) <= tol:
         return CanonicalClass(ClassTag.INFINITY)
     return CanonicalClass(ClassTag.DUAL_OMEGA, lam=p.y.a2 / p.x.a1)
+
+
+# ---------------------------------------------------------------------------
+# stacks of points
+#
+# A ProjPoint whose coordinates are stacks of numbers is a stack of points,
+# as a Mat2 of stacks is a stack of matrices: ``image`` and ``scaled`` act
+# point by point.  ``canonicalize_many`` certifies the affine rows of a stack
+# by one rule, which ``orbits.sampled_orbit`` shares, and sends every other
+# row through :func:`canonicalize`.
+
+
+def stack(values):
+    """The stack of a sequence of numbers, matrices or points of one kind."""
+    import numpy as np
+
+    first = values[0]
+    if isinstance(first, Mat2):
+        return Mat2(first.kind, *map(stack, zip(*(m.entries() for m in values))))
+    if isinstance(first, ProjPoint):
+        return ProjPoint(first.kind, stack([p.x for p in values]), stack([p.y for p in values]))
+    return Hypercomplex(first.kind, np.array([v.a1 for v in values]),
+                        np.array([v.a2 for v in values]))
+
+
+def certify_affine(x: Hypercomplex, y: Hypercomplex, tol: float = TAU_ZERO):
+    """For the stack of points [x : y], ``(ok, a)`` with a = x * _inverse(y):
+    ok marks the rows where y is a unit and a is finite.  On those rows
+    :func:`canonicalize` takes the affine branch, whose value is a, bit for
+    bit, and does not refuse the point.  A complex row also needs a finite
+    |y|^2, past which the scalar inverse rescales y first.  Rows with
+    non-finite coordinates are computed without numpy warnings."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        if x.kind is Kind.DOUBLE:
+            y_plus, y_minus = decompose(y)
+            ok = ~(abs(y_plus) <= tol) & ~(abs(y_minus) <= tol)
+        elif x.kind is Kind.DUAL:
+            ok = ~(abs(y.a1) <= tol)
+        else:
+            ok = (~((abs(y.a1) <= tol) & (abs(y.a2) <= tol))
+                  & np.isfinite(y.a1 * y.a1 + y.a2 * y.a2))
+        a = x * _inverse(y)
+        return ok & np.isfinite(a.a1) & np.isfinite(a.a2), a
+
+
+class ClassStack:
+    """The canonical classes of a stack of points.  ``ok`` marks the rows
+    certified affine, whose coordinates are the rows of the stack
+    ``affine``; ``rows`` holds the :func:`canonicalize` class of every other
+    row, and None at a certified one."""
+
+    __slots__ = ("ok", "affine", "rows")
+
+    def __init__(self, ok, affine: Hypercomplex, rows: list):
+        self.ok, self.affine, self.rows = ok, affine, rows
+
+    def __getitem__(self, i: int) -> CanonicalClass:
+        cls = self.rows[i]
+        if cls is None:
+            a = self.affine
+            cls = CanonicalClass(ClassTag.AFFINE,
+                                 affine=Hypercomplex(a.kind, float(a.a1[i]), float(a.a2[i])))
+        return cls
+
+    def tags(self) -> list[ClassTag]:
+        return [ClassTag.AFFINE if cls is None else cls.tag for cls in self.rows]
+
+
+def canonicalize_many(p: ProjPoint, tol: float = TAU_ZERO) -> ClassStack:
+    """:func:`canonicalize` of each point of the stack p.  A row that
+    :func:`certify_affine` does not certify is canonicalized as a point of
+    its own, in row order: it gets the scalar class, or raises the scalar
+    error at the same first row."""
+    ok, a = certify_affine(p.x, p.y, tol)
+    rows = [None] * len(ok)
+    x1, x2, y1, y2 = (v.tolist() for v in (p.x.a1, p.x.a2, p.y.a1, p.y.a2))
+    kind = p.kind
+    for i, certified in enumerate(ok.tolist()):
+        if not certified:
+            rows[i] = canonicalize(ProjPoint(kind, Hypercomplex(kind, x1[i], x2[i]),
+                                             Hypercomplex(kind, y1[i], y2[i])), tol)
+    return ClassStack(ok, a, rows)
+
+
+def same_class_many(p: ClassStack, q: ClassStack):
+    """:func:`same_class` of each row pair: the affine test in bulk where both
+    rows are certified, the scalar test elsewhere."""
+    import numpy as np
+
+    a, b = p.affine, q.affine
+    both = p.ok & q.ok
+    with np.errstate(all="ignore"):  # the rows not certified hold any value
+        tol = TAU_ALG * (1.0 + np.maximum(a.magnitude(), b.magnitude()))
+        same = both & (abs(a.a1 - b.a1) <= tol) & (abs(a.a2 - b.a2) <= tol)
+    for i in np.flatnonzero(~both).tolist():
+        same[i] = same_class(p[i], q[i])
+    return same
+
+
+def equivalent_many(p: ProjPoint, q: ProjPoint):
+    """:func:`equivalent` of each row pair of two stacks of points."""
+    if p.kind is not q.kind:
+        raise KindMismatchError("cannot compare points of different kinds")
+    return same_class_many(canonicalize_many(p), canonicalize_many(q))
+
+
+def _larger(a, b):
+    """Python's ``max(a, b)`` per element: a unless b > a, so NaN is kept
+    where max keeps it."""
+    import numpy as np
+
+    return np.where(b > a, b, a)
+
+
+def admissible_many(p: ProjPoint, tol: float = TAU_ZERO):
+    """:func:`admissible` of each point of the stack p, as a bool array."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        if p.kind is Kind.DOUBLE:
+            (xp, xm), (yp, ym) = decompose(p.x), decompose(p.y)
+            return (_larger(abs(xp), abs(yp)) > tol) & (_larger(abs(xm), abs(ym)) > tol)
+        if p.kind is Kind.DUAL:
+            return _larger(abs(p.x.a1), abs(p.y.a1)) > tol
+        return np.ones(np.shape(p.x.a1), bool)
 
 
 def equivalent(p: ProjPoint, q: ProjPoint) -> bool:

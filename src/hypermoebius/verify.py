@@ -13,10 +13,18 @@ Each stack draws from the generator exactly what the scalar loop over the
 same samples would draw, in the same order, so the generator reaches every
 later check in the same state and the report is the one the scalar loops
 give.
+
+The square-root, point and map checks (class partition, unit scaling,
+admissibility, transitivity, projection equivariance, class-preserving
+action, composition) draw ``_CASES`` cases one by one with the scalar
+samplers, then test them as one stack: ``projline`` canonicalizes the
+rows it certifies affine in bulk and every other row through the scalar
+``canonicalize``, and a stack of matrices makes a stack of ``MoebiusMap``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -72,14 +80,17 @@ from .projline import (
     ClassTag,
     ProjPoint,
     admissible,
+    admissible_many,
     bijection_f,
     canonical_ratio,
     canonicalize,
-    equivalent,
+    canonicalize_many,
+    equivalent_many,
     pr_base_point,
     project_sl,
     real_apply,
     same_class,
+    stack,
     transporter_nonadmissible,
     transporter_to,
 )
@@ -145,6 +156,7 @@ class _Tally:
 
 
 _CHUNK = 1_000  # samples per batched step: keeps the sweep arrays near 100 kB
+_CASES = 100  # drawn cases per stacked test: as Python objects a case takes about 1 kB
 
 
 def _sweep(name: str, what: str, n: int, draw, residual, bound: float) -> CheckResult:
@@ -228,12 +240,14 @@ def check_square_roots(rng, n: int = 10_000) -> list[CheckResult]:
     out = []
     for name, draw in (("double", double_case), ("dual", dual_case)):
         counts, identities = _Tally(), _Tally()
-        for i in range(n):
-            x, expected = draw(i)
-            roots = algebra.sqrt_all(x)
-            gaps = [(r * r - x).magnitude() for r in roots]
-            counts.add(len(roots) == expected, max(gaps, default=0.0))
-            identities.add(all(g < 1e-9 for g in gaps))
+        for start in range(0, n, _CASES):
+            xs, expected = zip(*map(draw, range(start, min(start + _CASES, n))))
+            x = stack(xs)
+            roots, kept = algebra.sqrt_all_many(x)
+            gaps = np.where(kept, (roots * roots - x).magnitude(), 0.0)
+            worst = gaps.max(axis=0)
+            counts.add_many(kept.sum(axis=0) == expected, worst)
+            identities.add_many((gaps < 1e-9).all(axis=0), worst)
         out.append(CheckResult(
             f"square-roots/{name}", counts.full and identities.full,
             f"{counts.good}/{n} counts, worst s^2-x {_fmt(counts.worst)}"))
@@ -363,24 +377,23 @@ def check_exp_split(rng, n: int = 100) -> list[CheckResult]:
 # projective line checks
 
 
-def _double_membership_flags(p: ProjPoint, tol: float) -> list[bool]:
-    xp, xm = decompose(p.x)
-    yp, ym = decompose(p.y)
-    unit = lambda a, b: abs(a) > tol and abs(b) > tol
-    x_unit = unit(xp, xm)
-    y_unit = unit(yp, ym)
-    y_zero = abs(yp) <= tol and abs(ym) <= tol
-    plus_zero = abs(xp) <= tol and abs(yp) <= tol
-    minus_zero = abs(xm) <= tol and abs(ym) <= tol
+# the class of a point, or of each point of a stack, by one flag per class:
+# numpy bools, so that ~ negates a flag of one point too
+
+
+def _double_membership_flags(p: ProjPoint, tol: float) -> list:
+    (xp, xm), (yp, ym) = decompose(p.x), decompose(p.y)
+    zp, zm, wp, wm = (np.abs(v) <= tol for v in (xp, xm, yp, ym))
+    x_unit = ~zp & ~zm
     return [
-        y_unit,                                                        # affine
-        x_unit and y_zero,                                             # infinity
-        x_unit and abs(yp) > tol and abs(ym) <= tol,                   # omega plus
-        x_unit and abs(ym) > tol and abs(yp) <= tol,                   # omega minus
-        abs(xp) > tol and abs(xm) <= tol and abs(ym) > tol and abs(yp) <= tol,  # sigma one
-        abs(xm) > tol and abs(xp) <= tol and abs(yp) > tol and abs(ym) <= tol,  # sigma two
-        minus_zero and not plus_zero,                                  # PR plus
-        plus_zero and not minus_zero,                                  # PR minus
+        ~wp & ~wm,                              # affine
+        x_unit & wp & wm,                       # infinity
+        x_unit & ~wp & wm,                      # omega plus
+        x_unit & ~wm & wp,                      # omega minus
+        ~zp & zm & ~wm & wp,                    # sigma one
+        ~zm & zp & ~wp & wm,                    # sigma two
+        zm & wm & ~(zp & wp),                   # PR plus
+        zp & wp & ~(zm & wm),                   # PR minus
     ]
 
 
@@ -389,79 +402,79 @@ _DOUBLE_FLAG_TAGS = [ClassTag.AFFINE, ClassTag.INFINITY, ClassTag.OMEGA_PLUS,
                      ClassTag.PR_PLUS, ClassTag.PR_MINUS]
 
 
-def _dual_membership_flags(p: ProjPoint, tol: float) -> list[bool]:
-    x_unit = abs(p.x.a1) > tol
-    y_unit = abs(p.y.a1) > tol
+def _dual_membership_flags(p: ProjPoint, tol: float) -> list:
+    x_unit = np.abs(p.x.a1) > tol
+    y_unit = np.abs(p.y.a1) > tol
+    y_zero = np.abs(p.y.a2) <= tol
     return [
-        y_unit,                                                # affine
-        x_unit and not y_unit and abs(p.y.a2) <= tol,          # infinity
-        x_unit and not y_unit and abs(p.y.a2) > tol,           # dual omega
-        not x_unit and not y_unit,                             # PR
+        y_unit,                                 # affine
+        x_unit & ~y_unit & y_zero,              # infinity
+        x_unit & ~y_unit & ~y_zero,             # dual omega
+        ~x_unit & ~y_unit,                      # PR
     ]
 
 
 _DUAL_FLAG_TAGS = [ClassTag.AFFINE, ClassTag.INFINITY, ClassTag.DUAL_OMEGA, ClassTag.PR]
 
 
+def _count(name: str, what: str, n: int, draw, test) -> CheckResult:
+    """n cases, ``_CASES`` at a time: each case is drawn by ``draw()`` as a
+    tuple of numbers, matrices or points, the chunk is stacked column by
+    column, and ``test`` gives each case's verdict.  The detail reads
+    "<passed>/<n> <what>"."""
+    good = 0
+    for start in range(0, n, _CASES):
+        cases = [draw() for _ in range(min(_CASES, n - start))]
+        good += int(np.count_nonzero(test(*map(stack, zip(*cases)))))
+    return CheckResult(name, good == n, f"{good}/{n} {what}")
+
+
 def check_class_partition(rng, n: int = 10_000) -> list[CheckResult]:
     out = []
-    tol = algebra.TAU_ZERO
     for kind, flags_of, tags in ((Kind.DOUBLE, _double_membership_flags, _DOUBLE_FLAG_TAGS),
                                  (Kind.DUAL, _dual_membership_flags, _DUAL_FLAG_TAGS)):
-        tally = _Tally()
-        for _ in range(n):
-            p = sampling.random_point_mixed(kind, rng)
-            flags = flags_of(p, tol)
-            cls = canonicalize(p, tol)
-            tally.add(sum(flags) == 1 and tags[flags.index(True)] is cls.tag)
-        out.append(CheckResult(
-            f"class-partition/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} points land in exactly one class"))
+        def test(p):
+            flags = np.array(flags_of(p, algebra.TAU_ZERO))
+            first = flags.argmax(axis=0).tolist()
+            return (flags.sum(axis=0) == 1) & np.array(
+                [tags[f] is tag for f, tag in zip(first, canonicalize_many(p).tags())])
+
+        out.append(_count(f"class-partition/{kind.name.lower()}",
+                          "points land in exactly one class", n,
+                          lambda: (sampling.random_point_mixed(kind, rng),), test))
     return out
 
 
 def check_unit_scaling(rng, n: int = 1_000) -> list[CheckResult]:
-    out = []
-    for kind in (Kind.DOUBLE, Kind.DUAL):
-        tally = _Tally()
-        for _ in range(n):
-            p = sampling.random_point_mixed(kind, rng)
-            u = sampling.random_unit(kind, rng, 0.2, 5.0)
-            tally.add(same_class(canonicalize(p.scaled(u)), canonicalize(p)))
-        out.append(CheckResult(
-            f"unit-scaling-stability/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} scaled points keep their class"))
-    return out
+    return [_count(f"unit-scaling-stability/{kind.name.lower()}",
+                   "scaled points keep their class", n,
+                   lambda: (sampling.random_point_mixed(kind, rng),
+                            sampling.random_unit(kind, rng, 0.2, 5.0)),
+                   lambda p, u: equivalent_many(p.scaled(u), p))
+            for kind in (Kind.DOUBLE, Kind.DUAL)]
 
 
 def check_admissibility_invariance(rng, n: int = 1_000) -> list[CheckResult]:
-    out = []
-    for kind in (Kind.DOUBLE, Kind.DUAL):
-        tally = _Tally()
-        for _ in range(n):
-            p = sampling.random_point_mixed(kind, rng)
-            m = MoebiusMap(sampling.random_gl(kind, rng))
-            tally.add(admissible(apply_point(m, p)) == admissible(p))
-        out.append(CheckResult(
-            f"admissibility-invariance/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} images preserve admissibility"))
-    return out
+    return [_count(f"admissibility-invariance/{kind.name.lower()}",
+                   "images preserve admissibility", n,
+                   lambda: (sampling.random_point_mixed(kind, rng), sampling.random_gl(kind, rng)),
+                   lambda p, g: admissible_many(apply_point(MoebiusMap(g), p))
+                   == admissible_many(p))
+            for kind in (Kind.DOUBLE, Kind.DUAL)]
 
 
 def check_transitivity(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        tally = _Tally()
-        while tally.total < n:
-            p = sampling.random_point_mixed(kind, rng)
-            if not admissible(p):
-                continue
-            m = MoebiusMap(transporter_to(p))
-            base = ProjPoint(kind, algebra.one(kind), algebra.zero(kind))
-            tally.add(equivalent(apply_point(m, base), p))
-        out.append(CheckResult(
-            f"transitivity-witness/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} transporters land on target"))
+        def draw():
+            while not admissible(p := sampling.random_point_mixed(kind, rng)):
+                pass
+            return transporter_to(p), p
+
+        base = ProjPoint(kind, algebra.one(kind), algebra.zero(kind))
+        out.append(_count(f"transitivity-witness/{kind.name.lower()}",
+                          "transporters land on target", n, draw,
+                          lambda g, p: equivalent_many(apply_point(MoebiusMap(g), base), p)))
     return out
 
 
@@ -490,30 +503,22 @@ def check_family_transporters(rng, n: int = 1_000) -> list[CheckResult]:
 
 def check_projection_equivariance(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
-    tally = _Tally()
-    for i in range(n):
-        g = sampling.random_sl(Kind.DOUBLE, rng)
-        gp, gm = project_sl(g)
-        v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-        family = "+" if i % 2 == 0 else "-"
-        comp = gp if family == "+" else gm
-        lhs = apply_point(MoebiusMap(g), bijection_f(Kind.DOUBLE, v[0], v[1], family))
-        rhs_v = real_apply(comp, v)
-        rhs = bijection_f(Kind.DOUBLE, rhs_v[0], rhs_v[1], family)
-        tally.add(equivalent(lhs, rhs))
-    out.append(CheckResult("sl-projection-equivariance/double", tally.full,
-                           f"{tally.good}/{n} component actions match"))
-    tally = _Tally()
-    for _ in range(n):
-        g = sampling.random_sl(Kind.DUAL, rng)
-        g1 = project_sl(g)
-        v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-        lhs = apply_point(MoebiusMap(g), bijection_f(Kind.DUAL, v[0], v[1]))
-        rhs_v = real_apply(g1, v)
-        rhs = bijection_f(Kind.DUAL, rhs_v[0], rhs_v[1])
-        tally.add(equivalent(lhs, rhs))
-    out.append(CheckResult("sl-projection-equivariance/dual", tally.full,
-                           f"{tally.good}/{n} a1-part actions match"))
+    for kind, what in ((Kind.DOUBLE, "component actions match"),
+                       (Kind.DUAL, "a1-part actions match")):
+        families = itertools.cycle("+-")  # double: even samples P+, odd P-
+
+        def draw():
+            g = sampling.random_sl(kind, rng)
+            comp = project_sl(g)
+            v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+            family = next(families)
+            if kind is Kind.DOUBLE:
+                comp = comp[family == "-"]
+            return (g, bijection_f(kind, *v, family),
+                    bijection_f(kind, *real_apply(comp, v), family))
+
+        out.append(_count(f"sl-projection-equivariance/{kind.name.lower()}", what, n, draw,
+                          lambda g, p, q: equivalent_many(apply_point(MoebiusMap(g), p), q)))
     return out
 
 
@@ -522,36 +527,27 @@ def check_projection_equivariance(rng, n: int = 1_000) -> list[CheckResult]:
 
 
 def check_action_class_preserving(rng, n: int = 1_000) -> list[CheckResult]:
-    out = []
-    for kind in (Kind.DOUBLE, Kind.DUAL):
-        tally = _Tally()
-        for _ in range(n):
-            m = MoebiusMap(sampling.random_gl(kind, rng))
-            p = sampling.random_point_mixed(kind, rng)
-            u = sampling.random_unit(kind, rng, 0.2, 5.0)
-            tally.add(same_class(apply(m, p.scaled(u)), apply(m, p)))
-        out.append(CheckResult(
-            f"action-class-preserving/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} unit rescalings act identically"))
-    return out
+    def test(g, p, u):
+        m = MoebiusMap(g)
+        return equivalent_many(apply_point(m, p.scaled(u)), apply_point(m, p))
+
+    return [_count(f"action-class-preserving/{kind.name.lower()}",
+                   "unit rescalings act identically", n,
+                   lambda: (sampling.random_gl(kind, rng), sampling.random_point_mixed(kind, rng),
+                            sampling.random_unit(kind, rng, 0.2, 5.0)), test)
+            for kind in (Kind.DOUBLE, Kind.DUAL)]
 
 
 def check_composition(rng, n: int = 1_000) -> list[CheckResult]:
-    out = []
-    for kind in RING_KINDS:
-        tally = _Tally()
-        for _ in range(n):
-            m1 = MoebiusMap(sampling.random_gl(kind, rng))
-            m2 = MoebiusMap(sampling.random_gl(kind, rng))
-            p = sampling.random_point_mixed(kind, rng) if kind is not Kind.COMPLEX \
-                else sampling.random_point(kind, rng)
-            lhs = apply(compose(m1, m2), p)
-            rhs = apply(m1, apply_point(m2, p))
-            tally.add(same_class(lhs, rhs))
-        out.append(CheckResult(
-            f"composition-homomorphism/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{n} compositions agree"))
-    return out
+    def test(g1, g2, p):
+        m1, m2 = MoebiusMap(g1), MoebiusMap(g2)
+        return equivalent_many(apply_point(compose(m1, m2), p), apply_point(m1, apply_point(m2, p)))
+
+    return [_count(f"composition-homomorphism/{kind.name.lower()}", "compositions agree", n,
+                   lambda: (sampling.random_gl(kind, rng), sampling.random_gl(kind, rng),
+                            sampling.random_point(kind, rng) if kind is Kind.COMPLEX
+                            else sampling.random_point_mixed(kind, rng)), test)
+            for kind in RING_KINDS]
 
 
 def check_kernels(seed: int) -> list[CheckResult]:

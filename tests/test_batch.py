@@ -12,9 +12,9 @@ import operator
 import numpy as np
 import pytest
 
-from hypermoebius import algebra, matrix2, sampling, subgroups, verify
+from hypermoebius import algebra, matrix2, moebius, projline, sampling, subgroups, verify
 from hypermoebius.algebra import Hypercomplex, Kind, invert_many, stacked
-from hypermoebius.errors import NotInvertibleError
+from hypermoebius.errors import KindMismatchError, NotInvertibleError
 from hypermoebius.matrix2 import (
     Mat2,
     adj_real,
@@ -98,9 +98,6 @@ class TestStackedNumbers:
         x = sampling.random_numbers(rng, (N,))
         assert same(stacked(kind, x).magnitude(),
                     np.array([v.magnitude() for v in numbers(kind, x)]))
-        # a float coordinate beside an array one, as a stacked family entry has
-        mixed = Hypercomplex(kind, 0.0, x[:, 1])
-        assert same(mixed.magnitude(), abs(x[:, 1]))
 
     def test_times_a_float_array(self, kind, rng):
         x, s = sampling.random_numbers(rng, (2,)), rng.uniform(-2, 2, N)
@@ -120,6 +117,62 @@ class TestStackedNumbers:
             with pytest.raises(NotInvertibleError) as info:
                 invert_many(stacked(kind, x))
             assert str(info.value.element_class) == name  # the first non-unit's class
+
+
+class TestStackedSquareRoots:
+    VALUES = [0.0, -0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.01, 0.3, 1.0, -1.0, 2.25, -4.0]
+
+    @pytest.mark.parametrize("tols", [(algebra.TAU_ZERO, algebra.TAU_ALG), (1e-12, 0.4)])
+    @pytest.mark.parametrize("kind", [Kind.DOUBLE, Kind.DUAL])
+    def test_roots_as_sqrt_all_lists_them(self, kind, tols, rng):
+        grid = np.array([(p, m) for p in self.VALUES for m in self.VALUES])
+        x = np.concatenate((grid, rng.uniform(-3, 3, size=(200, 2))))
+        if kind is Kind.DOUBLE:  # the grid as idempotent components
+            x = coords(algebra.recompose(x[:, 0], x[:, 1]))
+        roots, kept = algebra.sqrt_all_many(stacked(kind, x), *tols)
+        got = [[(r1, r2) for r1, r2, k in zip(*col) if k]
+               for col in zip(roots.a1.T.tolist(), roots.a2.T.tolist(), kept.T.tolist())]
+        want = [[(r.a1, r.a2) for r in algebra.sqrt_all(v, *tols)] for v in numbers(kind, x)]
+        assert got == want
+        # the signs of zero roots too
+        assert [np.signbit(r).tolist() for r in got] == [np.signbit(r).tolist() for r in want]
+        assert {len(r) for r in want} == ({0, 1, 2, 4} if kind is Kind.DOUBLE else {0, 1, 2})
+
+    def test_complex_is_refused(self):
+        with pytest.raises(KindMismatchError):
+            algebra.sqrt_all_many(stacked(Kind.COMPLEX, np.ones((3, 2))))
+
+
+class TestStackInvariant:
+    """Every coordinate of a stack is an array of the stack's shape, also
+    where a family entry is zero for every t."""
+
+    @pytest.mark.parametrize("spec", [
+        subgroups.DualGL(subgroups.SigmaKind.TRIVIAL, 0.3, 1.1, 0.2),
+        subgroups.DoubleGL(subgroups.SigmaKind.TRIVIAL, 0.3, subgroups.SigmaKind.TRIVIAL, -0.2),
+        subgroups.DoubleSL(subgroups.SigmaKind.ELLIPTIC, subgroups.SigmaKind.TRIVIAL),
+    ])
+    def test_trivial_regime_stacks(self, spec):
+        ts = np.linspace(-1, 1, 5)
+        g = eval_subgroup(spec, ts)
+        for e in g.entries():
+            assert type(e.a1) is type(e.a2) is np.ndarray and e.a1.shape == e.a2.shape == (5,)
+        want = stack([eval_subgroup(spec, t) for t in ts.tolist()])
+        assert same(coords(g), want)
+        assert same(g.max_entry_magnitude(),
+                    np.array([eval_subgroup(spec, t).max_entry_magnitude()
+                              for t in ts.tolist()]))
+
+    def test_joins_broadcast_floats(self):
+        arr = np.array([-1.5, 0.0, 2.0])
+        for join in (matrix2.join_double, matrix2.join_dual):
+            got = join((arr, 0.0, -0.0, arr), (0.0, arr, 1.0, -arr))
+            want = [join((a, 0.0, -0.0, a), (0.0, b, 1.0, -b))
+                    for a, b in zip(arr.tolist(), arr.tolist())]
+            assert same(coords(got), stack(want))
+            assert all(type(c) is np.ndarray for e in got.entries() for c in (e.a1, e.a2))
+            # the signs of zeros are kept
+            assert same(np.signbit(coords(got)), np.signbit(stack(want)))
 
 
 class TestStackedSplit:
@@ -613,4 +666,244 @@ class TestSubgroupChecksMatchScalarLoops:
             tally = tally_of(residuals, lambda r: r < 1e-5)
             assert result.detail == (f"{tally.good}/{len(family_specs)} descriptions, "
                                      f"worst {verify._fmt(tally.worst)}")
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the scalar loops of the square-root, point and map checks, as an oracle
+# for the stacked ones: the point, map and root classes one sample at a time
+
+
+def scalar_square_roots(rng, n):
+    def double_case(i: int):
+        case = i % 4
+        if case == 0:
+            return algebra.recompose(rng.uniform(0.05, 9.0), rng.uniform(0.05, 9.0)), 4
+        if case == 1:
+            x = algebra.recompose(rng.uniform(0.05, 9.0), 0.0) if rng.random() < 0.5 \
+                else algebra.recompose(0.0, rng.uniform(0.05, 9.0))
+            return x, 2
+        if case == 2:
+            return algebra.zero(Kind.DOUBLE), 1
+        return algebra.recompose(-rng.uniform(0.05, 9.0), rng.uniform(-9.0, 9.0)), 0
+
+    def dual_case(i: int):
+        case = i % 3
+        if case == 0:
+            return Hypercomplex(Kind.DUAL, rng.uniform(0.05, 9.0), rng.uniform(-9.0, 9.0)), 2
+        if case == 1:
+            return algebra.zero(Kind.DUAL), 1
+        x = Hypercomplex(Kind.DUAL, -rng.uniform(0.05, 9.0), rng.uniform(-9.0, 9.0)) \
+            if rng.random() < 0.5 else Hypercomplex(Kind.DUAL, 0.0, rng.uniform(0.2, 9.0))
+        return x, 0
+
+    out, residuals = [], []
+    for name, draw in (("double", double_case), ("dual", dual_case)):
+        counts, identities = verify._Tally(), verify._Tally()
+        for i in range(n):
+            x, expected = draw(i)
+            roots = algebra.sqrt_all(x)
+            gaps = [(r * r - x).magnitude() for r in roots]
+            residuals.append(max(gaps, default=0.0))
+            counts.add(len(roots) == expected, max(gaps, default=0.0))
+            identities.add(all(g < 1e-9 for g in gaps))
+        out.append(verify.CheckResult(
+            f"square-roots/{name}", counts.full and identities.full,
+            f"{counts.good}/{n} counts, worst s^2-x {verify._fmt(counts.worst)}"))
+    return out, residuals
+
+
+def scalar_double_flags(p, tol):
+    xp, xm = algebra.decompose(p.x)
+    yp, ym = algebra.decompose(p.y)
+    unit = lambda a, b: abs(a) > tol and abs(b) > tol
+    x_unit = unit(xp, xm)
+    y_unit = unit(yp, ym)
+    y_zero = abs(yp) <= tol and abs(ym) <= tol
+    plus_zero = abs(xp) <= tol and abs(yp) <= tol
+    minus_zero = abs(xm) <= tol and abs(ym) <= tol
+    return [
+        y_unit,
+        x_unit and y_zero,
+        x_unit and abs(yp) > tol and abs(ym) <= tol,
+        x_unit and abs(ym) > tol and abs(yp) <= tol,
+        abs(xp) > tol and abs(xm) <= tol and abs(ym) > tol and abs(yp) <= tol,
+        abs(xm) > tol and abs(xp) <= tol and abs(yp) > tol and abs(ym) <= tol,
+        minus_zero and not plus_zero,
+        plus_zero and not minus_zero,
+    ]
+
+
+def scalar_dual_flags(p, tol):
+    x_unit = abs(p.x.a1) > tol
+    y_unit = abs(p.y.a1) > tol
+    return [
+        y_unit,
+        x_unit and not y_unit and abs(p.y.a2) <= tol,
+        x_unit and not y_unit and abs(p.y.a2) > tol,
+        not x_unit and not y_unit,
+    ]
+
+
+def scalar_class_partition(rng, n):
+    out = []
+    tol = algebra.TAU_ZERO
+    for kind, flags_of, tags in ((Kind.DOUBLE, scalar_double_flags, verify._DOUBLE_FLAG_TAGS),
+                                 (Kind.DUAL, scalar_dual_flags, verify._DUAL_FLAG_TAGS)):
+        tally = verify._Tally()
+        for _ in range(n):
+            p = sampling.random_point_mixed(kind, rng)
+            flags = flags_of(p, tol)
+            cls = projline.canonicalize(p, tol)
+            tally.add(sum(flags) == 1 and tags[flags.index(True)] is cls.tag)
+        out.append(verify.CheckResult(
+            f"class-partition/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} points land in exactly one class"))
+    return out
+
+
+def scalar_unit_scaling(rng, n):
+    out = []
+    for kind in (Kind.DOUBLE, Kind.DUAL):
+        tally = verify._Tally()
+        for _ in range(n):
+            p = sampling.random_point_mixed(kind, rng)
+            u = sampling.random_unit(kind, rng, 0.2, 5.0)
+            tally.add(projline.same_class(projline.canonicalize(p.scaled(u)),
+                                          projline.canonicalize(p)))
+        out.append(verify.CheckResult(
+            f"unit-scaling-stability/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} scaled points keep their class"))
+    return out
+
+
+def scalar_admissibility_invariance(rng, n):
+    out = []
+    for kind in (Kind.DOUBLE, Kind.DUAL):
+        tally = verify._Tally()
+        for _ in range(n):
+            p = sampling.random_point_mixed(kind, rng)
+            m = moebius.MoebiusMap(sampling.random_gl(kind, rng))
+            tally.add(projline.admissible(moebius.apply_point(m, p)) == projline.admissible(p))
+        out.append(verify.CheckResult(
+            f"admissibility-invariance/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} images preserve admissibility"))
+    return out
+
+
+def scalar_transitivity(rng, n):
+    out = []
+    for kind in KINDS:
+        tally = verify._Tally()
+        while tally.total < n:
+            p = sampling.random_point_mixed(kind, rng)
+            if not projline.admissible(p):
+                continue
+            m = moebius.MoebiusMap(projline.transporter_to(p))
+            base = projline.ProjPoint(kind, algebra.one(kind), algebra.zero(kind))
+            tally.add(projline.equivalent(moebius.apply_point(m, base), p))
+        out.append(verify.CheckResult(
+            f"transitivity-witness/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} transporters land on target"))
+    return out
+
+
+def scalar_projection_equivariance(rng, n):
+    out = []
+    tally = verify._Tally()
+    for i in range(n):
+        g = sampling.random_sl(Kind.DOUBLE, rng)
+        gp, gm = projline.project_sl(g)
+        v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        family = "+" if i % 2 == 0 else "-"
+        comp = gp if family == "+" else gm
+        lhs = moebius.apply_point(moebius.MoebiusMap(g),
+                                  projline.bijection_f(Kind.DOUBLE, v[0], v[1], family))
+        rhs_v = projline.real_apply(comp, v)
+        rhs = projline.bijection_f(Kind.DOUBLE, rhs_v[0], rhs_v[1], family)
+        tally.add(projline.equivalent(lhs, rhs))
+    out.append(verify.CheckResult("sl-projection-equivariance/double", tally.full,
+                                  f"{tally.good}/{n} component actions match"))
+    tally = verify._Tally()
+    for _ in range(n):
+        g = sampling.random_sl(Kind.DUAL, rng)
+        g1 = projline.project_sl(g)
+        v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        lhs = moebius.apply_point(moebius.MoebiusMap(g), projline.bijection_f(Kind.DUAL, *v))
+        rhs_v = projline.real_apply(g1, v)
+        rhs = projline.bijection_f(Kind.DUAL, rhs_v[0], rhs_v[1])
+        tally.add(projline.equivalent(lhs, rhs))
+    out.append(verify.CheckResult("sl-projection-equivariance/dual", tally.full,
+                                  f"{tally.good}/{n} a1-part actions match"))
+    return out
+
+
+def scalar_action_class_preserving(rng, n):
+    out = []
+    for kind in (Kind.DOUBLE, Kind.DUAL):
+        tally = verify._Tally()
+        for _ in range(n):
+            m = moebius.MoebiusMap(sampling.random_gl(kind, rng))
+            p = sampling.random_point_mixed(kind, rng)
+            u = sampling.random_unit(kind, rng, 0.2, 5.0)
+            tally.add(projline.same_class(moebius.apply(m, p.scaled(u)), moebius.apply(m, p)))
+        out.append(verify.CheckResult(
+            f"action-class-preserving/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} unit rescalings act identically"))
+    return out
+
+
+def scalar_composition(rng, n):
+    out = []
+    for kind in KINDS:
+        tally = verify._Tally()
+        for _ in range(n):
+            m1 = moebius.MoebiusMap(sampling.random_gl(kind, rng))
+            m2 = moebius.MoebiusMap(sampling.random_gl(kind, rng))
+            p = sampling.random_point_mixed(kind, rng) if kind is not Kind.COMPLEX \
+                else sampling.random_point(kind, rng)
+            lhs = moebius.apply(moebius.compose(m1, m2), p)
+            rhs = moebius.apply(m1, moebius.apply_point(m2, p))
+            tally.add(projline.same_class(lhs, rhs))
+        out.append(verify.CheckResult(
+            f"composition-homomorphism/{kind.name.lower()}", tally.full,
+            f"{tally.good}/{n} compositions agree"))
+    return out
+
+
+SCALAR_CHECKS = {
+    "check_class_partition": scalar_class_partition,
+    "check_unit_scaling": scalar_unit_scaling,
+    "check_admissibility_invariance": scalar_admissibility_invariance,
+    "check_transitivity": scalar_transitivity,
+    "check_projection_equivariance": scalar_projection_equivariance,
+    "check_action_class_preserving": scalar_action_class_preserving,
+    "check_composition": scalar_composition,
+}
+
+
+class TestPointAndMapChecksMatchScalarLoops:
+    """Each stacked check against its scalar loop: the same report lines
+    (counts, and the worst residual where the line has one), at two seeds,
+    over several stacks and a partial one, and the generator left in the
+    same state."""
+
+    N = 5 * verify._CASES + 34
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(SCALAR_CHECKS))
+    def test_same_report(self, name, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert getattr(verify, name)(rng, n=self.N) == SCALAR_CHECKS[name](ref, self.N)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_square_roots(self, seed, recorded):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        results = verify.check_square_roots(rng, n=self.N)
+        want, residuals = scalar_square_roots(ref, self.N)
+        assert results == want
+        # the counts tally gets each chunk's worst residuals first, then the
+        # identities tally the same array
+        assert same(np.concatenate(recorded[0::2]), np.array(residuals))
         assert rng.bit_generator.state == ref.bit_generator.state

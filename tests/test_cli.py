@@ -204,6 +204,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_dual_residual_past_the_float_range_is_blank(self, capsys):
+        # den2 ** 2 of a start near 1e150 raises OverflowError, a traceback
+        # and exit 1 before the residual was made None there
+        argv = ["orbit", "--spec", "dual-sl(sigma=K,lambda=1,t0=0.5)",
+                "--start", "1" + "0" * 150 + ",2", "--t", "0:1:0.5", "--output", "csv"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[4] for row in rows] == ["", "", ""]
+        assert rows[0][2] == "1e+150"
+
     def test_nonpositive_tolerance_is_usage_error(self, capsys):
         code, _, _ = run(["classify-element", "--algebra", "dual",
                           "--tol-zero", "-1", "1+2e"], capsys)

@@ -1,17 +1,21 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermoebius import algebra
 from hypermoebius.algebra import Kind, P_MINUS, P_PLUS, number, one, zero, generator
 from hypermoebius.errors import (
+    HypermoebiusError,
     InvalidPointError,
     KindMismatchError,
     MembershipError,
     NotAdmissibleError,
+    SingularMatrixError,
 )
-from hypermoebius.matrix2 import det, identity, membership
+from hypermoebius.matrix2 import Mat2, det, identity, membership
 from hypermoebius.moebius import MoebiusMap, apply_point
 from hypermoebius.projline import (
     CanonicalClass,
@@ -19,10 +23,13 @@ from hypermoebius.projline import (
     OrbitLabel,
     ProjPoint,
     admissible,
+    admissible_many,
     bijection_f,
     canonical_ratio,
     canonicalize,
+    canonicalize_many,
     equivalent,
+    equivalent_many,
     orbit_label,
     parse_point,
     point,
@@ -32,6 +39,8 @@ from hypermoebius.projline import (
     real_projective_equal,
     render_point,
     same_class,
+    same_class_many,
+    stack,
     transporter_nonadmissible,
     transporter_to,
 )
@@ -278,3 +287,134 @@ def test_canonical_ratio_orientation():
     assert canonical_ratio(-3.0, -4.0) == pytest.approx((0.6, 0.8))
     x, y = canonical_ratio(0.0, -2.0)
     assert x == pytest.approx(0.0) and y == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked canonicalizer against the scalar one, row by row
+
+
+def bits(cls):
+    """A canonical class as its tag and the exact bits of its payload."""
+    pack = lambda v: None if v is None else struct.pack("<d", v)
+    affine = cls.affine and (pack(cls.affine.a1), pack(cls.affine.a2))
+    return cls.tag, affine, pack(cls.lam), cls.ratio and tuple(map(pack, cls.ratio))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of what it raises.  Some NaN rows make
+    the scalar canonicalize raise ZeroDivisionError; a stack raises it too."""
+    try:
+        return fn(*args)
+    except (HypermoebiusError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+E = generator(Kind.DUAL)
+ONE_OF_EACH_TAG = {  # a point of every class tag of the kind
+    Kind.DOUBLE: [(2.0, 1.0), (1.0, 0.0), (1.0, P_PLUS * 2), (1.0, P_MINUS * 2),
+                  (P_PLUS, P_MINUS), (P_MINUS, P_PLUS), (P_PLUS, P_PLUS * 2),
+                  (P_MINUS, P_MINUS * -2)],
+    Kind.DUAL: [(2.0, 1.0), (1.0, 0.0), (1.0, E * 3), (E, E * -2)],
+    Kind.COMPLEX: [(2.0, 1.0), (1.0, 0.0)],
+}
+# zeros, values at and around the structural-zero tolerance, values whose
+# squares overflow, and non-finite values
+SPECIAL = [0.0, -0.0, 1e-13, -3e-13, 1e-12, -1e-12, 2e-12, 1.0, -1.5, 1e300, -1e300,
+           math.inf, -math.inf, math.nan]
+COORDINATE = st.one_of(st.sampled_from(SPECIAL), st.floats(-5.0, 5.0))
+# a flag, then four floats: the idempotent components of x and y (a double
+# row with the flag set) or the coordinates of x and y
+ROW = st.tuples(st.booleans(), COORDINATE, COORDINATE, COORDINATE, COORDINATE)
+
+
+def row_coordinates(kind, row):
+    components, *v = row
+    if kind is Kind.DOUBLE and components:
+        return algebra.recompose(v[0], v[1]), algebra.recompose(v[2], v[3])
+    return algebra.Hypercomplex(kind, v[0], v[1]), algebra.Hypercomplex(kind, v[2], v[3])
+
+
+def test_fixed_rows_cover_every_tag():
+    tags = {canonicalize(point(kind, x, y)).tag
+            for kind, rows in ONE_OF_EACH_TAG.items() for x, y in rows}
+    assert tags == set(ClassTag)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(kind=st.sampled_from([Kind.DOUBLE, Kind.DUAL, Kind.COMPLEX]),
+       rows=st.lists(ROW, max_size=12), data=st.data())
+def test_stacked_canonicalizer_matches_scalar_row_by_row(kind, rows, data):
+    pairs = [row_coordinates(kind, row) for row in rows]
+    pairs += [(point(kind, x, y).x, point(kind, x, y).y) for x, y in ONE_OF_EACH_TAG[kind]]
+    pairs = data.draw(st.permutations(pairs))
+    points = [outcome(ProjPoint, kind, x, y) for x, y in pairs]
+    # a stack of points is refused as its first refused point is
+    first_bad = next((p for p in points if not isinstance(p, ProjPoint)), None)
+    got = outcome(ProjPoint, kind, stack([x for x, _ in pairs]), stack([y for _, y in pairs]))
+    if first_bad is not None:
+        assert got == first_bad
+    points = [p for p in points if isinstance(p, ProjPoint)]
+    p = stack(points)
+    assert admissible_many(p).tolist() == [admissible(q) for q in points]
+
+    classes = [outcome(canonicalize, q) for q in points]
+    first_bad = next((c for c in classes if not isinstance(c, CanonicalClass)), None)
+    if first_bad is not None:
+        assert outcome(canonicalize_many, p) == first_bad
+    kept = [q for q, c in zip(points, classes) if isinstance(c, CanonicalClass)]
+    classes = [c for c in classes if isinstance(c, CanonicalClass)]
+    if not kept:
+        return
+    many = canonicalize_many(stack(kept))
+    assert [bits(many[i]) for i in range(len(kept))] == [bits(c) for c in classes]
+    assert many.tags() == [c.tag for c in classes]
+    # certified rows are affine ones
+    assert all(c.tag is ClassTag.AFFINE for c, ok in zip(classes, many.ok.tolist()) if ok)
+
+    order = data.draw(st.permutations(range(len(kept))))
+    other = canonicalize_many(stack([kept[i] for i in order]))
+    assert same_class_many(many, other).tolist() == [
+        same_class(c, classes[i]) for c, i in zip(classes, order)]
+    # same_class is not reflexive where a payload is NaN
+    assert same_class_many(many, many).tolist() == [same_class(c, c) for c in classes]
+    # the classes of the points rescaled by a unit: equal up to rounding,
+    # which the tolerance scales with the coordinates
+    u = algebra.Hypercomplex(kind, 0.75, 0.25)
+    rescaled = [outcome(lambda q: canonicalize(q.scaled(u)), q) for q in kept]
+    rows = [i for i, c in enumerate(rescaled) if isinstance(c, CanonicalClass)]
+    if rows:
+        got = same_class_many(canonicalize_many(stack([kept[i] for i in rows])),
+                              canonicalize_many(stack([kept[i].scaled(u) for i in rows])))
+        assert got.tolist() == [same_class(classes[i], rescaled[i]) for i in rows]
+
+
+class TestStackedPoints:
+    def test_image_and_scaling_point_by_point(self):
+        rng = rng_from_seed(3)
+        for kind in (Kind.DOUBLE, Kind.DUAL, Kind.COMPLEX):
+            points = [random_point_mixed(kind, rng) for _ in range(50)]
+            maps = [random_gl(kind, rng) for _ in range(50)]
+            units = [random_unit(kind, rng) for _ in range(50)]
+            got = apply_point(MoebiusMap(stack(maps)), stack(points).scaled(stack(units)))
+            want = [apply_point(MoebiusMap(g), q.scaled(u))
+                    for g, q, u in zip(maps, points, units)]
+            assert (stack([q.x for q in want]).a1 == got.x.a1).all()
+            assert (stack([q.y for q in want]).a2 == got.y.a2).all()
+            assert equivalent_many(got, stack(want)).all()
+
+    def test_singular_map_in_a_stack(self):
+        good = identity(Kind.DUAL)
+        bad = Mat2(Kind.DUAL, E, zero(Kind.DUAL), zero(Kind.DUAL), one(Kind.DUAL))
+        zero_det = Mat2(Kind.DUAL, *[zero(Kind.DUAL)] * 3, one(Kind.DUAL))
+        with pytest.raises(SingularMatrixError) as info:
+            MoebiusMap(stack([good, bad, zero_det, good]))
+        with pytest.raises(SingularMatrixError) as scalar:
+            MoebiusMap(bad)
+        assert str(info.value) == str(scalar.value)
+        assert str(info.value.det_class) == "NilpotentNonzero"  # the first singular matrix
+
+    def test_kinds_must_match(self):
+        p = stack([point(Kind.DUAL, 1.0, 2.0)])
+        q = stack([point(Kind.DOUBLE, 1.0, 2.0)])
+        with pytest.raises(KindMismatchError):
+            equivalent_many(p, q)
