@@ -379,7 +379,7 @@ def invert_many(x: Hypercomplex) -> Hypercomplex:
     return _inverse(x)
 
 
-def sqrt_all_many(x: Hypercomplex, tol_zero: float = TAU_ZERO, tol_alg: float = TAU_ALG):
+def sqrt_all_many(x: Hypercomplex):
     """:func:`sqrt_all` of each number of a double or dual stack x, as
     ``(roots, kept)``: a stack of candidate roots of shape ``(k,) + shape``
     and a bool array of that shape.  The roots of number i are
@@ -388,7 +388,7 @@ def sqrt_all_many(x: Hypercomplex, tol_zero: float = TAU_ZERO, tol_alg: float = 
     where x is, so the roots can be squared without numpy warnings.
 
     Double numbers take sqrt_all's four sign choices per idempotent
-    component, each kept unless it is within ``tol_alg`` of a kept one
+    component, each kept unless it is within ``TAU_ALG`` of a kept one
     before it; dual numbers take the root of the a1-part and its negative,
     or zero.  Complex stacks raise :class:`KindMismatchError`.
     """
@@ -397,26 +397,26 @@ def sqrt_all_many(x: Hypercomplex, tol_zero: float = TAU_ZERO, tol_alg: float = 
     with np.errstate(all="ignore"):  # roots of negative or zero parts are not kept
         if x.kind is Kind.DOUBLE:
             p, m = decompose(x)
-            rp = np.where(p > tol_zero, np.sqrt(p), 0.0)
-            rm = np.where(m > tol_zero, np.sqrt(m), 0.0)
+            rp = np.where(p > TAU_ZERO, np.sqrt(p), 0.0)
+            rm = np.where(m > TAU_ZERO, np.sqrt(m), 0.0)
             roots = recompose(np.stack((rp, rp, -rp, -rp)), np.stack((rm, -rm, rm, -rm)))
             kept = np.empty(roots.a1.shape, bool)
-            kept[0] = ~((p < -tol_zero) | (m < -tol_zero))
+            kept[0] = ~((p < -TAU_ZERO) | (m < -TAU_ZERO))
             for j in range(1, 4):
                 dup = np.zeros(p.shape, bool)
                 for i in range(j):
-                    dup |= (kept[i] & (abs(roots.a1[j] - roots.a1[i]) <= tol_alg)
-                            & (abs(roots.a2[j] - roots.a2[i]) <= tol_alg))
+                    dup |= (kept[i] & (abs(roots.a1[j] - roots.a1[i]) <= TAU_ALG)
+                            & (abs(roots.a2[j] - roots.a2[i]) <= TAU_ALG))
                 kept[j] = kept[0] & ~dup
             return roots, kept
         if x.kind is not Kind.DUAL:
             raise KindMismatchError("stacked square roots are defined for double and dual numbers")
-        zero_part = abs(x.a1) <= tol_zero
+        zero_part = abs(x.a1) <= TAU_ZERO
         two = ~zero_part & ~(x.a1 < 0)
         r = np.sqrt(x.a1)
         # zero where the a1-part has no two roots: the root kept at x = 0
         r1, r2 = np.where(two, r, 0.0), np.where(two, x.a2 / (2.0 * r), 0.0)
-        kept = np.stack((two | (zero_part & (abs(x.a2) <= tol_zero)), two))
+        kept = np.stack((two | (zero_part & (abs(x.a2) <= TAU_ZERO)), two))
         return Hypercomplex(Kind.DUAL, np.stack((r1, -r1)), np.stack((r2, -r2))), kept
 
 

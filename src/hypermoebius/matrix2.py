@@ -175,25 +175,11 @@ def normalize_to_sl(x: Mat2) -> Mat2:
 # component reductions (real 2x2 matrices as float 4-tuples or numpy arrays)
 
 
-def _one_shape(part1, part2) -> tuple[tuple, tuple]:
-    """Two 4-tuples of coordinates, with each float that stands beside an
-    array made an array of that shape and value: a stack built from them
-    has every coordinate an array of one shape, and the same values."""
-    coords = (*part1, *part2)
-    if len(set(map(type, coords))) > 1:  # floats beside arrays, maybe
-        shape = next((c.shape for c in coords if is_stack(c)), None)
-        if shape is not None:
-            import numpy as np
-
-            coords = [c if is_stack(c) else np.full(shape, c) for c in coords]
-    return coords[:4], coords[4:]
-
-
 def join_double(plus, minus) -> Mat2:
     """The double matrix A+ P+ + A- P- from its component matrices, each
-    given as the floats (a, b, c, d), or as arrays and floats for a stack;
+    given as the floats (a, b, c, d), or as arrays of one shape for a stack;
     the inverse of :func:`split_double`."""
-    return Mat2(Kind.DOUBLE, *map(algebra.recompose, *_one_shape(plus, minus)))
+    return Mat2(Kind.DOUBLE, *map(algebra.recompose, plus, minus))
 
 
 def double_from_components(a_plus: np.ndarray, a_minus: np.ndarray) -> Mat2:
@@ -211,10 +197,9 @@ def split_double(x: Mat2) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def join_dual(part1, part2) -> Mat2:
     """The dual matrix A1 + eps*A2 from its real part A1 and eps-part A2, each
-    given as the floats (a, b, c, d), or as arrays and floats for a stack;
+    given as the floats (a, b, c, d), or as arrays of one shape for a stack;
     the inverse of :func:`split_dual`."""
-    return Mat2(Kind.DUAL, *(Hypercomplex(Kind.DUAL, x, y)
-                             for x, y in zip(*_one_shape(part1, part2))))
+    return Mat2(Kind.DUAL, *(Hypercomplex(Kind.DUAL, x, y) for x, y in zip(part1, part2)))
 
 
 def dual_from_parts(a1: np.ndarray, a2: np.ndarray) -> Mat2:

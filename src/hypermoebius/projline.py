@@ -280,7 +280,7 @@ def stack(values):
                         np.array([v.a2 for v in values]))
 
 
-def certify_affine(x: Hypercomplex, y: Hypercomplex, tol: float = TAU_ZERO):
+def certify_affine(x: Hypercomplex, y: Hypercomplex):
     """For the stack of points [x : y], ``(ok, a)`` with a = x * _inverse(y):
     ok marks the rows where y is a unit and a is finite.  On those rows
     :func:`canonicalize` takes the affine branch, whose value is a, bit for
@@ -292,11 +292,11 @@ def certify_affine(x: Hypercomplex, y: Hypercomplex, tol: float = TAU_ZERO):
     with np.errstate(all="ignore"):
         if x.kind is Kind.DOUBLE:
             y_plus, y_minus = decompose(y)
-            ok = ~(abs(y_plus) <= tol) & ~(abs(y_minus) <= tol)
+            ok = ~(abs(y_plus) <= TAU_ZERO) & ~(abs(y_minus) <= TAU_ZERO)
         elif x.kind is Kind.DUAL:
-            ok = ~(abs(y.a1) <= tol)
+            ok = ~(abs(y.a1) <= TAU_ZERO)
         else:
-            ok = (~((abs(y.a1) <= tol) & (abs(y.a2) <= tol))
+            ok = (~((abs(y.a1) <= TAU_ZERO) & (abs(y.a2) <= TAU_ZERO))
                   & np.isfinite(y.a1 * y.a1 + y.a2 * y.a2))
         a = x * _inverse(y)
         return ok & np.isfinite(a.a1) & np.isfinite(a.a2), a
@@ -325,19 +325,19 @@ class ClassStack:
         return [ClassTag.AFFINE if cls is None else cls.tag for cls in self.rows]
 
 
-def canonicalize_many(p: ProjPoint, tol: float = TAU_ZERO) -> ClassStack:
+def canonicalize_many(p: ProjPoint) -> ClassStack:
     """:func:`canonicalize` of each point of the stack p.  A row that
     :func:`certify_affine` does not certify is canonicalized as a point of
     its own, in row order: it gets the scalar class, or raises the scalar
     error at the same first row."""
-    ok, a = certify_affine(p.x, p.y, tol)
+    ok, a = certify_affine(p.x, p.y)
     rows = [None] * len(ok)
     x1, x2, y1, y2 = (v.tolist() for v in (p.x.a1, p.x.a2, p.y.a1, p.y.a2))
     kind = p.kind
     for i, certified in enumerate(ok.tolist()):
         if not certified:
             rows[i] = canonicalize(ProjPoint(kind, Hypercomplex(kind, x1[i], x2[i]),
-                                             Hypercomplex(kind, y1[i], y2[i])), tol)
+                                             Hypercomplex(kind, y1[i], y2[i])))
     return ClassStack(ok, a, rows)
 
 
@@ -371,16 +371,17 @@ def _larger(a, b):
     return np.where(b > a, b, a)
 
 
-def admissible_many(p: ProjPoint, tol: float = TAU_ZERO):
+def admissible_many(p: ProjPoint):
     """:func:`admissible` of each point of the stack p, as a bool array."""
     import numpy as np
 
     with np.errstate(all="ignore"):
         if p.kind is Kind.DOUBLE:
             (xp, xm), (yp, ym) = decompose(p.x), decompose(p.y)
-            return (_larger(abs(xp), abs(yp)) > tol) & (_larger(abs(xm), abs(ym)) > tol)
+            return ((_larger(abs(xp), abs(yp)) > TAU_ZERO)
+                    & (_larger(abs(xm), abs(ym)) > TAU_ZERO))
         if p.kind is Kind.DUAL:
-            return _larger(abs(p.x.a1), abs(p.y.a1)) > tol
+            return _larger(abs(p.x.a1), abs(p.y.a1)) > TAU_ZERO
         return np.ones(np.shape(p.x.a1), bool)
 
 

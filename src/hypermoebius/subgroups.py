@@ -105,8 +105,8 @@ _LETTERS = {
 def rotation(sigma_kind: SigmaKind, t: float, lam: float = 0.0) -> tuple[float, ...]:
     """H'_sigma(t) as the floats (a, b, c, d) (H_sigma(t) when lam = 0).
 
-    At a 1-d numpy float array of t the entries are arrays, or the float 0.0
-    where the entry is zero for every t (see :func:`_rotation_stack`)."""
+    At a 1-d numpy float array of t the entries are arrays of t's shape
+    (see :func:`_rotation_stack`)."""
     # an identity test first costs the float path less than a call
     if type(t) is not float and is_stack(t):
         return _rotation_stack(sigma_kind, t, lam)
@@ -134,9 +134,11 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
 def _rotation_stack(sigma_kind: SigmaKind, t: np.ndarray, lam: float) -> tuple:
     """:func:`rotation` at each element of t, bit for bit: math per element,
     then the float path's arithmetic in its order, elementwise."""
+    import numpy as np
+
     scale = _each(math.exp, lam * t)
     if sigma_kind is SigmaKind.TRIVIAL:
-        return (scale, 0.0, 0.0, scale)
+        return (scale, np.zeros_like(scale), np.zeros_like(scale), scale)
     s = sigma_kind.sigma
     if s == 0:
         c, sn = 1.0, t

@@ -122,17 +122,16 @@ class TestStackedNumbers:
 class TestStackedSquareRoots:
     VALUES = [0.0, -0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.01, 0.3, 1.0, -1.0, 2.25, -4.0]
 
-    @pytest.mark.parametrize("tols", [(algebra.TAU_ZERO, algebra.TAU_ALG), (1e-12, 0.4)])
     @pytest.mark.parametrize("kind", [Kind.DOUBLE, Kind.DUAL])
-    def test_roots_as_sqrt_all_lists_them(self, kind, tols, rng):
+    def test_roots_as_sqrt_all_lists_them(self, kind, rng):
         grid = np.array([(p, m) for p in self.VALUES for m in self.VALUES])
         x = np.concatenate((grid, rng.uniform(-3, 3, size=(200, 2))))
         if kind is Kind.DOUBLE:  # the grid as idempotent components
             x = coords(algebra.recompose(x[:, 0], x[:, 1]))
-        roots, kept = algebra.sqrt_all_many(stacked(kind, x), *tols)
+        roots, kept = algebra.sqrt_all_many(stacked(kind, x))
         got = [[(r1, r2) for r1, r2, k in zip(*col) if k]
                for col in zip(roots.a1.T.tolist(), roots.a2.T.tolist(), kept.T.tolist())]
-        want = [[(r.a1, r.a2) for r in algebra.sqrt_all(v, *tols)] for v in numbers(kind, x)]
+        want = [[(r.a1, r.a2) for r in algebra.sqrt_all(v)] for v in numbers(kind, x)]
         assert got == want
         # the signs of zero roots too
         assert [np.signbit(r).tolist() for r in got] == [np.signbit(r).tolist() for r in want]
@@ -159,20 +158,10 @@ class TestStackInvariant:
             assert type(e.a1) is type(e.a2) is np.ndarray and e.a1.shape == e.a2.shape == (5,)
         want = stack([eval_subgroup(spec, t) for t in ts.tolist()])
         assert same(coords(g), want)
+        assert same(np.signbit(coords(g)), np.signbit(want))  # -0.0 where k < 0
         assert same(g.max_entry_magnitude(),
                     np.array([eval_subgroup(spec, t).max_entry_magnitude()
                               for t in ts.tolist()]))
-
-    def test_joins_broadcast_floats(self):
-        arr = np.array([-1.5, 0.0, 2.0])
-        for join in (matrix2.join_double, matrix2.join_dual):
-            got = join((arr, 0.0, -0.0, arr), (0.0, arr, 1.0, -arr))
-            want = [join((a, 0.0, -0.0, a), (0.0, b, 1.0, -b))
-                    for a, b in zip(arr.tolist(), arr.tolist())]
-            assert same(coords(got), stack(want))
-            assert all(type(c) is np.ndarray for e in got.entries() for c in (e.a1, e.a2))
-            # the signs of zeros are kept
-            assert same(np.signbit(coords(got)), np.signbit(stack(want)))
 
 
 class TestStackedSplit:
