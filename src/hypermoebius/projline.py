@@ -161,10 +161,13 @@ class OrbitLabel(Enum):
 
 
 def canonical_ratio(x: float, y: float, tol: float = TAU_ZERO) -> tuple[float, float]:
-    """Real-projective representative: unit norm, first nonzero entry > 0."""
+    """Real-projective representative: unit norm, first nonzero entry > 0;
+    :class:`DomainError` when the norm of (x, y) is infinite or NaN."""
     n = math.hypot(x, y)
     if n == 0.0:
         raise InvalidPointError("ratio of two zeros")
+    if not math.isfinite(n):
+        raise DomainError("the ratio of the coordinates has no finite representative")
     x, y = x / n, y / n
     if x < -tol or (abs(x) <= tol and y < 0.0):
         x, y = -x, -y
@@ -191,12 +194,17 @@ def admissible(p: ProjPoint, tol: float = TAU_ZERO) -> bool:
     Componentwise: over the double numbers both idempotent-component pairs
     must be nonzero; over the dual numbers the pair of a1-parts must be.
     """
-    if p.kind is Kind.DOUBLE:
-        xp, xm = decompose(p.x)
-        yp, ym = decompose(p.y)
-        return (max(abs(xp), abs(yp)) > tol) and (max(abs(xm), abs(ym)) > tol)
-    if p.kind is Kind.DUAL:
-        return max(abs(p.x.a1), abs(p.y.a1)) > tol
+    return admissible_row(p.kind, (p.x.a1, p.x.a2, p.y.a1, p.y.a2), tol)
+
+
+def admissible_row(kind: Kind, row, tol: float = TAU_ZERO) -> bool:
+    """:func:`admissible` of the point whose row is (x1, x2, y1, y2)."""
+    x1, x2, y1, y2 = row
+    if kind is Kind.DOUBLE:  # the pairs of plus and of minus components
+        return (max(abs(x1 + x2), abs(y1 + y2)) > tol
+                and max(abs(x1 - x2), abs(y1 - y2)) > tol)
+    if kind is Kind.DUAL:
+        return max(abs(x1), abs(y1)) > tol
     return True  # complex: a field, every nonzero pair is admissible
 
 
@@ -247,6 +255,8 @@ def _canonicalize_double(p: ProjPoint, tol: float) -> CanonicalClass:
 
 
 def _canonicalize_dual(p: ProjPoint, tol: float) -> CanonicalClass:
+    if math.isnan(p.x.a1) or math.isnan(p.y.a1):
+        raise DomainError("a NaN a1-part leaves the class of the point undecided")
     if abs(p.x.a1) <= tol and abs(p.y.a1) <= tol:
         return CanonicalClass(ClassTag.PR, ratio=canonical_ratio(p.x.a2, p.y.a2, tol))
     if abs(p.y.a1) > tol:
@@ -278,6 +288,27 @@ def stack(values):
         return ProjPoint(first.kind, stack([p.x for p in values]), stack([p.y for p in values]))
     return Hypercomplex(first.kind, np.array([v.a1 for v in values]),
                         np.array([v.a2 for v in values]))
+
+
+def from_row(kind: Kind, row):
+    """The number (a1, a2), point (x1, x2, y1, y2) or matrix
+    (a1, a2, b1, b2, c1, c2, d1, d2) whose coordinates are the entries of
+    row, a sequence of 2, 4 or 8 floats, or of float arrays of one shape for
+    a stack."""
+    if len(row) == 2:
+        return Hypercomplex(kind, row[0], row[1])
+    if len(row) == 4:
+        return ProjPoint(kind, Hypercomplex(kind, row[0], row[1]),
+                         Hypercomplex(kind, row[2], row[3]))
+    return Mat2(kind, *(Hypercomplex(kind, row[i], row[i + 1]) for i in range(0, 8, 2)))
+
+
+def stack_rows(kind: Kind, rows):
+    """The stack of the numbers, points or matrices of a sequence of rows of
+    one width (see :func:`from_row`), built by one ``numpy.array``."""
+    import numpy as np
+
+    return from_row(kind, np.array(rows).T)
 
 
 def certify_affine(x: Hypercomplex, y: Hypercomplex):
@@ -408,13 +439,14 @@ def orbit_label(p: ProjPoint, tol: float = TAU_ZERO) -> OrbitLabel:
 
 
 def transporter_to(p: ProjPoint) -> Mat2:
-    """An invertible matrix sending [1 : 0] to the admissible point p.
+    """An invertible matrix sending [1 : 0] to the admissible point p, or the
+    stack of them for a stack of points.
 
     The first column is (x, y); the second column [[-y], [x]] makes
     det = x^2 + y^2, a unit exactly when p is admissible (over the complex
     field the second column is conjugated so the determinant is |x|^2+|y|^2).
     """
-    if not admissible(p):
+    if not (admissible_many(p).all() if is_stack(p.x.a1) else admissible(p)):
         raise NotAdmissibleError("no transporter: point is not admissible")
     if p.kind is Kind.COMPLEX:
         return Mat2(p.kind, p.x, -p.y.conjugate(), p.y, p.x.conjugate())

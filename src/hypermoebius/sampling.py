@@ -7,6 +7,15 @@ well-conditioned (components bounded away from the zero-divisor locus) so
 that identity checks are limited by the formulas under test, not by float
 conditioning.  Every function here also accepts a ``numpy.random.Generator``,
 whose stream a :class:`Draws` of the same seed reproduces.
+
+The unit, point and matrix samplers are each one walk over the stream, a
+``*_row`` function that returns a row of floats: 2 for a number, 4 for a
+point and 8 for a matrix (``projline.from_row``).  ``verify`` stacks the
+rows of a chunk of cases with one ``numpy.array``, and the sampler of the
+same name without ``_row`` builds its ``Hypercomplex``, ``ProjPoint`` or
+``Mat2`` from the row.  A walk tests its rejections on the floats and forms
+each product with the float expressions of ``Hypercomplex.__mul__`` and
+``matrix2.det``, so its row holds the bits the ring operations give.
 """
 
 from __future__ import annotations
@@ -16,10 +25,10 @@ import math
 import numpy as np
 
 from . import algebra
-from .algebra import Hypercomplex, Kind
+from .algebra import P_MINUS, P_PLUS, Hypercomplex, Kind
 from .errors import DomainError
-from .matrix2 import Mat2, adj_real, double_from_components, dual_from_parts
-from .projline import ProjPoint, point
+from .matrix2 import Mat2, adj_real
+from .projline import ProjPoint, from_row
 from .subgroups import DoubleGL, DoubleSL, DualGL, DualSL, RealGL, SigmaKind
 
 NONTRIVIAL = (SigmaKind.ELLIPTIC, SigmaKind.PARABOLIC, SigmaKind.HYPERBOLIC)
@@ -166,9 +175,9 @@ def random_number(kind: Kind, rng: Rng) -> Hypercomplex:
     return Hypercomplex(kind, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
 
 
-def random_unit(kind: Kind, rng: Rng,
-                lo: float = 0.1, hi: float = 10.0) -> Hypercomplex:
-    """A unit with both coordinates of magnitude in [lo, hi].
+def random_unit_row(kind: Kind, rng: Rng,
+                    lo: float = 0.1, hi: float = 10.0) -> tuple[float, float]:
+    """A unit with both coordinates of magnitude in [lo, hi], as (a1, a2).
 
     Double draws are rejected until both idempotent components stay clear of
     the zero-divisor lines (|a+-| >= lo/2).
@@ -176,12 +185,13 @@ def random_unit(kind: Kind, rng: Rng,
     while True:
         a1 = _signed_magnitude(rng, lo, hi)
         a2 = _signed_magnitude(rng, lo, hi)
-        x = Hypercomplex(kind, a1, a2)
-        if kind is Kind.DOUBLE:
-            p, m = algebra.decompose(x)
-            if min(abs(p), abs(m)) < lo / 2.0:
-                continue
-        return x
+        if kind is Kind.DOUBLE and min(abs(a1 + a2), abs(a1 - a2)) < lo / 2.0:
+            continue
+        return a1, a2
+
+
+def random_unit(kind: Kind, rng: Rng, lo: float = 0.1, hi: float = 10.0) -> Hypercomplex:
+    return from_row(kind, random_unit_row(kind, rng, lo, hi))
 
 
 def random_numbers(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
@@ -211,119 +221,123 @@ def random_units(kind: Kind, rng: Rng, count: int) -> np.ndarray:
     return out
 
 
-def random_point(kind: Kind, rng: Rng) -> ProjPoint:
+def random_point_row(rng: Rng) -> tuple[float, float, float, float]:
+    """Two random numbers x and y, redrawn while both are within 1e-6 of
+    zero, as (x1, x2, y1, y2)."""
     while True:
-        x = random_number(kind, rng)
-        y = random_number(kind, rng)
-        if not (x.is_zero(1e-6) and y.is_zero(1e-6)):
-            return ProjPoint(kind, x, y)
+        row = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), \
+            rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        if max(map(abs, row)) > 1e-6:
+            return row
+
+
+def random_point(kind: Kind, rng: Rng) -> ProjPoint:
+    return from_row(kind, random_point_row(rng))
 
 
 def _nonzero_real(rng: Rng) -> float:
     return _signed_magnitude(rng, 0.2, 3.0)
 
 
-def random_point_mixed(kind: Kind, rng: Rng) -> ProjPoint:
+def _times_nonzero_real(base: Hypercomplex, rng: Rng) -> tuple[float, float]:
+    """base * r for a random nonzero real r, as (a1, a2)."""
+    r = _nonzero_real(rng)
+    return base.a1 * r, base.a2 * r
+
+
+def random_point_mixed_row(kind: Kind, rng: Rng) -> tuple[float, float, float, float]:
     """Points drawn across every canonical class, including the
     non-admissible families and boundary constructions, then rescaled by a
-    random unit half of the time."""
+    random unit half of the time, as (x1, x2, y1, y2)."""
     if kind is Kind.DOUBLE:
-        p = _random_double_mixed(rng)
+        x1, x2, y1, y2 = _random_double_mixed(rng)
     elif kind is Kind.DUAL:
-        p = _random_dual_mixed(rng)
+        x1, x2, y1, y2 = _random_dual_mixed(rng)
     else:
-        x = random_number(kind, rng)
-        y = algebra.zero(kind) if rng.random() < 0.2 else random_number(kind, rng)
-        if x.is_zero(1e-6) and y.is_zero(1e-6):
-            x = algebra.one(kind)
-        p = ProjPoint(kind, x, y)
+        x1, x2 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        y1, y2 = (0.0, 0.0) if rng.random() < 0.2 else \
+            (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        if max(abs(x1), abs(x2), abs(y1), abs(y2)) <= 1e-6:
+            x1, x2 = 1.0, 0.0
     if rng.random() < 0.5:
-        p = p.scaled(random_unit(p.kind, rng, 0.2, 3.0))
-    return p
+        u1, u2 = random_unit_row(kind, rng, 0.2, 3.0)
+        s = kind.sigma  # [x*u : y*u], each product as Hypercomplex.__mul__ forms it
+        return (x1 * u1 + s * x2 * u2, x1 * u2 + x2 * u1,
+                y1 * u1 + s * y2 * u2, y1 * u2 + y2 * u1)
+    return x1, x2, y1, y2
 
 
-def _random_double_mixed(rng: Rng) -> ProjPoint:
-    from .algebra import P_MINUS, P_PLUS
+def random_point_mixed(kind: Kind, rng: Rng) -> ProjPoint:
+    return from_row(kind, random_point_mixed_row(kind, rng))
 
+
+def _random_double_mixed(rng: Rng) -> tuple[float, float, float, float]:
     which = rng.integers(0, 9)
     if which == 0:  # generic
-        return random_point(Kind.DOUBLE, rng)
+        return random_point_row(rng)
     if which == 1:  # affine chart
-        return point(Kind.DOUBLE, random_number(Kind.DOUBLE, rng), 1.0)
+        return rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), 1.0, 0.0
     if which == 2:  # infinity
-        return ProjPoint(Kind.DOUBLE, random_unit(Kind.DOUBLE, rng, 0.2, 3.0),
-                         algebra.zero(Kind.DOUBLE))
-    if which == 3:  # omega plus
-        return ProjPoint(Kind.DOUBLE, random_unit(Kind.DOUBLE, rng, 0.2, 3.0),
-                         P_PLUS * _nonzero_real(rng))
-    if which == 4:  # omega minus
-        return ProjPoint(Kind.DOUBLE, random_unit(Kind.DOUBLE, rng, 0.2, 3.0),
-                         P_MINUS * _nonzero_real(rng))
+        return (*random_unit_row(Kind.DOUBLE, rng, 0.2, 3.0), 0.0, 0.0)
+    if which in (3, 4):  # omega plus, omega minus
+        return (*random_unit_row(Kind.DOUBLE, rng, 0.2, 3.0),
+                *_times_nonzero_real(P_PLUS if which == 3 else P_MINUS, rng))
     if which == 5:  # sigma classes
-        if rng.random() < 0.5:
-            return ProjPoint(Kind.DOUBLE, P_PLUS * _nonzero_real(rng),
-                             P_MINUS * _nonzero_real(rng))
-        return ProjPoint(Kind.DOUBLE, P_MINUS * _nonzero_real(rng),
-                         P_PLUS * _nonzero_real(rng))
+        x, y = (P_PLUS, P_MINUS) if rng.random() < 0.5 else (P_MINUS, P_PLUS)
+        return (*_times_nonzero_real(x, rng), *_times_nonzero_real(y, rng))
     if which in (6, 7):  # non-admissible families, with zero-entry boundaries
-        base = P_PLUS if which == 6 else P_MINUS
-        r = rng.random()
-        if r < 0.25:
-            coords = (base * _nonzero_real(rng), algebra.zero(Kind.DOUBLE))
-        elif r < 0.5:
-            coords = (algebra.zero(Kind.DOUBLE), base * _nonzero_real(rng))
-        else:
-            coords = (base * _nonzero_real(rng), base * _nonzero_real(rng))
-        return ProjPoint(Kind.DOUBLE, *coords)
+        return _family_point(P_PLUS if which == 6 else P_MINUS, rng)
     # zero-divisor x against unit y (affine class with non-unit numerator)
-    zd = (P_PLUS if rng.random() < 0.5 else P_MINUS) * _nonzero_real(rng)
-    return ProjPoint(Kind.DOUBLE, zd, random_unit(Kind.DOUBLE, rng, 0.2, 3.0))
+    zd = _times_nonzero_real(P_PLUS if rng.random() < 0.5 else P_MINUS, rng)
+    return (*zd, *random_unit_row(Kind.DOUBLE, rng, 0.2, 3.0))
 
 
-def _random_dual_mixed(rng: Rng) -> ProjPoint:
+def _family_point(base: Hypercomplex, rng: Rng) -> tuple[float, float, float, float]:
+    """A point [base * r : base * s] of a non-admissible family, r or s zero
+    half of the time."""
+    r = rng.random()
+    if r < 0.25:
+        return (*_times_nonzero_real(base, rng), 0.0, 0.0)
+    if r < 0.5:
+        return (0.0, 0.0, *_times_nonzero_real(base, rng))
+    return (*_times_nonzero_real(base, rng), *_times_nonzero_real(base, rng))
+
+
+def _random_dual_mixed(rng: Rng) -> tuple[float, float, float, float]:
     eps = algebra.generator(Kind.DUAL)
     which = rng.integers(0, 6)
     if which == 0:
-        return random_point(Kind.DUAL, rng)
+        return random_point_row(rng)
     if which == 1:
-        return point(Kind.DUAL, random_number(Kind.DUAL, rng), 1.0)
+        return rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), 1.0, 0.0
     if which == 2:  # infinity
-        return ProjPoint(Kind.DUAL, random_unit(Kind.DUAL, rng, 0.2, 3.0),
-                         algebra.zero(Kind.DUAL))
+        return (*random_unit_row(Kind.DUAL, rng, 0.2, 3.0), 0.0, 0.0)
     if which == 3:  # dual omega
-        return ProjPoint(Kind.DUAL, random_unit(Kind.DUAL, rng, 0.2, 3.0),
-                         eps * _nonzero_real(rng))
+        return (*random_unit_row(Kind.DUAL, rng, 0.2, 3.0), *_times_nonzero_real(eps, rng))
     if which == 4:  # non-admissible family, with boundary zeros
-        r = rng.random()
-        if r < 0.25:
-            coords = (eps * _nonzero_real(rng), algebra.zero(Kind.DUAL))
-        elif r < 0.5:
-            coords = (algebra.zero(Kind.DUAL), eps * _nonzero_real(rng))
-        else:
-            coords = (eps * _nonzero_real(rng), eps * _nonzero_real(rng))
-        return ProjPoint(Kind.DUAL, *coords)
+        return _family_point(eps, rng)
     # nilpotent numerator over a unit denominator
-    return ProjPoint(Kind.DUAL, eps * _nonzero_real(rng),
-                     random_unit(Kind.DUAL, rng, 0.2, 3.0))
+    return (*_times_nonzero_real(eps, rng), *random_unit_row(Kind.DUAL, rng, 0.2, 3.0))
+
+
+def random_gl_row(kind: Kind, rng: Rng) -> list[float]:
+    """Random invertible matrix with a well-conditioned determinant, as
+    (a1, a2, b1, b2, c1, c2, d1, d2)."""
+    s = kind.sigma
+    while True:
+        row = a1, a2, b1, b2, c1, c2, d1, d2 = [rng.uniform(-2.0, 2.0) for _ in range(8)]
+        e1 = (a1 * d1 + s * a2 * d2) - (b1 * c1 + s * b2 * c2)  # det = a*d - b*c
+        e2 = (a1 * d2 + a2 * d1) - (b1 * c2 + b2 * c1)
+        if kind is Kind.DOUBLE:  # both idempotent components
+            size = min(abs(e1 + e2), abs(e1 - e2))
+        else:
+            size = abs(e1) if kind is Kind.DUAL else max(abs(e1), abs(e2))
+        if size >= 0.1:
+            return row
 
 
 def random_gl(kind: Kind, rng: Rng) -> Mat2:
-    """Random invertible matrix with a well-conditioned determinant."""
-    from .matrix2 import det
-
-    while True:
-        m = Mat2(kind, *(random_number(kind, rng) for _ in range(4)))
-        d = det(m)
-        if kind is Kind.DOUBLE:
-            p, q = algebra.decompose(d)
-            if min(abs(p), abs(q)) >= 0.1:
-                return m
-        elif kind is Kind.DUAL:
-            if abs(d.a1) >= 0.1:
-                return m
-        else:
-            if d.magnitude() >= 0.1:
-                return m
+    return from_row(kind, random_gl_row(kind, rng))
 
 
 def random_sl_real(rng: Rng) -> np.ndarray:
@@ -335,19 +349,26 @@ def random_sl_real(rng: Rng) -> np.ndarray:
             return m / np.sqrt(d)
 
 
-def random_sl(kind: Kind, rng: Rng) -> Mat2:
-    """Random determinant-one matrix over the given algebra."""
-    if kind is Kind.DOUBLE:
-        return double_from_components(random_sl_real(rng), random_sl_real(rng))
-    if kind is Kind.DUAL:
+def random_sl_row(kind: Kind, rng: Rng) -> list[float]:
+    """Random determinant-one matrix over the given algebra, as
+    (a1, a2, b1, b2, c1, c2, d1, d2)."""
+    if kind is Kind.DOUBLE:  # A+ P+ + A- P-
+        plus, minus = random_sl_real(rng).ravel().tolist(), random_sl_real(rng).ravel().tolist()
+        return [v for p, m in zip(plus, minus) for v in ((p + m) / 2.0, (p - m) / 2.0)]
+    if kind is Kind.DUAL:  # A1 + eps A2
         a1 = random_sl_real(rng)
         a2 = rng.uniform(-2.0, 2.0, size=(2, 2))
         drift = float(np.trace(a1 @ adj_real(a2)))
         a2 = a2 - (drift / 2.0) * a1  # tr(A1 @ adj(A1)) = 2 det(A1) = 2
-        return dual_from_parts(a1, a2)
+        return [v for pair in zip(a1.ravel().tolist(), a2.ravel().tolist()) for v in pair]
     from .matrix2 import normalize_to_sl
 
-    return normalize_to_sl(random_gl(kind, rng))
+    g = normalize_to_sl(random_gl(kind, rng))
+    return [v for e in g.entries() for v in (e.a1, e.a2)]
+
+
+def random_sl(kind: Kind, rng: Rng) -> Mat2:
+    return from_row(kind, random_sl_row(kind, rng))
 
 
 def random_specs(rng: Rng, n_per_family: int = 20) -> dict[str, list]:

@@ -16,10 +16,13 @@ give.
 
 The square-root, point and map checks (class partition, unit scaling,
 admissibility, transitivity, projection equivariance, class-preserving
-action, composition) draw ``_CASES`` cases one by one with the scalar
-samplers, then test them as one stack: ``projline`` canonicalizes the
-rows it certifies affine in bulk and every other row through the scalar
-``canonicalize``, and a stack of matrices makes a stack of ``MoebiusMap``.
+action, composition) draw ``_CASES`` cases one by one, then test them as
+one stack: ``projline`` canonicalizes the rows it certifies affine in bulk
+and every other row through the scalar ``canonicalize``, and a stack of
+matrices makes a stack of ``MoebiusMap``.  The point and map checks draw
+each case as float rows with the row walks of ``sampling``, the walks the
+object samplers are built from, and ``_count`` makes each column of a
+chunk one stack with one ``numpy.array``.
 """
 
 from __future__ import annotations
@@ -79,18 +82,17 @@ from .projline import (
     CanonicalClass,
     ClassTag,
     ProjPoint,
-    admissible,
     admissible_many,
-    bijection_f,
+    admissible_row,
     canonical_ratio,
     canonicalize,
     canonicalize_many,
     equivalent_many,
     pr_base_point,
-    project_sl,
     real_apply,
     same_class,
     stack,
+    stack_rows,
     transporter_nonadmissible,
     transporter_to,
 )
@@ -156,7 +158,7 @@ class _Tally:
 
 
 _CHUNK = 1_000  # samples per batched step: keeps the sweep arrays near 100 kB
-_CASES = 100  # drawn cases per stacked test: as Python objects a case takes about 1 kB
+_CASES = 100  # drawn cases per stacked test: a map, a point and a unit take 650 B as rows
 
 
 def _sweep(name: str, what: str, n: int, draw, residual, bound: float) -> CheckResult:
@@ -417,16 +419,17 @@ def _dual_membership_flags(p: ProjPoint, tol: float) -> list:
 _DUAL_FLAG_TAGS = [ClassTag.AFFINE, ClassTag.INFINITY, ClassTag.DUAL_OMEGA, ClassTag.PR]
 
 
-def _count(name: str, what: str, n: int, draw, test) -> CheckResult:
-    """n cases, ``_CASES`` at a time: each case is drawn by ``draw()`` as a
-    tuple of numbers, matrices or points, the chunk is stacked column by
-    column, and ``test`` gives each case's verdict.  The detail reads
-    "<passed>/<n> <what>"."""
+def _count(kind: Kind, name: str, what: str, n: int, draw, test) -> CheckResult:
+    """n cases over ``kind``, ``_CASES`` at a time: ``draw()`` gives each
+    case as a tuple of float rows (2 floats for a number, 4 for a point, 8
+    for a matrix), each column of a chunk becomes one stack by one
+    ``numpy.array``, and ``test`` gives each case's verdict.  The check is
+    "<name>/<kind>" and its detail reads "<passed>/<n> <what>"."""
     good = 0
     for start in range(0, n, _CASES):
         cases = [draw() for _ in range(min(_CASES, n - start))]
-        good += int(np.count_nonzero(test(*map(stack, zip(*cases)))))
-    return CheckResult(name, good == n, f"{good}/{n} {what}")
+        good += int(np.count_nonzero(test(*(stack_rows(kind, c) for c in zip(*cases)))))
+    return CheckResult(f"{name}/{kind.name.lower()}", good == n, f"{good}/{n} {what}")
 
 
 def check_class_partition(rng, n: int = 10_000) -> list[CheckResult]:
@@ -439,25 +442,23 @@ def check_class_partition(rng, n: int = 10_000) -> list[CheckResult]:
             return (flags.sum(axis=0) == 1) & np.array(
                 [tags[f] is tag for f, tag in zip(first, canonicalize_many(p).tags())])
 
-        out.append(_count(f"class-partition/{kind.name.lower()}",
-                          "points land in exactly one class", n,
-                          lambda: (sampling.random_point_mixed(kind, rng),), test))
+        out.append(_count(kind, "class-partition", "points land in exactly one class", n,
+                          lambda: (sampling.random_point_mixed_row(kind, rng),), test))
     return out
 
 
 def check_unit_scaling(rng, n: int = 1_000) -> list[CheckResult]:
-    return [_count(f"unit-scaling-stability/{kind.name.lower()}",
-                   "scaled points keep their class", n,
-                   lambda: (sampling.random_point_mixed(kind, rng),
-                            sampling.random_unit(kind, rng, 0.2, 5.0)),
+    return [_count(kind, "unit-scaling-stability", "scaled points keep their class", n,
+                   lambda: (sampling.random_point_mixed_row(kind, rng),
+                            sampling.random_unit_row(kind, rng, 0.2, 5.0)),
                    lambda p, u: equivalent_many(p.scaled(u), p))
             for kind in (Kind.DOUBLE, Kind.DUAL)]
 
 
 def check_admissibility_invariance(rng, n: int = 1_000) -> list[CheckResult]:
-    return [_count(f"admissibility-invariance/{kind.name.lower()}",
-                   "images preserve admissibility", n,
-                   lambda: (sampling.random_point_mixed(kind, rng), sampling.random_gl(kind, rng)),
+    return [_count(kind, "admissibility-invariance", "images preserve admissibility", n,
+                   lambda: (sampling.random_point_mixed_row(kind, rng),
+                            sampling.random_gl_row(kind, rng)),
                    lambda p, g: admissible_many(apply_point(MoebiusMap(g), p))
                    == admissible_many(p))
             for kind in (Kind.DOUBLE, Kind.DUAL)]
@@ -467,14 +468,14 @@ def check_transitivity(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
         def draw():
-            while not admissible(p := sampling.random_point_mixed(kind, rng)):
+            while not admissible_row(kind, p := sampling.random_point_mixed_row(kind, rng)):
                 pass
-            return transporter_to(p), p
+            return p,
 
         base = ProjPoint(kind, algebra.one(kind), algebra.zero(kind))
-        out.append(_count(f"transitivity-witness/{kind.name.lower()}",
-                          "transporters land on target", n, draw,
-                          lambda g, p: equivalent_many(apply_point(MoebiusMap(g), base), p)))
+        out.append(_count(kind, "transitivity-witness", "transporters land on target", n, draw,
+                          lambda p: equivalent_many(
+                              apply_point(MoebiusMap(transporter_to(p)), base), p)))
     return out
 
 
@@ -505,19 +506,20 @@ def check_projection_equivariance(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
     for kind, what in ((Kind.DOUBLE, "component actions match"),
                        (Kind.DUAL, "a1-part actions match")):
-        families = itertools.cycle("+-")  # double: even samples P+, odd P-
+        signs = itertools.cycle((1.0, -1.0))  # double: even samples P+, odd P-
 
         def draw():
-            g = sampling.random_sl(kind, rng)
-            comp = project_sl(g)
+            g = sampling.random_sl_row(kind, rng)
             v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            family = next(families)
-            if kind is Kind.DOUBLE:
-                comp = comp[family == "-"]
-            return (g, bijection_f(kind, *v, family),
-                    bijection_f(kind, *real_apply(comp, v), family))
+            if kind is Kind.DOUBLE:  # [x P+- : y P+-] and the P+- component of g
+                s = next(signs)
+                base, comp = (0.5, 0.5 * s), [e1 + s * e2 for e1, e2 in zip(g[::2], g[1::2])]
+            else:  # [eps x : eps y] and the a1-part of g
+                base, comp = (0.0, 1.0), g[::2]
+            f = lambda x, y: (base[0] * x, base[1] * x, base[0] * y, base[1] * y)
+            return g, f(*v), f(*real_apply(comp, v))
 
-        out.append(_count(f"sl-projection-equivariance/{kind.name.lower()}", what, n, draw,
+        out.append(_count(kind, "sl-projection-equivariance", what, n, draw,
                           lambda g, p, q: equivalent_many(apply_point(MoebiusMap(g), p), q)))
     return out
 
@@ -531,10 +533,10 @@ def check_action_class_preserving(rng, n: int = 1_000) -> list[CheckResult]:
         m = MoebiusMap(g)
         return equivalent_many(apply_point(m, p.scaled(u)), apply_point(m, p))
 
-    return [_count(f"action-class-preserving/{kind.name.lower()}",
-                   "unit rescalings act identically", n,
-                   lambda: (sampling.random_gl(kind, rng), sampling.random_point_mixed(kind, rng),
-                            sampling.random_unit(kind, rng, 0.2, 5.0)), test)
+    return [_count(kind, "action-class-preserving", "unit rescalings act identically", n,
+                   lambda: (sampling.random_gl_row(kind, rng),
+                            sampling.random_point_mixed_row(kind, rng),
+                            sampling.random_unit_row(kind, rng, 0.2, 5.0)), test)
             for kind in (Kind.DOUBLE, Kind.DUAL)]
 
 
@@ -543,10 +545,10 @@ def check_composition(rng, n: int = 1_000) -> list[CheckResult]:
         m1, m2 = MoebiusMap(g1), MoebiusMap(g2)
         return equivalent_many(apply_point(compose(m1, m2), p), apply_point(m1, apply_point(m2, p)))
 
-    return [_count(f"composition-homomorphism/{kind.name.lower()}", "compositions agree", n,
-                   lambda: (sampling.random_gl(kind, rng), sampling.random_gl(kind, rng),
-                            sampling.random_point(kind, rng) if kind is Kind.COMPLEX
-                            else sampling.random_point_mixed(kind, rng)), test)
+    return [_count(kind, "composition-homomorphism", "compositions agree", n,
+                   lambda: (sampling.random_gl_row(kind, rng), sampling.random_gl_row(kind, rng),
+                            sampling.random_point_row(rng) if kind is Kind.COMPLEX
+                            else sampling.random_point_mixed_row(kind, rng)), test)
             for kind in RING_KINDS]
 
 

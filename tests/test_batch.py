@@ -320,7 +320,176 @@ class TestComponentFormulas:
                                            for q in m]))
 
 
+# the object samplers the row walks of ``sampling`` replaced, built of ring
+# operations: an oracle for the bits of each row, signed zeros included
+
+
+def ring_unit(kind, rng, lo=0.1, hi=10.0):
+    while True:
+        x = Hypercomplex(kind, sampling._signed_magnitude(rng, lo, hi),
+                         sampling._signed_magnitude(rng, lo, hi))
+        if kind is not Kind.DOUBLE or min(map(abs, algebra.decompose(x))) >= lo / 2.0:
+            return x
+
+
+def ring_point(kind, rng):
+    while True:
+        x, y = sampling.random_number(kind, rng), sampling.random_number(kind, rng)
+        if not (x.is_zero(1e-6) and y.is_zero(1e-6)):
+            return projline.ProjPoint(kind, x, y)
+
+
+def ring_family_point(base, rng):
+    r = rng.random()
+    if r < 0.25:
+        return base * sampling._nonzero_real(rng), algebra.zero(base.kind)
+    if r < 0.5:
+        return algebra.zero(base.kind), base * sampling._nonzero_real(rng)
+    return base * sampling._nonzero_real(rng), base * sampling._nonzero_real(rng)
+
+
+def ring_double_mixed(rng):
+    plus, minus = algebra.P_PLUS, algebra.P_MINUS
+    unit = lambda: ring_unit(Kind.DOUBLE, rng, 0.2, 3.0)
+    which = rng.integers(0, 9)
+    if which == 0:
+        return ring_point(Kind.DOUBLE, rng)
+    if which == 1:
+        return projline.point(Kind.DOUBLE, sampling.random_number(Kind.DOUBLE, rng), 1.0)
+    if which == 2:
+        coords = unit(), algebra.zero(Kind.DOUBLE)
+    elif which in (3, 4):
+        coords = unit(), (plus if which == 3 else minus) * sampling._nonzero_real(rng)
+    elif which == 5:
+        x, y = (plus, minus) if rng.random() < 0.5 else (minus, plus)
+        coords = x * sampling._nonzero_real(rng), y * sampling._nonzero_real(rng)
+    elif which in (6, 7):
+        coords = ring_family_point(plus if which == 6 else minus, rng)
+    else:
+        coords = (plus if rng.random() < 0.5 else minus) * sampling._nonzero_real(rng), unit()
+    return projline.ProjPoint(Kind.DOUBLE, *coords)
+
+
+def ring_dual_mixed(rng):
+    eps, unit = algebra.generator(Kind.DUAL), lambda: ring_unit(Kind.DUAL, rng, 0.2, 3.0)
+    which = rng.integers(0, 6)
+    if which == 0:
+        return ring_point(Kind.DUAL, rng)
+    if which == 1:
+        return projline.point(Kind.DUAL, sampling.random_number(Kind.DUAL, rng), 1.0)
+    if which == 2:
+        coords = unit(), algebra.zero(Kind.DUAL)
+    elif which == 3:
+        coords = unit(), eps * sampling._nonzero_real(rng)
+    elif which == 4:
+        coords = ring_family_point(eps, rng)
+    else:
+        coords = eps * sampling._nonzero_real(rng), unit()
+    return projline.ProjPoint(Kind.DUAL, *coords)
+
+
+def ring_point_mixed(kind, rng):
+    if kind is Kind.DOUBLE:
+        p = ring_double_mixed(rng)
+    elif kind is Kind.DUAL:
+        p = ring_dual_mixed(rng)
+    else:
+        x = sampling.random_number(kind, rng)
+        y = algebra.zero(kind) if rng.random() < 0.2 else sampling.random_number(kind, rng)
+        if x.is_zero(1e-6) and y.is_zero(1e-6):
+            x = algebra.one(kind)
+        p = projline.ProjPoint(kind, x, y)
+    if rng.random() < 0.5:
+        p = p.scaled(ring_unit(kind, rng, 0.2, 3.0))
+    return p
+
+
+def ring_gl(kind, rng):
+    while True:
+        m = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
+        d = det(m)
+        if kind is Kind.DOUBLE:
+            size = min(map(abs, algebra.decompose(d)))
+        else:
+            size = abs(d.a1) if kind is Kind.DUAL else d.magnitude()
+        if size >= 0.1:
+            return m
+
+
+def ring_sl(kind, rng):
+    if kind is Kind.DOUBLE:
+        return double_from_components(sampling.random_sl_real(rng), sampling.random_sl_real(rng))
+    if kind is Kind.DUAL:
+        a1 = sampling.random_sl_real(rng)
+        a2 = rng.uniform(-2.0, 2.0, size=(2, 2))
+        return dual_from_parts(a1, a2 - (float(np.trace(a1 @ adj_real(a2))) / 2.0) * a1)
+    return matrix2.normalize_to_sl(ring_gl(kind, rng))
+
+
+def admissible_row(kind, rng):
+    while not projline.admissible_row(kind, p := sampling.random_point_mixed_row(kind, rng)):
+        pass
+    return p
+
+
+def admissible_object(kind, rng):
+    while not projline.admissible(p := ring_point_mixed(kind, rng)):
+        pass
+    return p
+
+
+ROW_WALKS = {  # each row walk, the sampler built from it and its ring-operation oracle
+    "point-mixed": (sampling.random_point_mixed_row, sampling.random_point_mixed,
+                    ring_point_mixed),
+    "gl": (sampling.random_gl_row, sampling.random_gl, ring_gl),
+    "sl": (sampling.random_sl_row, sampling.random_sl, ring_sl),
+    "point": (lambda kind, rng: sampling.random_point_row(rng), sampling.random_point,
+              ring_point),
+    "unit": (lambda kind, rng: sampling.random_unit_row(kind, rng, 0.2, 5.0),
+             lambda kind, rng: sampling.random_unit(kind, rng, 0.2, 5.0),
+             lambda kind, rng: ring_unit(kind, rng, 0.2, 5.0)),
+    # double: about 44% of attempts fall within 0.5 of a zero-divisor line
+    "unit-rejection-heavy": (lambda kind, rng: sampling.random_unit_row(kind, rng, 1.0, 3.0),
+                             lambda kind, rng: sampling.random_unit(kind, rng, 1.0, 3.0),
+                             lambda kind, rng: ring_unit(kind, rng, 1.0, 3.0)),
+    # transitivity's draw: mixed points, redrawn while not admissible
+    "admissible-point": (admissible_row, admissible_object, admissible_object),
+}
+
+
+def flat_coords(x):
+    """The coordinate arrays of a stacked number, point or matrix, in row order."""
+    if isinstance(x, projline.ProjPoint):
+        return flat_coords(x.x) + flat_coords(x.y)
+    if isinstance(x, Mat2):
+        return [v for e in x.entries() for v in flat_coords(e)]
+    return [np.asarray(x.a1), np.asarray(x.a2)]
+
+
+def next_draws(rng) -> list:
+    """An integer, which takes a pending 32-bit half first, then a double."""
+    return [int(rng.integers(0, 9)), rng.random()]
+
+
 class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 905])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("walk", sorted(ROW_WALKS))
+    def test_rows_stack_to_object_draws(self, walk, kind, seed):
+        """Rows walked from a Draws stack bit for bit to the sampler's objects
+        and to the ring-operation oracle's, each drawn from a Generator, and
+        all three streams end in the same state."""
+        row_walk, sampler, oracle = ROW_WALKS[walk]
+        draws = sampling.rng_from_seed(seed)
+        gens = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = projline.stack_rows(kind, [row_walk(kind, draws) for _ in range(200)])
+        want = [b"".join(v.tobytes() for v in flat_coords(rows))]
+        for draw, gen in zip((sampler, oracle), gens):
+            objects = projline.stack([draw(kind, gen) for _ in range(200)])
+            want.append(b"".join(v.tobytes() for v in flat_coords(objects)))
+        assert want[0] == want[1] == want[2]
+        assert next_draws(draws) == next_draws(gens[0]) == next_draws(gens[1])
+
     def test_numbers_follow_scalar_stream(self):
         batch_rng, scalar_rng = np.random.default_rng(3), np.random.default_rng(3)
         got = sampling.random_numbers(batch_rng, (N, 3))
