@@ -12,10 +12,11 @@ Scalars are double-precision floats.  Two tolerances are used throughout:
 ``TAU_ALG`` checks algebraic identities on computed values.
 
 The coordinates may also be float arrays of one shape, a *stack*: ring
-arithmetic, ``decompose`` and ``recompose`` then act on each number with the
-expression tree they use on floats.  The module also provides the
-sigma-parametrised trigonometric functions (circular for sigma=-1, linear
-for sigma=0, hyperbolic for sigma=+1) used by the one-parameter subgroups.
+arithmetic, ``invert``, ``decompose`` and ``recompose`` then act on each
+number with the expression tree they use on floats.  The module also
+provides the sigma-parametrised trigonometric functions (circular for
+sigma=-1, linear for sigma=0, hyperbolic for sigma=+1) used by the
+one-parameter subgroups.
 
 numpy is imported only where a stack needs it: a float number needs none,
 and a stack is built by a caller that has loaded numpy already.  That keeps
@@ -270,7 +271,19 @@ def is_unit(x: Hypercomplex, tol: float = TAU_ZERO) -> bool:
 
 
 def invert(x: Hypercomplex, tol: float = TAU_ZERO) -> Hypercomplex:
-    cls = classify_element(x, tol)
+    """1/x, or for a stack 1/x of each number, bit for bit.  A non-unit
+    raises :class:`NotInvertibleError` with its class; a stack raises for
+    its first non-unit.  A stack's non-finite rows raise no numpy warning."""
+    if type(x.a1) is float:
+        return _invert(x, tol)
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # inf - inf, inf * 0 and overflow in a stack
+        return _invert(x, tol)
+
+
+def _invert(x: Hypercomplex, tol: float) -> Hypercomplex:
+    cls = _classify_first(x, tol)
     if cls is not ElementClass.UNIT:
         raise NotInvertibleError(cls)
     return _inverse(x)
@@ -285,14 +298,20 @@ def _inverse(x: Hypercomplex) -> Hypercomplex:
         r = 1.0 / x.a1
         return Hypercomplex(Kind.DUAL, r, -r * r * x.a2)
     d = x.a1 * x.a1 + x.a2 * x.a2
-    if isinstance(d, float) and d == math.inf:
-        # past about 1e154 the squares overflow: scale by the larger
-        # coordinate first, as math.hypot does (a NaN d needs no scaling)
+    big = d == math.inf  # past about 1e154 the squares overflow (a NaN d needs no scaling)
+    if not (big if isinstance(d, float) else big.any()):
+        return Hypercomplex(Kind.COMPLEX, x.a1 / d, -x.a2 / d)
+    # scale by the larger coordinate first, as math.hypot does; a stack
+    # divides its other rows by 1.0, which is exact
+    if isinstance(d, float):
         s = max(abs(x.a1), abs(x.a2))
-        a1, a2 = x.a1 / s, x.a2 / s
-        d = a1 * a1 + a2 * a2
-        return Hypercomplex(Kind.COMPLEX, a1 / d / s, -a2 / d / s)
-    return Hypercomplex(Kind.COMPLEX, x.a1 / d, -x.a2 / d)
+    else:
+        import numpy as np
+
+        s = np.where(big, np.maximum(abs(x.a1), abs(x.a2)), 1.0)
+    a1, a2 = x.a1 / s, x.a2 / s
+    d = a1 * a1 + a2 * a2
+    return Hypercomplex(Kind.COMPLEX, a1 / d / s, -a2 / d / s)
 
 
 def sqrt_all(
@@ -355,28 +374,27 @@ def stacked(kind: Kind, coords: np.ndarray) -> Hypercomplex:
     return Hypercomplex(kind, coords[..., 0], coords[..., 1])
 
 
-def classify_first(x: Hypercomplex) -> ElementClass:
-    """:func:`classify_element` of the first number of the stack x that is
-    not a unit, or ``UNIT`` when every number is one."""
+def _unit_mask(x: Hypercomplex, tol: float = TAU_ZERO):
+    """Whether each number of the stack x is a unit, by the test of
+    :func:`classify_element`: a NaN coordinate counts as nonzero."""
     if x.kind is Kind.DOUBLE:
         p, m = decompose(x)
-        singular = (abs(p) <= TAU_ZERO) | (abs(m) <= TAU_ZERO)
-    elif x.kind is Kind.DUAL:
-        singular = abs(x.a1) <= TAU_ZERO
-    else:
-        singular = (abs(x.a1) <= TAU_ZERO) & (abs(x.a2) <= TAU_ZERO)
+        return ~(abs(p) <= tol) & ~(abs(m) <= tol)
+    if x.kind is Kind.DUAL:
+        return ~(abs(x.a1) <= tol)
+    return ~((abs(x.a1) <= tol) & (abs(x.a2) <= tol))
+
+
+def _classify_first(x: Hypercomplex, tol: float = TAU_ZERO) -> ElementClass:
+    """:func:`classify_element` of a number, or of the first number of the
+    stack x that is not a unit (``UNIT`` when every number is one)."""
+    if type(x.a1) is float or not is_stack(x.a1):
+        return classify_element(x, tol)
+    singular = ~_unit_mask(x, tol)
     if not singular.any():
         return ElementClass.UNIT
     return classify_element(Hypercomplex(x.kind, float(x.a1[singular][0]),
-                                         float(x.a2[singular][0])))
-
-
-def invert_many(x: Hypercomplex) -> Hypercomplex:
-    """:func:`invert` of each number of a stack; raises for the first non-unit."""
-    cls = classify_first(x)
-    if cls is not ElementClass.UNIT:
-        raise NotInvertibleError(cls)
-    return _inverse(x)
+                                         float(x.a2[singular][0])), tol)
 
 
 def sqrt_all_many(x: Hypercomplex):

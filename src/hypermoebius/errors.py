@@ -51,10 +51,6 @@ class NotAdmissibleError(DomainError):
     """The point cannot be extended to an invertible matrix."""
 
 
-class MembershipError(DomainError):
-    """A matrix fails a required group membership (e.g. determinant != 1)."""
-
-
 class FixesEverythingError(DomainError):
     """Fixed-point search on an identity map: every point is fixed."""
 

@@ -27,7 +27,6 @@ from .algebra import (
     Kind,
     decompose,
     invert,
-    is_stack,
     recompose,
 )
 from .errors import (
@@ -74,9 +73,7 @@ class MoebiusMap:
     _sl: "Mat2 | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = det(self.rep)
-        stacked = type(d.a1) is not float and is_stack(d.a1)
-        cls = (algebra.classify_first if stacked else algebra.classify_element)(d)
+        cls = algebra._classify_first(det(self.rep))
         if cls is not ElementClass.UNIT:
             raise SingularMatrixError(
                 cls, "a Moebius map needs an invertible representative matrix")

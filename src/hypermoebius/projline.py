@@ -33,8 +33,8 @@ from .algebra import (
     Kind,
     _DEC,
     _inverse,
+    _unit_mask,
     decompose,
-    invert,
     is_stack,
 )
 from .errors import (
@@ -42,10 +42,9 @@ from .errors import (
     InvalidLiteralError,
     InvalidPointError,
     KindMismatchError,
-    MembershipError,
     NotAdmissibleError,
 )
-from .matrix2 import Mat2, mat2, membership, split_double, split_dual
+from .matrix2 import Mat2, mat2
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +173,22 @@ def canonical_ratio(x: float, y: float, tol: float = TAU_ZERO) -> tuple[float, f
     return (x, y)
 
 
-def same_class(p: CanonicalClass, q: CanonicalClass) -> bool:
+def same_class(p: CanonicalClass | ClassStack, q: CanonicalClass | ClassStack) -> bool:
+    """Whether two canonical classes agree, their payloads within
+    ``TAU_ALG``; for two :class:`ClassStack` of one length, the bool array
+    of each row pair's answer: the affine test in bulk where both rows are
+    certified, this test elsewhere."""
+    if type(p) is ClassStack:
+        import numpy as np
+
+        a, b = p.affine, q.affine
+        both = p.ok & q.ok
+        with np.errstate(all="ignore"):  # the rows not certified hold any value
+            tol = TAU_ALG * (1.0 + np.maximum(a.magnitude(), b.magnitude()))
+            same = both & (abs(a.a1 - b.a1) <= tol) & (abs(a.a2 - b.a2) <= tol)
+        for i in np.flatnonzero(~both).tolist():
+            same[i] = same_class(p[i], q[i])
+        return same
     if p.tag is not q.tag:
         return False
     if p.tag is ClassTag.AFFINE:
@@ -189,40 +203,55 @@ def same_class(p: CanonicalClass, q: CanonicalClass) -> bool:
 
 
 def admissible(p: ProjPoint, tol: float = TAU_ZERO) -> bool:
-    """True when (x, y) extends to an invertible matrix.
+    """True when (x, y) extends to an invertible matrix; for a stack of
+    points, the bool array of each point's answer.
 
     Componentwise: over the double numbers both idempotent-component pairs
     must be nonzero; over the dual numbers the pair of a1-parts must be.
     """
-    return admissible_row(p.kind, (p.x.a1, p.x.a2, p.y.a1, p.y.a2), tol)
+    if type(p.x.a1) is float or not is_stack(p.x.a1):
+        return _admissible(p, tol)
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # inf - inf in the double components
+        return _admissible(p, tol) & np.ones(p.x.a1.shape, bool)
 
 
-def admissible_row(kind: Kind, row, tol: float = TAU_ZERO) -> bool:
-    """:func:`admissible` of the point whose row is (x1, x2, y1, y2)."""
-    x1, x2, y1, y2 = row
-    if kind is Kind.DOUBLE:  # the pairs of plus and of minus components
-        return (max(abs(x1 + x2), abs(y1 + y2)) > tol
-                and max(abs(x1 - x2), abs(y1 - y2)) > tol)
-    if kind is Kind.DUAL:
-        return max(abs(x1), abs(y1)) > tol
+def _admissible(p: ProjPoint, tol: float):
+    """The rule of :func:`admissible` on float or array coordinates: some
+    coordinate of each pair exceeds tol.  A NaN exceeds nothing, in x as in
+    y."""
+    x, y = p.x, p.y
+    if p.kind is Kind.DOUBLE:  # the pairs of plus and of minus components
+        return (((abs(x.a1 + x.a2) > tol) | (abs(y.a1 + y.a2) > tol))
+                & ((abs(x.a1 - x.a2) > tol) | (abs(y.a1 - y.a2) > tol)))
+    if p.kind is Kind.DUAL:
+        return (abs(x.a1) > tol) | (abs(y.a1) > tol)
     return True  # complex: a field, every nonzero pair is admissible
 
 
 def canonicalize(p: ProjPoint, tol: float = TAU_ZERO) -> CanonicalClass:
-    """The unique canonical class of the point."""
+    """The unique canonical class of the point.  For a stack of points, the
+    :class:`ClassStack` of their classes: each row gets the class of its
+    point, or the stack raises the error of its first refused point.  A
+    stack is canonicalized at ``TAU_ZERO`` only, and any other tol raises
+    :class:`DomainError`."""
+    if type(p.x.a1) is not float and is_stack(p.x.a1):
+        return _canonicalize_stack(p, tol)
     if p.kind is Kind.DOUBLE:
         return _canonicalize_double(p, tol)
     if p.kind is Kind.DUAL:
         return _canonicalize_dual(p, tol)
     if p.y.is_zero(tol):
         return CanonicalClass(ClassTag.INFINITY)
-    return _affine_class(p, tol)
+    return _affine_class(p)
 
 
-def _affine_class(p: ProjPoint, tol: float) -> CanonicalClass:
-    """The affine class of p, whose y is a unit; :class:`DomainError` when
-    its coordinate x / y overflows the float range or is NaN."""
-    a = p.x * invert(p.y, tol)
+def _affine_class(p: ProjPoint) -> CanonicalClass:
+    """The affine class of p, whose y its caller has found a unit (as
+    :func:`certify_affine` does for a stack); :class:`DomainError` when its
+    coordinate x / y overflows the float range or is NaN."""
+    a = p.x * _inverse(p.y)
     if not (math.isfinite(a.a1) and math.isfinite(a.a2)):
         raise DomainError("the affine coordinate x / y of the point is not a finite float")
     return CanonicalClass(ClassTag.AFFINE, affine=a)
@@ -241,16 +270,16 @@ def _canonicalize_double(p: ProjPoint, tol: float) -> CanonicalClass:
         return CanonicalClass(ClassTag.PR_MINUS, ratio=canonical_ratio(xm, ym, tol))
     # both component pairs nonzero: the admissible cases
     if abs(yp) > tol and abs(ym) > tol:
-        return _affine_class(p, tol)
+        return _affine_class(p)
     if abs(yp) <= tol and abs(ym) <= tol:
         return CanonicalClass(ClassTag.INFINITY)
     if abs(ym) <= tol:  # y is a plus-family zero divisor, and xm != 0
         if abs(xp) > tol:
-            return CanonicalClass(ClassTag.OMEGA_PLUS, lam=yp / xp)
+            return _omega(ClassTag.OMEGA_PLUS, yp / xp)
         return CanonicalClass(ClassTag.SIGMA_TWO)
     # y is a minus-family zero divisor, and xp != 0
     if abs(xm) > tol:
-        return CanonicalClass(ClassTag.OMEGA_MINUS, lam=ym / xm)
+        return _omega(ClassTag.OMEGA_MINUS, ym / xm)
     return CanonicalClass(ClassTag.SIGMA_ONE)
 
 
@@ -260,11 +289,20 @@ def _canonicalize_dual(p: ProjPoint, tol: float) -> CanonicalClass:
     if abs(p.x.a1) <= tol and abs(p.y.a1) <= tol:
         return CanonicalClass(ClassTag.PR, ratio=canonical_ratio(p.x.a2, p.y.a2, tol))
     if abs(p.y.a1) > tol:
-        return _affine_class(p, tol)
+        return _affine_class(p)
     # x is a unit here
     if abs(p.y.a2) <= tol:
         return CanonicalClass(ClassTag.INFINITY)
-    return CanonicalClass(ClassTag.DUAL_OMEGA, lam=p.y.a2 / p.x.a1)
+    return _omega(ClassTag.DUAL_OMEGA, p.y.a2 / p.x.a1)
+
+
+def _omega(tag: ClassTag, lam: float) -> CanonicalClass:
+    """The omega class of parameter lam; :class:`DomainError` when lam is
+    zero or not finite, as an infinite coordinate makes it: the label
+    1/lam names no class then."""
+    if not 0.0 < abs(lam) < math.inf:  # NaN too
+        raise DomainError("the omega parameter of the point is zero or not a finite float")
+    return CanonicalClass(tag, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +310,10 @@ def _canonicalize_dual(p: ProjPoint, tol: float) -> CanonicalClass:
 #
 # A ProjPoint whose coordinates are stacks of numbers is a stack of points,
 # as a Mat2 of stacks is a stack of matrices: ``image`` and ``scaled`` act
-# point by point.  ``canonicalize_many`` certifies the affine rows of a stack
-# by one rule, which ``orbits.sampled_orbit`` shares, and sends every other
-# row through :func:`canonicalize`.
+# point by point, and ``canonicalize``, ``same_class``, ``equivalent`` and
+# ``admissible`` answer row by row.  ``canonicalize`` certifies the affine
+# rows of a stack by one rule, which ``orbits.sampled_orbit`` shares, and
+# canonicalizes every other row as a point of its own.
 
 
 def stack(values):
@@ -315,22 +354,13 @@ def certify_affine(x: Hypercomplex, y: Hypercomplex):
     """For the stack of points [x : y], ``(ok, a)`` with a = x * _inverse(y):
     ok marks the rows where y is a unit and a is finite.  On those rows
     :func:`canonicalize` takes the affine branch, whose value is a, bit for
-    bit, and does not refuse the point.  A complex row also needs a finite
-    |y|^2, past which the scalar inverse rescales y first.  Rows with
-    non-finite coordinates are computed without numpy warnings."""
+    bit, and does not refuse the point.  Rows with non-finite coordinates
+    are computed without numpy warnings."""
     import numpy as np
 
     with np.errstate(all="ignore"):
-        if x.kind is Kind.DOUBLE:
-            y_plus, y_minus = decompose(y)
-            ok = ~(abs(y_plus) <= TAU_ZERO) & ~(abs(y_minus) <= TAU_ZERO)
-        elif x.kind is Kind.DUAL:
-            ok = ~(abs(y.a1) <= TAU_ZERO)
-        else:
-            ok = (~((abs(y.a1) <= TAU_ZERO) & (abs(y.a2) <= TAU_ZERO))
-                  & np.isfinite(y.a1 * y.a1 + y.a2 * y.a2))
         a = x * _inverse(y)
-        return ok & np.isfinite(a.a1) & np.isfinite(a.a2), a
+        return _unit_mask(y) & np.isfinite(a.a1) & np.isfinite(a.a2), a
 
 
 class ClassStack:
@@ -356,67 +386,28 @@ class ClassStack:
         return [ClassTag.AFFINE if cls is None else cls.tag for cls in self.rows]
 
 
-def canonicalize_many(p: ProjPoint) -> ClassStack:
-    """:func:`canonicalize` of each point of the stack p.  A row that
-    :func:`certify_affine` does not certify is canonicalized as a point of
-    its own, in row order: it gets the scalar class, or raises the scalar
-    error at the same first row."""
+def _canonicalize_stack(p: ProjPoint, tol: float) -> ClassStack:
+    """:func:`canonicalize` of a stack: a row that :func:`certify_affine`
+    does not certify is canonicalized as a point of its own, in row order,
+    so it gets the scalar class, or raises the scalar error at the same
+    first row."""
+    if tol != TAU_ZERO:
+        raise DomainError(f"a stack of points is canonicalized at tol {TAU_ZERO:g} only")
+    import numpy as np
+
     ok, a = certify_affine(p.x, p.y)
     rows = [None] * len(ok)
     x1, x2, y1, y2 = (v.tolist() for v in (p.x.a1, p.x.a2, p.y.a1, p.y.a2))
     kind = p.kind
-    for i, certified in enumerate(ok.tolist()):
-        if not certified:
-            rows[i] = canonicalize(ProjPoint(kind, Hypercomplex(kind, x1[i], x2[i]),
-                                             Hypercomplex(kind, y1[i], y2[i])))
+    for i in np.flatnonzero(~ok).tolist():
+        rows[i] = canonicalize(ProjPoint(kind, Hypercomplex(kind, x1[i], x2[i]),
+                                         Hypercomplex(kind, y1[i], y2[i])))
     return ClassStack(ok, a, rows)
 
 
-def same_class_many(p: ClassStack, q: ClassStack):
-    """:func:`same_class` of each row pair: the affine test in bulk where both
-    rows are certified, the scalar test elsewhere."""
-    import numpy as np
-
-    a, b = p.affine, q.affine
-    both = p.ok & q.ok
-    with np.errstate(all="ignore"):  # the rows not certified hold any value
-        tol = TAU_ALG * (1.0 + np.maximum(a.magnitude(), b.magnitude()))
-        same = both & (abs(a.a1 - b.a1) <= tol) & (abs(a.a2 - b.a2) <= tol)
-    for i in np.flatnonzero(~both).tolist():
-        same[i] = same_class(p[i], q[i])
-    return same
-
-
-def equivalent_many(p: ProjPoint, q: ProjPoint):
-    """:func:`equivalent` of each row pair of two stacks of points."""
-    if p.kind is not q.kind:
-        raise KindMismatchError("cannot compare points of different kinds")
-    return same_class_many(canonicalize_many(p), canonicalize_many(q))
-
-
-def _larger(a, b):
-    """Python's ``max(a, b)`` per element: a unless b > a, so NaN is kept
-    where max keeps it."""
-    import numpy as np
-
-    return np.where(b > a, b, a)
-
-
-def admissible_many(p: ProjPoint):
-    """:func:`admissible` of each point of the stack p, as a bool array."""
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        if p.kind is Kind.DOUBLE:
-            (xp, xm), (yp, ym) = decompose(p.x), decompose(p.y)
-            return ((_larger(abs(xp), abs(yp)) > TAU_ZERO)
-                    & (_larger(abs(xm), abs(ym)) > TAU_ZERO))
-        if p.kind is Kind.DUAL:
-            return _larger(abs(p.x.a1), abs(p.y.a1)) > TAU_ZERO
-        return np.ones(np.shape(p.x.a1), bool)
-
-
 def equivalent(p: ProjPoint, q: ProjPoint) -> bool:
+    """Whether two points are in one class; for two stacks of points, the
+    bool array of each row pair's answer."""
     if p.kind is not q.kind:
         raise KindMismatchError("cannot compare points of different kinds")
     return same_class(canonicalize(p), canonicalize(q))
@@ -446,7 +437,8 @@ def transporter_to(p: ProjPoint) -> Mat2:
     det = x^2 + y^2, a unit exactly when p is admissible (over the complex
     field the second column is conjugated so the determinant is |x|^2+|y|^2).
     """
-    if not (admissible_many(p).all() if is_stack(p.x.a1) else admissible(p)):
+    ok = admissible(p)
+    if not (ok.all() if is_stack(p.x.a1) else ok):
         raise NotAdmissibleError("no transporter: point is not admissible")
     if p.kind is Kind.COMPLEX:
         return Mat2(p.kind, p.x, -p.y.conjugate(), p.y, p.x.conjugate())
@@ -488,23 +480,7 @@ def transporter_nonadmissible(kind: Kind, target: CanonicalClass) -> Mat2:
 
 
 # ---------------------------------------------------------------------------
-# projections onto the real group and line
-
-
-def project_sl(g: Mat2):
-    """Component projection(s) of a det-1 matrix onto real det-1 matrices,
-    each as the floats (a, b, c, d).
-
-    Double matrices project onto the pair of idempotent components, dual
-    matrices onto their a1-part.  Raises MembershipError when det(g) != 1.
-    """
-    if not membership(g).in_sl:
-        raise MembershipError("matrix is not in the det-1 group")
-    if g.kind is Kind.DOUBLE:
-        return split_double(g)
-    if g.kind is Kind.DUAL:
-        return split_dual(g)[0]
-    raise KindMismatchError("projection is defined for double and dual matrices")
+# the real projective line and its embedding into the families
 
 
 def bijection_f(kind: Kind, x: float, y: float, family: str = "+") -> ProjPoint:

@@ -17,8 +17,8 @@ give.
 The square-root, point and map checks (class partition, unit scaling,
 admissibility, transitivity, projection equivariance, class-preserving
 action, composition) draw ``_CASES`` cases one by one, then test them as
-one stack: ``projline`` canonicalizes the rows it certifies affine in bulk
-and every other row through the scalar ``canonicalize``, and a stack of
+one stack: ``canonicalize``, ``equivalent`` and ``admissible`` take a stack
+of points as they take a point and answer row by row, and a stack of
 matrices makes a stack of ``MoebiusMap``.  The point and map checks draw
 each case as float rows with the row walks of ``sampling``, the walks the
 object samplers are built from, and ``_count`` makes each column of a
@@ -38,7 +38,7 @@ from .algebra import (
     Hypercomplex,
     Kind,
     decompose,
-    invert_many,
+    invert,
     recompose,
     stacked,
 )
@@ -82,12 +82,10 @@ from .projline import (
     CanonicalClass,
     ClassTag,
     ProjPoint,
-    admissible_many,
-    admissible_row,
+    admissible,
     canonical_ratio,
     canonicalize,
-    canonicalize_many,
-    equivalent_many,
+    equivalent,
     pr_base_point,
     real_apply,
     same_class,
@@ -209,7 +207,7 @@ def check_inverses(rng, n: int = 10_000) -> list[CheckResult]:
     for kind in RING_KINDS:
         def gap(units):  # |x * x^-1 - 1|
             x = stacked(kind, units)
-            return (x * invert_many(x) - 1.0).magnitude()
+            return (x * invert(x) - 1.0).magnitude()
 
         out.append(_sweep(f"unit-inverse/{kind.name.lower()}", "units, worst", n,
                           lambda k: sampling.random_units(kind, rng, k), gap, 1e-12))
@@ -440,7 +438,7 @@ def check_class_partition(rng, n: int = 10_000) -> list[CheckResult]:
             flags = np.array(flags_of(p, algebra.TAU_ZERO))
             first = flags.argmax(axis=0).tolist()
             return (flags.sum(axis=0) == 1) & np.array(
-                [tags[f] is tag for f, tag in zip(first, canonicalize_many(p).tags())])
+                [tags[f] is tag for f, tag in zip(first, canonicalize(p).tags())])
 
         out.append(_count(kind, "class-partition", "points land in exactly one class", n,
                           lambda: (sampling.random_point_mixed_row(kind, rng),), test))
@@ -451,7 +449,7 @@ def check_unit_scaling(rng, n: int = 1_000) -> list[CheckResult]:
     return [_count(kind, "unit-scaling-stability", "scaled points keep their class", n,
                    lambda: (sampling.random_point_mixed_row(kind, rng),
                             sampling.random_unit_row(kind, rng, 0.2, 5.0)),
-                   lambda p, u: equivalent_many(p.scaled(u), p))
+                   lambda p, u: equivalent(p.scaled(u), p))
             for kind in (Kind.DOUBLE, Kind.DUAL)]
 
 
@@ -459,22 +457,24 @@ def check_admissibility_invariance(rng, n: int = 1_000) -> list[CheckResult]:
     return [_count(kind, "admissibility-invariance", "images preserve admissibility", n,
                    lambda: (sampling.random_point_mixed_row(kind, rng),
                             sampling.random_gl_row(kind, rng)),
-                   lambda p, g: admissible_many(apply_point(MoebiusMap(g), p))
-                   == admissible_many(p))
+                   lambda p, g: admissible(apply_point(MoebiusMap(g), p)) == admissible(p))
             for kind in (Kind.DOUBLE, Kind.DUAL)]
 
 
 def check_transitivity(rng, n: int = 1_000) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        def draw():
-            while not admissible_row(kind, p := sampling.random_point_mixed_row(kind, rng)):
-                pass
-            return p,
-
+        # mixed points, redrawn while not admissible, tested as stacks: a
+        # round draws as many points as admissible ones are missing, so it
+        # draws no point past the last one a point-by-point loop keeps
+        rows = []
+        while len(rows) < n:
+            drawn = [sampling.random_point_mixed_row(kind, rng) for _ in range(n - len(rows))]
+            rows += itertools.compress(drawn, admissible(stack_rows(kind, drawn)).tolist())
+        cases = iter(rows)
         base = ProjPoint(kind, algebra.one(kind), algebra.zero(kind))
-        out.append(_count(kind, "transitivity-witness", "transporters land on target", n, draw,
-                          lambda p: equivalent_many(
+        out.append(_count(kind, "transitivity-witness", "transporters land on target", n,
+                          lambda: (next(cases),), lambda p: equivalent(
                               apply_point(MoebiusMap(transporter_to(p)), base), p)))
     return out
 
@@ -520,7 +520,7 @@ def check_projection_equivariance(rng, n: int = 1_000) -> list[CheckResult]:
             return g, f(*v), f(*real_apply(comp, v))
 
         out.append(_count(kind, "sl-projection-equivariance", what, n, draw,
-                          lambda g, p, q: equivalent_many(apply_point(MoebiusMap(g), p), q)))
+                          lambda g, p, q: equivalent(apply_point(MoebiusMap(g), p), q)))
     return out
 
 
@@ -531,7 +531,7 @@ def check_projection_equivariance(rng, n: int = 1_000) -> list[CheckResult]:
 def check_action_class_preserving(rng, n: int = 1_000) -> list[CheckResult]:
     def test(g, p, u):
         m = MoebiusMap(g)
-        return equivalent_many(apply_point(m, p.scaled(u)), apply_point(m, p))
+        return equivalent(apply_point(m, p.scaled(u)), apply_point(m, p))
 
     return [_count(kind, "action-class-preserving", "unit rescalings act identically", n,
                    lambda: (sampling.random_gl_row(kind, rng),
@@ -543,7 +543,7 @@ def check_action_class_preserving(rng, n: int = 1_000) -> list[CheckResult]:
 def check_composition(rng, n: int = 1_000) -> list[CheckResult]:
     def test(g1, g2, p):
         m1, m2 = MoebiusMap(g1), MoebiusMap(g2)
-        return equivalent_many(apply_point(compose(m1, m2), p), apply_point(m1, apply_point(m2, p)))
+        return equivalent(apply_point(compose(m1, m2), p), apply_point(m1, apply_point(m2, p)))
 
     return [_count(kind, "composition-homomorphism", "compositions agree", n,
                    lambda: (sampling.random_gl_row(kind, rng), sampling.random_gl_row(kind, rng),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hypermoebius import algebra, matrix2, moebius, projline, sampling, subgroups, verify
-from hypermoebius.algebra import Hypercomplex, Kind, invert_many, stacked
+from hypermoebius.algebra import Hypercomplex, Kind, stacked
 from hypermoebius.errors import KindMismatchError, NotInvertibleError
 from hypermoebius.matrix2 import (
     Mat2,
@@ -108,14 +108,14 @@ class TestStackedNumbers:
 
     def test_invert(self, kind, rng):
         x = sampling.random_units(kind, rng, N)
-        assert same(coords(invert_many(stacked(kind, x))),
+        assert same(coords(algebra.invert(stacked(kind, x))),
                     stack([algebra.invert(v) for v in numbers(kind, x)]))
 
     def test_invert_rejects_non_units(self, kind):
         for name, first in NON_UNITS[kind].items():
             x = np.array([[1.0, 0.5], first, [0.0, 0.0], [2.0, 0.0]])
             with pytest.raises(NotInvertibleError) as info:
-                invert_many(stacked(kind, x))
+                algebra.invert(stacked(kind, x))
             assert str(info.value.element_class) == name  # the first non-unit's class
 
 
@@ -426,8 +426,9 @@ def ring_sl(kind, rng):
     return matrix2.normalize_to_sl(ring_gl(kind, rng))
 
 
-def admissible_row(kind, rng):
-    while not projline.admissible_row(kind, p := sampling.random_point_mixed_row(kind, rng)):
+def admissible_point_row(kind, rng):
+    while not projline.admissible(
+            projline.from_row(kind, p := sampling.random_point_mixed_row(kind, rng))):
         pass
     return p
 
@@ -453,7 +454,7 @@ ROW_WALKS = {  # each row walk, the sampler built from it and its ring-operation
                              lambda kind, rng: sampling.random_unit(kind, rng, 1.0, 3.0),
                              lambda kind, rng: ring_unit(kind, rng, 1.0, 3.0)),
     # transitivity's draw: mixed points, redrawn while not admissible
-    "admissible-point": (admissible_row, admissible_object, admissible_object),
+    "admissible-point": (admissible_point_row, admissible_object, admissible_object),
 }
 
 
@@ -971,7 +972,7 @@ def scalar_projection_equivariance(rng, n):
     tally = verify._Tally()
     for i in range(n):
         g = sampling.random_sl(Kind.DOUBLE, rng)
-        gp, gm = projline.project_sl(g)
+        gp, gm = matrix2.split_double(g)
         v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
         family = "+" if i % 2 == 0 else "-"
         comp = gp if family == "+" else gm
@@ -985,7 +986,7 @@ def scalar_projection_equivariance(rng, n):
     tally = verify._Tally()
     for _ in range(n):
         g = sampling.random_sl(Kind.DUAL, rng)
-        g1 = projline.project_sl(g)
+        g1 = matrix2.split_dual(g)[0]
         v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
         lhs = moebius.apply_point(moebius.MoebiusMap(g), projline.bijection_f(Kind.DUAL, *v))
         rhs_v = projline.real_apply(g1, v)

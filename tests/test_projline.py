@@ -12,11 +12,10 @@ from hypermoebius.errors import (
     HypermoebiusError,
     InvalidPointError,
     KindMismatchError,
-    MembershipError,
     NotAdmissibleError,
     SingularMatrixError,
 )
-from hypermoebius.matrix2 import Mat2, det, identity, membership
+from hypermoebius.matrix2 import Mat2, det, identity, membership, split_dual
 from hypermoebius.moebius import MoebiusMap, apply_point
 from hypermoebius.projline import (
     CanonicalClass,
@@ -24,23 +23,18 @@ from hypermoebius.projline import (
     OrbitLabel,
     ProjPoint,
     admissible,
-    admissible_many,
     bijection_f,
     canonical_ratio,
     canonicalize,
-    canonicalize_many,
     equivalent,
-    equivalent_many,
     orbit_label,
     parse_point,
     point,
     pr_base_point,
-    project_sl,
     real_apply,
     real_projective_equal,
     render_point,
     same_class,
-    same_class_many,
     stack,
     transporter_nonadmissible,
     transporter_to,
@@ -72,6 +66,12 @@ class TestAdmissible:
         with pytest.raises(InvalidPointError):
             point(Kind.DOUBLE, 0, 0)
 
+    @pytest.mark.parametrize("kind", [Kind.DOUBLE, Kind.DUAL])
+    def test_nan_counts_alike_in_x_and_y(self, kind):
+        nan_first, nan_second = point(kind, math.nan, 5.0), point(kind, 5.0, math.nan)
+        assert admissible(nan_first) is admissible(nan_second) is True
+        assert admissible(stack([nan_first, nan_second])).tolist() == [True, True]
+
 
 class TestCanonicalize:
     def test_affine_by_unit_division(self):
@@ -101,6 +101,26 @@ class TestCanonicalize:
         cls = canonicalize(parse_point(Kind.DUAL, "[2 : 3e]"))
         assert cls.tag is ClassTag.DUAL_OMEGA
         assert abs(cls.lam - 1.5) < 1e-12
+
+    @pytest.mark.parametrize("p", [
+        point(Kind.DOUBLE, algebra.Hypercomplex(Kind.DOUBLE, math.inf, 0.0), P_PLUS),  # lam 0
+        point(Kind.DOUBLE, 1.0, algebra.recompose(0.0, math.inf)),  # lam inf
+        point(Kind.DUAL, math.inf, generator(Kind.DUAL)),  # lam 0
+        point(Kind.DUAL, 1.0, number(Kind.DUAL, 0.0, math.inf)),  # [1 : inf eps]
+    ])
+    def test_omega_parameter_zero_or_not_finite_refused(self, p):
+        with pytest.raises(DomainError) as scalar:
+            canonicalize(p)
+        good = point(p.kind, 2.0, 1.0)
+        with pytest.raises(DomainError) as stacked:
+            canonicalize(stack([good, p, good]))
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_stack_at_another_tolerance_refused(self):
+        p = stack([point(Kind.DUAL, 2.0, 1.0), point(Kind.DUAL, 1.0, 0.0)])
+        assert canonicalize(p).tags() == [ClassTag.AFFINE, ClassTag.INFINITY]
+        with pytest.raises(DomainError):
+            canonicalize(p, tol=1e-6)
 
     def test_pr_families(self):
         cls = canonicalize(point(Kind.DOUBLE, P_PLUS * 3, P_PLUS * 5))
@@ -255,25 +275,6 @@ class TestAdmissibilityInvariance:
 
 
 class TestProjection:
-    def test_component_extraction(self):
-        hp = np.array([[1.0, 0.5], [0.0, 1.0]])
-        hm = np.array([[2.0, 0.0], [1.0, 0.5]])
-        from hypermoebius.matrix2 import double_from_components
-
-        g = double_from_components(hp, hm)
-        assert project_sl(g) == (tuple(hp.flat), tuple(hm.flat))
-
-    def test_dual_part_extraction(self):
-        from hypermoebius.matrix2 import dual_from_parts
-
-        g1 = np.array([[1.0, 1.0], [0.0, 1.0]])
-        g = dual_from_parts(g1, np.array([[0.0, 0.3], [0.0, 0.0]]))
-        assert project_sl(g) == tuple(g1.flat)
-
-    def test_rejects_non_sl(self):
-        with pytest.raises(MembershipError):
-            project_sl(identity(Kind.DOUBLE).scale(2.0))
-
     def test_embedding_example(self):
         p = bijection_f(Kind.DOUBLE, 1.0, 0.0, "+")
         assert same_class(canonicalize(p),
@@ -283,7 +284,7 @@ class TestProjection:
         rng = rng_from_seed(37)
         for _ in range(150):
             g = random_sl(Kind.DUAL, rng)
-            g1 = project_sl(g)
+            g1 = split_dual(g)[0]
             v = (rng.uniform(-2, 2), rng.uniform(-2, 2))
             lhs = apply_point(MoebiusMap(g), bijection_f(Kind.DUAL, *v))
             w = real_apply(g1, v)
@@ -335,22 +336,27 @@ class TestNonFiniteFamilyPoints:
         with pytest.raises(DomainError) as scalar:
             canonicalize(self.NAN_A1)
         with pytest.raises(DomainError) as stacked:
-            canonicalize_many(stack(rows))
+            canonicalize(stack(rows))
         assert str(stacked.value) == str(scalar.value)
         with pytest.raises(DomainError) as scalar:
             canonicalize(self.INFINITE_RATIO)
         with pytest.raises(DomainError) as stacked:
-            canonicalize_many(stack([good, self.INFINITE_RATIO, self.NAN_A1]))
+            canonicalize(stack([good, self.INFINITE_RATIO, self.NAN_A1]))
         assert str(stacked.value) == str(scalar.value)
 
 
 # ---------------------------------------------------------------------------
-# the stacked canonicalizer against the scalar one, row by row
+# canonicalize, same_class, equivalent, admissible and invert on a stack
+# against the same function on each point or number, row by row
+
+
+def pack(v):
+    """The exact bits of a float, any NaN as one value."""
+    return None if v is None else "nan" if math.isnan(v) else struct.pack("<d", v)
 
 
 def bits(cls):
     """A canonical class as its tag and the exact bits of its payload."""
-    pack = lambda v: None if v is None else struct.pack("<d", v)
     affine = cls.affine and (pack(cls.affine.a1), pack(cls.affine.a2))
     return cls.tag, affine, pack(cls.lam), cls.ratio and tuple(map(pack, cls.ratio))
 
@@ -376,16 +382,22 @@ ONE_OF_EACH_TAG = {  # a point of every class tag of the kind
 SPECIAL = [0.0, -0.0, 1e-13, -3e-13, 1e-12, -1e-12, 2e-12, 1.0, -1.5, 1e300, -1e300,
            math.inf, -math.inf, math.nan]
 COORDINATE = st.one_of(st.sampled_from(SPECIAL), st.floats(-5.0, 5.0))
-# a flag, then four floats: the idempotent components of x and y (a double
-# row with the flag set) or the coordinates of x and y
-ROW = st.tuples(st.booleans(), COORDINATE, COORDINATE, COORDINATE, COORDINATE)
+# a flag, then two floats: the idempotent components of a number (a double
+# number with the flag set) or its coordinates
+NUMBER = st.tuples(st.booleans(), COORDINATE, COORDINATE)
+ROW = st.tuples(NUMBER, NUMBER)  # the numbers x and y of a point
+KINDS = [Kind.DOUBLE, Kind.DUAL, Kind.COMPLEX]
+
+
+def number_of(kind, flagged):
+    components, v1, v2 = flagged
+    if kind is Kind.DOUBLE and components:
+        return algebra.recompose(v1, v2)
+    return algebra.Hypercomplex(kind, v1, v2)
 
 
 def row_coordinates(kind, row):
-    components, *v = row
-    if kind is Kind.DOUBLE and components:
-        return algebra.recompose(v[0], v[1]), algebra.recompose(v[2], v[3])
-    return algebra.Hypercomplex(kind, v[0], v[1]), algebra.Hypercomplex(kind, v[2], v[3])
+    return tuple(number_of(kind, v) for v in row)
 
 
 def test_fixed_rows_cover_every_tag():
@@ -395,8 +407,7 @@ def test_fixed_rows_cover_every_tag():
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(kind=st.sampled_from([Kind.DOUBLE, Kind.DUAL, Kind.COMPLEX]),
-       rows=st.lists(ROW, max_size=12), data=st.data())
+@given(kind=st.sampled_from(KINDS), rows=st.lists(ROW, max_size=12), data=st.data())
 def test_stacked_canonicalizer_matches_scalar_row_by_row(kind, rows, data):
     pairs = [row_coordinates(kind, row) for row in rows]
     pairs += [(point(kind, x, y).x, point(kind, x, y).y) for x, y in ONE_OF_EACH_TAG[kind]]
@@ -409,37 +420,52 @@ def test_stacked_canonicalizer_matches_scalar_row_by_row(kind, rows, data):
         assert got == first_bad
     points = [p for p in points if isinstance(p, ProjPoint)]
     p = stack(points)
-    assert admissible_many(p).tolist() == [admissible(q) for q in points]
+    assert admissible(p).tolist() == [admissible(q) for q in points]
 
     classes = [outcome(canonicalize, q) for q in points]
     first_bad = next((c for c in classes if not isinstance(c, CanonicalClass)), None)
     if first_bad is not None:
-        assert outcome(canonicalize_many, p) == first_bad
+        assert outcome(canonicalize, p) == first_bad
     kept = [q for q, c in zip(points, classes) if isinstance(c, CanonicalClass)]
     classes = [c for c in classes if isinstance(c, CanonicalClass)]
     if not kept:
         return
-    many = canonicalize_many(stack(kept))
+    many = canonicalize(stack(kept))
     assert [bits(many[i]) for i in range(len(kept))] == [bits(c) for c in classes]
+    assert [many[i].label() for i in range(len(kept))] == [c.label() for c in classes]
     assert many.tags() == [c.tag for c in classes]
     # certified rows are affine ones
     assert all(c.tag is ClassTag.AFFINE for c, ok in zip(classes, many.ok.tolist()) if ok)
 
     order = data.draw(st.permutations(range(len(kept))))
-    other = canonicalize_many(stack([kept[i] for i in order]))
-    assert same_class_many(many, other).tolist() == [
+    other = canonicalize(stack([kept[i] for i in order]))
+    assert same_class(many, other).tolist() == [
         same_class(c, classes[i]) for c, i in zip(classes, order)]
-    # same_class is not reflexive where a payload is NaN
-    assert same_class_many(many, many).tolist() == [same_class(c, c) for c in classes]
+    assert same_class(many, many).tolist() == [same_class(c, c) for c in classes]
+    assert equivalent(stack(kept), stack([kept[i] for i in order])).tolist() == [
+        equivalent(q, kept[i]) for q, i in zip(kept, order)]
     # the classes of the points rescaled by a unit: equal up to rounding,
     # which the tolerance scales with the coordinates
     u = algebra.Hypercomplex(kind, 0.75, 0.25)
     rescaled = [outcome(lambda q: canonicalize(q.scaled(u)), q) for q in kept]
     rows = [i for i, c in enumerate(rescaled) if isinstance(c, CanonicalClass)]
     if rows:
-        got = same_class_many(canonicalize_many(stack([kept[i] for i in rows])),
-                              canonicalize_many(stack([kept[i].scaled(u) for i in rows])))
-        assert got.tolist() == [same_class(classes[i], rescaled[i]) for i in rows]
+        got = equivalent(stack([kept[i] for i in rows]), stack([kept[i].scaled(u) for i in rows]))
+        assert got.tolist() == [equivalent(kept[i], kept[i].scaled(u)) for i in rows]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(kind=st.sampled_from(KINDS), values=st.lists(NUMBER, min_size=1, max_size=12))
+def test_stacked_invert_matches_scalar_row_by_row(kind, values):
+    xs = [number_of(kind, v) for v in values]
+    inverses = [outcome(algebra.invert, x) for x in xs]
+    got = outcome(algebra.invert, stack(xs))
+    first_bad = next((w for w in inverses if not isinstance(w, algebra.Hypercomplex)), None)
+    if first_bad is not None:
+        assert got == first_bad
+        return
+    assert [(pack(a1), pack(a2)) for a1, a2 in zip(got.a1.tolist(), got.a2.tolist())] == [
+        (pack(w.a1), pack(w.a2)) for w in inverses]
 
 
 class TestStackedPoints:
@@ -454,7 +480,7 @@ class TestStackedPoints:
                     for g, q, u in zip(maps, points, units)]
             assert (stack([q.x for q in want]).a1 == got.x.a1).all()
             assert (stack([q.y for q in want]).a2 == got.y.a2).all()
-            assert equivalent_many(got, stack(want)).all()
+            assert equivalent(got, stack(want)).all()
 
     def test_singular_map_in_a_stack(self):
         good = identity(Kind.DUAL)
@@ -471,4 +497,4 @@ class TestStackedPoints:
         p = stack([point(Kind.DUAL, 1.0, 2.0)])
         q = stack([point(Kind.DOUBLE, 1.0, 2.0)])
         with pytest.raises(KindMismatchError):
-            equivalent_many(p, q)
+            equivalent(p, q)
