@@ -88,11 +88,13 @@ class Mat2:
             )
 
     def max_entry_magnitude(self) -> float:
-        """The largest entry magnitude; for a stack, the array of each matrix's."""
+        """The largest entry magnitude, NaN when one is NaN; for a stack, the
+        array of each matrix's."""
         a, b, c, d = (self.a.magnitude(), self.b.magnitude(),
                       self.c.magnitude(), self.d.magnitude())
         if type(a) is float:  # every entry of a stack is a stack
-            return max(a, b, c, d)
+            # max keeps a NaN in first place only; np.maximum keeps one anywhere
+            return max(a, b, c, d) if b == b and c == c and d == d else math.nan
         import numpy as np
 
         return np.maximum(np.maximum(a, b), np.maximum(c, d))

@@ -221,13 +221,21 @@ def _admissible(p: ProjPoint, tol: float):
     """The rule of :func:`admissible` on float or array coordinates: some
     coordinate of each pair exceeds tol.  A NaN exceeds nothing, in x as in
     y."""
-    x, y = p.x, p.y
-    if p.kind is Kind.DOUBLE:  # the pairs of plus and of minus components
-        return (((abs(x.a1 + x.a2) > tol) | (abs(y.a1 + y.a2) > tol))
-                & ((abs(x.a1 - x.a2) > tol) | (abs(y.a1 - y.a2) > tol)))
+    if p.kind is Kind.DOUBLE:
+        plus, minus = _nonzero_pairs(p, tol)
+        return plus & minus
     if p.kind is Kind.DUAL:
-        return (abs(x.a1) > tol) | (abs(y.a1) > tol)
+        return (abs(p.x.a1) > tol) | (abs(p.y.a1) > tol)
     return True  # complex: a field, every nonzero pair is admissible
+
+
+def _nonzero_pairs(p: ProjPoint, tol: float):
+    """Whether the pair of plus and the pair of minus idempotent components
+    of the double point p are nonzero: some coordinate of the pair exceeds
+    tol.  A NaN exceeds nothing, in x as in y."""
+    x, y = p.x, p.y
+    return (((abs(x.a1 + x.a2) > tol) | (abs(y.a1 + y.a2) > tol)),
+            ((abs(x.a1 - x.a2) > tol) | (abs(y.a1 - y.a2) > tol)))
 
 
 def canonicalize(p: ProjPoint, tol: float = TAU_ZERO) -> CanonicalClass:
@@ -260,6 +268,8 @@ def _affine_class(p: ProjPoint) -> CanonicalClass:
 def _canonicalize_double(p: ProjPoint, tol: float) -> CanonicalClass:
     xp, xm = decompose(p.x)
     yp, ym = decompose(p.y)
+    if xp != xp or xm != xm or yp != yp or ym != ym:  # a NaN component
+        raise DomainError("a NaN idempotent component leaves the class of the point undecided")
     plus_zero = abs(xp) <= tol and abs(yp) <= tol
     minus_zero = abs(xm) <= tol and abs(ym) <= tol
     if plus_zero and minus_zero:
@@ -414,15 +424,14 @@ def equivalent(p: ProjPoint, q: ProjPoint) -> bool:
 
 
 def orbit_label(p: ProjPoint, tol: float = TAU_ZERO) -> OrbitLabel:
+    """The orbit of p: the projective line when p is admissible, else its
+    non-admissible family; over the double numbers the family is read from
+    the pair test of :func:`admissible`."""
     if admissible(p, tol):
         return OrbitLabel.PROJECTIVE_LINE
     if p.kind is Kind.DUAL:
         return OrbitLabel.PR
-    xp, xm = decompose(p.x)
-    yp, ym = decompose(p.y)
-    if max(abs(xm), abs(ym)) <= tol:
-        return OrbitLabel.PR_PLUS
-    return OrbitLabel.PR_MINUS
+    return OrbitLabel.PR_MINUS if _nonzero_pairs(p, tol)[1] else OrbitLabel.PR_PLUS
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,10 @@ class TestSqrtAll:
         for s in roots:
             assert (s * s).close_to(number(Kind.COMPLEX, 0, 2), 1e-9)
 
+    def test_complex_stack_is_refused(self):
+        with pytest.raises(KindMismatchError):
+            algebra.sqrt_all_many(algebra.stacked(Kind.COMPLEX, np.ones((3, 2))))
+
 
 class TestClassify:
     def test_double_zero_divisors(self):

@@ -1,20 +1,19 @@
-"""The library's ring and matrix operations on stacks against one number or
-matrix at a time, compared with ``==``.
+"""The draws of ``verify`` and its checks against the scalar loops they
+replaced.
 
-The fixed-draw sweeps of ``verify`` run ``Hypercomplex`` and ``Mat2``
-arithmetic on stacks of numbers and matrices; these tests keep them a check
-of the scalar library by demanding bit-identical results on the same
-values, and identical generator use.
+verify draws its cases as float rows from one seeded stream and runs its
+sweeps and checks on stacks.  The draw tests demand that the rows stack,
+bit for bit, to the objects the scalar samplers draw, with identical
+generator use; the check-level oracles demand the report each check gave
+as a loop over one sample at a time.  Each stacked function is held to its
+scalar path by ``tests/test_stacks.py``.
 """
-
-import operator
 
 import numpy as np
 import pytest
 
 from hypermoebius import algebra, matrix2, moebius, projline, sampling, subgroups, verify
-from hypermoebius.algebra import Hypercomplex, Kind, stacked
-from hypermoebius.errors import KindMismatchError, NotInvertibleError
+from hypermoebius.algebra import Hypercomplex, Kind
 from hypermoebius.matrix2 import (
     Mat2,
     adj_real,
@@ -24,25 +23,14 @@ from hypermoebius.matrix2 import (
     double_from_components,
     dual_from_parts,
     hat,
-    identity,
     mat_exp,
     mat_exp_real,
-    stacked_mat,
 )
 from hypermoebius.moebius import kernel_labels
 from hypermoebius.subgroups import eval_subgroup, exp_cross_check, generator_of, group_law_terms
 
 KINDS = (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL)
 N = 1_537  # not a multiple of verify._CHUNK
-
-
-def numbers(kind, arr):
-    return [Hypercomplex(kind, a1, a2) for a1, a2 in arr.tolist()]
-
-
-def matrices(kind, arr):
-    """One Mat2 per (2, 2, 2) block of arr: entry (i, j) has coordinates arr[i, j]."""
-    return [Mat2(kind, *numbers(kind, m.reshape(4, 2))) for m in arr]
 
 
 def stack(values):
@@ -52,272 +40,8 @@ def stack(values):
     return np.array([(x.a1, x.a2) for x in values])
 
 
-def coords(x):
-    """A stacked result in the layout of :func:`stack`."""
-    if isinstance(x, Mat2):
-        return np.stack([coords(e) for e in x.entries()], axis=-2)
-    return np.stack((x.a1, x.a2), axis=-1)
-
-
 def same(batched, scalar) -> bool:
     return batched.shape == scalar.shape and np.array_equal(batched, scalar)
-
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(2024)
-
-
-NON_UNITS = {  # one coordinate pair of each non-unit class of each kind
-    Kind.COMPLEX: {"Zero": [0.0, 0.0]},
-    Kind.DOUBLE: {"Zero": [0.0, 0.0], "ZeroDivisorPlus": [1.5, 1.5],
-                  "ZeroDivisorMinus": [1.5, -1.5]},
-    Kind.DUAL: {"Zero": [0.0, 0.0], "NilpotentNonzero": [0.0, 2.0]},
-}
-
-
-@pytest.mark.parametrize("kind", KINDS)
-class TestStackedNumbers:
-    @pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub])
-    def test_ring_operation(self, kind, rng, op):
-        x, y = sampling.random_numbers(rng, (N,)), sampling.random_numbers(rng, (N,))
-        want = stack([op(p, q) for p, q in zip(numbers(kind, x), numbers(kind, y))])
-        assert same(coords(op(stacked(kind, x), stacked(kind, y))), want)
-
-    def test_negation(self, kind, rng):
-        x = sampling.random_numbers(rng, (N,))
-        assert same(coords(-stacked(kind, x)), stack([-p for p in numbers(kind, x)]))
-
-    @pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub])
-    def test_with_a_real(self, kind, rng, op):
-        x = sampling.random_numbers(rng, (N,))
-        assert same(coords(op(stacked(kind, x), 0.75)),
-                    stack([op(p, 0.75) for p in numbers(kind, x)]))
-
-    def test_magnitude(self, kind, rng):
-        x = sampling.random_numbers(rng, (N,))
-        assert same(stacked(kind, x).magnitude(),
-                    np.array([v.magnitude() for v in numbers(kind, x)]))
-
-    def test_times_a_float_array(self, kind, rng):
-        x, s = sampling.random_numbers(rng, (2,)), rng.uniform(-2, 2, N)
-        for p in numbers(kind, x):
-            want = stack([p * f for f in s.tolist()])
-            assert same(coords(p * s), want)
-            assert same(coords(s * p), want)
-
-    def test_invert(self, kind, rng):
-        x = sampling.random_units(kind, rng, N)
-        assert same(coords(algebra.invert(stacked(kind, x))),
-                    stack([algebra.invert(v) for v in numbers(kind, x)]))
-
-    def test_invert_rejects_non_units(self, kind):
-        for name, first in NON_UNITS[kind].items():
-            x = np.array([[1.0, 0.5], first, [0.0, 0.0], [2.0, 0.0]])
-            with pytest.raises(NotInvertibleError) as info:
-                algebra.invert(stacked(kind, x))
-            assert str(info.value.element_class) == name  # the first non-unit's class
-
-
-class TestStackedSquareRoots:
-    VALUES = [0.0, -0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.01, 0.3, 1.0, -1.0, 2.25, -4.0]
-
-    @pytest.mark.parametrize("kind", [Kind.DOUBLE, Kind.DUAL])
-    def test_roots_as_sqrt_all_lists_them(self, kind, rng):
-        grid = np.array([(p, m) for p in self.VALUES for m in self.VALUES])
-        x = np.concatenate((grid, rng.uniform(-3, 3, size=(200, 2))))
-        if kind is Kind.DOUBLE:  # the grid as idempotent components
-            x = coords(algebra.recompose(x[:, 0], x[:, 1]))
-        roots, kept = algebra.sqrt_all_many(stacked(kind, x))
-        got = [[(r1, r2) for r1, r2, k in zip(*col) if k]
-               for col in zip(roots.a1.T.tolist(), roots.a2.T.tolist(), kept.T.tolist())]
-        want = [[(r.a1, r.a2) for r in algebra.sqrt_all(v)] for v in numbers(kind, x)]
-        assert got == want
-        # the signs of zero roots too
-        assert [np.signbit(r).tolist() for r in got] == [np.signbit(r).tolist() for r in want]
-        assert {len(r) for r in want} == ({0, 1, 2, 4} if kind is Kind.DOUBLE else {0, 1, 2})
-
-    def test_complex_is_refused(self):
-        with pytest.raises(KindMismatchError):
-            algebra.sqrt_all_many(stacked(Kind.COMPLEX, np.ones((3, 2))))
-
-
-class TestStackInvariant:
-    """Every coordinate of a stack is an array of the stack's shape, also
-    where a family entry is zero for every t."""
-
-    @pytest.mark.parametrize("spec", [
-        subgroups.DualGL(subgroups.SigmaKind.TRIVIAL, 0.3, 1.1, 0.2),
-        subgroups.DoubleGL(subgroups.SigmaKind.TRIVIAL, 0.3, subgroups.SigmaKind.TRIVIAL, -0.2),
-        subgroups.DoubleSL(subgroups.SigmaKind.ELLIPTIC, subgroups.SigmaKind.TRIVIAL),
-    ])
-    def test_trivial_regime_stacks(self, spec):
-        ts = np.linspace(-1, 1, 5)
-        g = eval_subgroup(spec, ts)
-        for e in g.entries():
-            assert type(e.a1) is type(e.a2) is np.ndarray and e.a1.shape == e.a2.shape == (5,)
-        want = stack([eval_subgroup(spec, t) for t in ts.tolist()])
-        assert same(coords(g), want)
-        assert same(np.signbit(coords(g)), np.signbit(want))  # -0.0 where k < 0
-        assert same(g.max_entry_magnitude(),
-                    np.array([eval_subgroup(spec, t).max_entry_magnitude()
-                              for t in ts.tolist()]))
-
-
-class TestStackedSplit:
-    def test_decompose(self, rng):
-        x = sampling.random_numbers(rng, (N,))
-        plus, minus = algebra.decompose(stacked(Kind.DOUBLE, x))
-        want = np.array([algebra.decompose(v) for v in numbers(Kind.DOUBLE, x)])
-        assert same(np.stack((plus, minus), axis=-1), want)
-
-    def test_recompose(self, rng):
-        pm = rng.uniform(-2, 2, size=(N, 2))
-        assert same(coords(algebra.recompose(pm[:, 0], pm[:, 1])),
-                    stack([algebra.recompose(p, m) for p, m in pm.tolist()]))
-
-
-@pytest.mark.parametrize("kind", KINDS)
-class TestStackedMatrices:
-    def test_det(self, kind, rng):
-        x = sampling.random_numbers(rng, (N, 2, 2))
-        assert same(coords(det(stacked_mat(stacked(kind, x)))),
-                    stack([det(m) for m in matrices(kind, x)]))
-
-    @pytest.mark.parametrize("op", [operator.matmul, operator.add, operator.sub])
-    def test_matrix_operation(self, kind, rng, op):
-        x, y = sampling.random_numbers(rng, (N, 2, 2)), sampling.random_numbers(rng, (N, 2, 2))
-        want = stack([op(p, q) for p, q in zip(matrices(kind, x), matrices(kind, y))])
-        assert same(coords(op(stacked_mat(stacked(kind, x)), stacked_mat(stacked(kind, y)))),
-                    want)
-
-    def test_hat(self, kind, rng):
-        x = sampling.random_numbers(rng, (N, 2, 2))
-        assert same(coords(hat(stacked_mat(stacked(kind, x)))),
-                    stack([hat(m) for m in matrices(kind, x)]))
-
-    def test_scale(self, kind, rng):
-        x, s = sampling.random_numbers(rng, (N, 2, 2)), sampling.random_numbers(rng, (N,))
-        pairs = list(zip(matrices(kind, x), numbers(kind, s)))
-        mats, factors = stacked_mat(stacked(kind, x)), stacked(kind, s)
-        assert same(coords(mats.scale(factors)), stack([m.scale(f) for m, f in pairs]))
-        assert same(coords(mats.scale(0.75)), stack([m.scale(0.75) for m, _ in pairs]))
-        # one matrix scaled by a stack of numbers, as in the adjugate identity
-        assert same(coords(identity(kind).scale(factors)),
-                    stack([identity(kind).scale(f) for _, f in pairs]))
-        # one matrix, or each of a stack, times its own real
-        reals = rng.uniform(-2, 2, N)
-        assert same(coords(mats.scale(reals)),
-                    stack([m.scale(r) for (m, _), r in zip(pairs, reals.tolist())]))
-        assert same(coords(identity(kind).scale(reals)),
-                    stack([identity(kind).scale(r) for r in reals.tolist()]))
-
-    def test_max_entry_magnitude(self, kind, rng):
-        x = sampling.random_numbers(rng, (N, 2, 2))
-        assert same(stacked_mat(stacked(kind, x)).max_entry_magnitude(),
-                    np.array([m.max_entry_magnitude() for m in matrices(kind, x)]))
-
-
-def scalar_mat_exp_real(b, t):
-    """The one-matrix real exponential as it was written before it stacked."""
-    m = np.asarray(b, dtype=float) * float(t)
-    k = 0
-    norm = float(np.max(np.abs(m)))
-    while norm > 0.5:
-        norm /= 2.0
-        k += 1
-    m = m * 0.5 ** k
-    term = np.eye(2)
-    acc = np.eye(2)
-    for n in range(1, 21):
-        term = term @ m / n
-        acc = acc + term
-    for _ in range(k):
-        acc = acc @ acc
-    return acc
-
-
-class TestStackedExp:
-    """mat_exp on stacks against one matrix at a time; exp-law reaches k = 5
-    halvings (norms up to 2 * 6), the sweep here k = 0 to 7 and the zero
-    matrix."""
-
-    @pytest.fixture
-    def sweep(self, rng):
-        x = sampling.random_numbers(rng, (300, 2, 2))  # a scalar mat_exp takes 0.5 ms
-        x[0] = 0.0
-        return x, np.linspace(-25.0, 25.0, len(x))
-
-    def test_halving_counts_covered(self, sweep):
-        x, ts = sweep
-        k, _ = matrix2._halvings(np.max(abs(x), axis=(1, 2, 3)) * abs(ts))
-        assert set(k.tolist()) == set(range(8))
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_stack_at_a_stack_of_t(self, kind, sweep):
-        x, ts = sweep
-        want = stack([mat_exp(m, t) for m, t in zip(matrices(kind, x), ts.tolist())])
-        assert same(coords(mat_exp(stacked_mat(stacked(kind, x)), ts)), want)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_one_matrix_at_a_stack_of_t_and_a_stack_at_one_t(self, kind, sweep):
-        x, ts = sweep
-        one = matrices(kind, x[1:2])[0]
-        assert same(coords(mat_exp(one, ts)), stack([mat_exp(one, t) for t in ts.tolist()]))
-        assert same(coords(mat_exp(stacked_mat(stacked(kind, x)), -7.5)),
-                    stack([mat_exp(m, -7.5) for m in matrices(kind, x)]))
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_infinite_entry_returns(self, kind, sweep):
-        # halving an infinite norm never ends; such a matrix is not scaled.
-        # Its inf * 0 products warn, as in any stack arithmetic
-        x, ts = sweep
-        x[5, 0, 1, 0] = np.inf
-        with np.errstate(invalid="ignore"):
-            got = mat_exp(stacked_mat(stacked(kind, x)), ts)
-        assert not np.isfinite(got.a.a1[5]) and np.isfinite(got.a.a1[6])
-        assert same(coords(got)[6:], stack([mat_exp(m, t) for m, t in
-                                            zip(matrices(kind, x[6:]), ts[6:].tolist())]))
-        assert not np.isfinite(mat_exp(matrices(kind, x[5:6])[0], 1.0).a.a1)
-
-    def test_real(self, sweep):
-        x, ts = sweep
-        reals = x[..., 0]
-        want = np.array([scalar_mat_exp_real(m, t) for m, t in zip(reals, ts.tolist())])
-        assert same(mat_exp_real(reals, ts), want)
-        assert same(np.array([mat_exp_real(m, t) for m, t in zip(reals, ts.tolist())]), want)
-        assert same(mat_exp_real(reals[1], ts),
-                    np.array([scalar_mat_exp_real(reals[1], t) for t in ts.tolist()]))
-        with np.errstate(invalid="ignore"):  # returns, where halving inf never ends
-            assert not np.isfinite(mat_exp_real(np.diag([np.inf, 1.0]), 1.0)).all()
-
-
-class TestComponentFormulas:
-    def test_matrices_from_real_parts(self, rng):
-        first, second = rng.uniform(-2, 2, size=(2, N, 2, 2))
-        assert same(coords(stacked_mat(algebra.recompose(first, second))),
-                    stack([double_from_components(p, m) for p, m in zip(first, second)]))
-        assert same(coords(stacked_mat(Hypercomplex(Kind.DUAL, first, second))),
-                    stack([dual_from_parts(p, m) for p, m in zip(first, second)]))
-
-    def test_split_double_stacked_matches_one_at_a_time(self, rng):
-        plus, minus = rng.uniform(-2, 2, size=(2, N, 2, 2))
-        want = stack([algebra.recompose(float(np.linalg.det(p)), float(np.linalg.det(m)))
-                      for p, m in zip(plus, minus)])
-        assert same(coords(det_split_double(plus, minus)), want)
-        assert same(stack([det_split_double(p, m) for p, m in zip(plus, minus)]), want)
-
-    def test_dual_formula_stacked_matches_one_at_a_time(self, rng):
-        a1, a2 = rng.uniform(-2, 2, size=(2, N, 2, 2))
-        want = np.array([(float(np.linalg.det(p)), float(np.trace(p @ adj_real(q))))
-                         for p, q in zip(a1, a2)])
-        assert same(coords(det_dual_formula(a1, a2)), want)
-        assert same(stack([det_dual_formula(p, q) for p, q in zip(a1, a2)]), want)
-
-    def test_adj_real_stack(self, rng):
-        m = rng.uniform(-2, 2, size=(N, 2, 2))
-        assert same(adj_real(m), np.array([[[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]]
-                                           for q in m]))
 
 
 # the object samplers the row walks of ``sampling`` replaced, built of ring
@@ -748,7 +472,7 @@ def scalar_group_law(rng, n_specs, n_pairs):
 
 def scalar_exp_cross(spec):
     gen = generator_of(spec)
-    exp = mat_exp if isinstance(gen, Mat2) else scalar_mat_exp_real
+    exp = mat_exp if isinstance(gen, Mat2) else mat_exp_real
     worst = 0.0
     for t in np.linspace(-2.0, 2.0, 9).tolist():
         worst = max(worst, subgroups._entry_gap(exp(gen, t), eval_subgroup(spec, t)))
@@ -803,15 +527,6 @@ class TestSubgroupChecksMatchScalarLoops:
             assert result.detail == (f"{tally.good}/{tally.total} (t1,t2) pairs, "
                                      f"worst rel {verify._fmt(tally.worst)}")
         assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_group_law_terms_pair_by_pair(self, rng):
-        t1, t2 = rng.uniform(-3, 3, size=(2, 60))
-        for specs in sampling.random_specs(rng, 3).values():
-            for spec in specs:
-                got = np.stack(group_law_terms(spec, t1, t2), axis=-1)
-                want = np.array([group_law_terms(spec, a, b)
-                                 for a, b in zip(t1.tolist(), t2.tolist())])
-                assert same(got, want), spec
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_exp_cross(self, seed):

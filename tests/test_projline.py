@@ -1,21 +1,16 @@
 import math
-import struct
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hypermoebius import algebra
 from hypermoebius.algebra import Kind, P_MINUS, P_PLUS, number, one, zero, generator
 from hypermoebius.errors import (
     DomainError,
-    HypermoebiusError,
     InvalidPointError,
     KindMismatchError,
     NotAdmissibleError,
-    SingularMatrixError,
 )
-from hypermoebius.matrix2 import Mat2, det, identity, membership, split_dual
+from hypermoebius.matrix2 import det, identity, membership, split_dual
 from hypermoebius.moebius import MoebiusMap, apply_point
 from hypermoebius.projline import (
     CanonicalClass,
@@ -70,7 +65,6 @@ class TestAdmissible:
     def test_nan_counts_alike_in_x_and_y(self, kind):
         nan_first, nan_second = point(kind, math.nan, 5.0), point(kind, 5.0, math.nan)
         assert admissible(nan_first) is admissible(nan_second) is True
-        assert admissible(stack([nan_first, nan_second])).tolist() == [True, True]
 
 
 class TestCanonicalize:
@@ -109,12 +103,8 @@ class TestCanonicalize:
         point(Kind.DUAL, 1.0, number(Kind.DUAL, 0.0, math.inf)),  # [1 : inf eps]
     ])
     def test_omega_parameter_zero_or_not_finite_refused(self, p):
-        with pytest.raises(DomainError) as scalar:
+        with pytest.raises(DomainError):
             canonicalize(p)
-        good = point(p.kind, 2.0, 1.0)
-        with pytest.raises(DomainError) as stacked:
-            canonicalize(stack([good, p, good]))
-        assert str(stacked.value) == str(scalar.value)
 
     def test_stack_at_another_tolerance_refused(self):
         p = stack([point(Kind.DUAL, 2.0, 1.0), point(Kind.DUAL, 1.0, 0.0)])
@@ -164,6 +154,8 @@ class TestEquivalent:
     def test_kind_mismatch(self):
         with pytest.raises(KindMismatchError):
             equivalent(point(Kind.DUAL, 1, 1), point(Kind.DOUBLE, 1, 1))
+        with pytest.raises(KindMismatchError):
+            equivalent(stack([point(Kind.DUAL, 1, 1)]), stack([point(Kind.DOUBLE, 1, 1)]))
 
 
 class TestOrbitLabels:
@@ -201,19 +193,6 @@ class TestTransporters:
     def test_not_admissible_rejected(self):
         with pytest.raises(NotAdmissibleError):
             transporter_to(point(Kind.DOUBLE, P_PLUS, P_PLUS * 2))
-        good = point(Kind.DOUBLE, P_PLUS, P_MINUS)
-        with pytest.raises(NotAdmissibleError):
-            transporter_to(stack([good, point(Kind.DOUBLE, P_PLUS, P_PLUS * 2), good]))
-
-    def test_stack_of_points(self):
-        rng = rng_from_seed(5)
-        for kind in (Kind.DOUBLE, Kind.DUAL, Kind.COMPLEX):
-            points = [p for p in (random_point_mixed(kind, rng) for _ in range(60))
-                      if admissible(p)]
-            got = transporter_to(stack(points)).entries()
-            want = stack([transporter_to(p) for p in points]).entries()
-            assert all(np.array_equal(g.a1, w.a1) and np.array_equal(g.a2, w.a2)
-                       for g, w in zip(got, want))
 
     def test_random_sweep(self):
         rng = rng_from_seed(23)
@@ -313,7 +292,7 @@ def test_canonical_ratio_refuses_a_non_finite_norm(x, y):
 
 class TestNonFiniteFamilyPoints:
     """Points whose class the float coordinates cannot decide are refused
-    with a typed error, by the stacked canonicalizer at the same first row."""
+    with a typed error."""
 
     INFINITE_RATIO = point(Kind.DUAL, 0.0, number(Kind.DUAL, 0.0, math.inf))  # [0 : inf eps]
     # [0 : inf eps] rescaled by 0.75 + 0.25 eps: y = nan + inf eps
@@ -330,171 +309,9 @@ class TestNonFiniteFamilyPoints:
         with pytest.raises(DomainError):
             canonicalize(ProjPoint(Kind.DUAL, number(Kind.DUAL, math.nan, 1.0), zero(Kind.DUAL)))
 
-    def test_stack_raises_at_the_first_refused_row(self):
-        good = point(Kind.DUAL, generator(Kind.DUAL) * 2.0, generator(Kind.DUAL))
-        rows = [good, point(Kind.DUAL, 2.0, 1.0), self.NAN_A1, self.INFINITE_RATIO, good]
-        with pytest.raises(DomainError) as scalar:
-            canonicalize(self.NAN_A1)
-        with pytest.raises(DomainError) as stacked:
-            canonicalize(stack(rows))
-        assert str(stacked.value) == str(scalar.value)
-        with pytest.raises(DomainError) as scalar:
-            canonicalize(self.INFINITE_RATIO)
-        with pytest.raises(DomainError) as stacked:
-            canonicalize(stack([good, self.INFINITE_RATIO, self.NAN_A1]))
-        assert str(stacked.value) == str(scalar.value)
-
-
-# ---------------------------------------------------------------------------
-# canonicalize, same_class, equivalent, admissible and invert on a stack
-# against the same function on each point or number, row by row
-
-
-def pack(v):
-    """The exact bits of a float, any NaN as one value."""
-    return None if v is None else "nan" if math.isnan(v) else struct.pack("<d", v)
-
-
-def bits(cls):
-    """A canonical class as its tag and the exact bits of its payload."""
-    affine = cls.affine and (pack(cls.affine.a1), pack(cls.affine.a2))
-    return cls.tag, affine, pack(cls.lam), cls.ratio and tuple(map(pack, cls.ratio))
-
-
-def outcome(fn, *args):
-    """fn(*args), or the type and text of the typed error it raises."""
-    try:
-        return fn(*args)
-    except HypermoebiusError as exc:
-        return type(exc), str(exc)
-
-
-E = generator(Kind.DUAL)
-ONE_OF_EACH_TAG = {  # a point of every class tag of the kind
-    Kind.DOUBLE: [(2.0, 1.0), (1.0, 0.0), (1.0, P_PLUS * 2), (1.0, P_MINUS * 2),
-                  (P_PLUS, P_MINUS), (P_MINUS, P_PLUS), (P_PLUS, P_PLUS * 2),
-                  (P_MINUS, P_MINUS * -2)],
-    Kind.DUAL: [(2.0, 1.0), (1.0, 0.0), (1.0, E * 3), (E, E * -2)],
-    Kind.COMPLEX: [(2.0, 1.0), (1.0, 0.0)],
-}
-# zeros, values at and around the structural-zero tolerance, values whose
-# squares overflow, and non-finite values
-SPECIAL = [0.0, -0.0, 1e-13, -3e-13, 1e-12, -1e-12, 2e-12, 1.0, -1.5, 1e300, -1e300,
-           math.inf, -math.inf, math.nan]
-COORDINATE = st.one_of(st.sampled_from(SPECIAL), st.floats(-5.0, 5.0))
-# a flag, then two floats: the idempotent components of a number (a double
-# number with the flag set) or its coordinates
-NUMBER = st.tuples(st.booleans(), COORDINATE, COORDINATE)
-ROW = st.tuples(NUMBER, NUMBER)  # the numbers x and y of a point
-KINDS = [Kind.DOUBLE, Kind.DUAL, Kind.COMPLEX]
-
-
-def number_of(kind, flagged):
-    components, v1, v2 = flagged
-    if kind is Kind.DOUBLE and components:
-        return algebra.recompose(v1, v2)
-    return algebra.Hypercomplex(kind, v1, v2)
-
-
-def row_coordinates(kind, row):
-    return tuple(number_of(kind, v) for v in row)
-
-
-def test_fixed_rows_cover_every_tag():
-    tags = {canonicalize(point(kind, x, y)).tag
-            for kind, rows in ONE_OF_EACH_TAG.items() for x, y in rows}
-    assert tags == set(ClassTag)
-
-
-@settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(kind=st.sampled_from(KINDS), rows=st.lists(ROW, max_size=12), data=st.data())
-def test_stacked_canonicalizer_matches_scalar_row_by_row(kind, rows, data):
-    pairs = [row_coordinates(kind, row) for row in rows]
-    pairs += [(point(kind, x, y).x, point(kind, x, y).y) for x, y in ONE_OF_EACH_TAG[kind]]
-    pairs = data.draw(st.permutations(pairs))
-    points = [outcome(ProjPoint, kind, x, y) for x, y in pairs]
-    # a stack of points is refused as its first refused point is
-    first_bad = next((p for p in points if not isinstance(p, ProjPoint)), None)
-    got = outcome(ProjPoint, kind, stack([x for x, _ in pairs]), stack([y for _, y in pairs]))
-    if first_bad is not None:
-        assert got == first_bad
-    points = [p for p in points if isinstance(p, ProjPoint)]
-    p = stack(points)
-    assert admissible(p).tolist() == [admissible(q) for q in points]
-
-    classes = [outcome(canonicalize, q) for q in points]
-    first_bad = next((c for c in classes if not isinstance(c, CanonicalClass)), None)
-    if first_bad is not None:
-        assert outcome(canonicalize, p) == first_bad
-    kept = [q for q, c in zip(points, classes) if isinstance(c, CanonicalClass)]
-    classes = [c for c in classes if isinstance(c, CanonicalClass)]
-    if not kept:
-        return
-    many = canonicalize(stack(kept))
-    assert [bits(many[i]) for i in range(len(kept))] == [bits(c) for c in classes]
-    assert [many[i].label() for i in range(len(kept))] == [c.label() for c in classes]
-    assert many.tags() == [c.tag for c in classes]
-    # certified rows are affine ones
-    assert all(c.tag is ClassTag.AFFINE for c, ok in zip(classes, many.ok.tolist()) if ok)
-
-    order = data.draw(st.permutations(range(len(kept))))
-    other = canonicalize(stack([kept[i] for i in order]))
-    assert same_class(many, other).tolist() == [
-        same_class(c, classes[i]) for c, i in zip(classes, order)]
-    assert same_class(many, many).tolist() == [same_class(c, c) for c in classes]
-    assert equivalent(stack(kept), stack([kept[i] for i in order])).tolist() == [
-        equivalent(q, kept[i]) for q, i in zip(kept, order)]
-    # the classes of the points rescaled by a unit: equal up to rounding,
-    # which the tolerance scales with the coordinates
-    u = algebra.Hypercomplex(kind, 0.75, 0.25)
-    rescaled = [outcome(lambda q: canonicalize(q.scaled(u)), q) for q in kept]
-    rows = [i for i, c in enumerate(rescaled) if isinstance(c, CanonicalClass)]
-    if rows:
-        got = equivalent(stack([kept[i] for i in rows]), stack([kept[i].scaled(u) for i in rows]))
-        assert got.tolist() == [equivalent(kept[i], kept[i].scaled(u)) for i in rows]
-
-
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(kind=st.sampled_from(KINDS), values=st.lists(NUMBER, min_size=1, max_size=12))
-def test_stacked_invert_matches_scalar_row_by_row(kind, values):
-    xs = [number_of(kind, v) for v in values]
-    inverses = [outcome(algebra.invert, x) for x in xs]
-    got = outcome(algebra.invert, stack(xs))
-    first_bad = next((w for w in inverses if not isinstance(w, algebra.Hypercomplex)), None)
-    if first_bad is not None:
-        assert got == first_bad
-        return
-    assert [(pack(a1), pack(a2)) for a1, a2 in zip(got.a1.tolist(), got.a2.tolist())] == [
-        (pack(w.a1), pack(w.a2)) for w in inverses]
-
-
-class TestStackedPoints:
-    def test_image_and_scaling_point_by_point(self):
-        rng = rng_from_seed(3)
-        for kind in (Kind.DOUBLE, Kind.DUAL, Kind.COMPLEX):
-            points = [random_point_mixed(kind, rng) for _ in range(50)]
-            maps = [random_gl(kind, rng) for _ in range(50)]
-            units = [random_unit(kind, rng) for _ in range(50)]
-            got = apply_point(MoebiusMap(stack(maps)), stack(points).scaled(stack(units)))
-            want = [apply_point(MoebiusMap(g), q.scaled(u))
-                    for g, q, u in zip(maps, points, units)]
-            assert (stack([q.x for q in want]).a1 == got.x.a1).all()
-            assert (stack([q.y for q in want]).a2 == got.y.a2).all()
-            assert equivalent(got, stack(want)).all()
-
-    def test_singular_map_in_a_stack(self):
-        good = identity(Kind.DUAL)
-        bad = Mat2(Kind.DUAL, E, zero(Kind.DUAL), zero(Kind.DUAL), one(Kind.DUAL))
-        zero_det = Mat2(Kind.DUAL, *[zero(Kind.DUAL)] * 3, one(Kind.DUAL))
-        with pytest.raises(SingularMatrixError) as info:
-            MoebiusMap(stack([good, bad, zero_det, good]))
-        with pytest.raises(SingularMatrixError) as scalar:
-            MoebiusMap(bad)
-        assert str(info.value) == str(scalar.value)
-        assert str(info.value.det_class) == "NilpotentNonzero"  # the first singular matrix
-
-    def test_kinds_must_match(self):
-        p = stack([point(Kind.DUAL, 1.0, 2.0)])
-        q = stack([point(Kind.DOUBLE, 1.0, 2.0)])
-        with pytest.raises(KindMismatchError):
-            equivalent(p, q)
+    def test_nan_idempotent_component(self):
+        # a NaN pair counts as zero in admissible, so this point is in PR+
+        p = point(Kind.DOUBLE, algebra.recompose(1.0, math.nan), algebra.recompose(1.0, 0.0))
+        with pytest.raises(DomainError):
+            canonicalize(p)
+        assert not admissible(p) and orbit_label(p) is OrbitLabel.PR_PLUS

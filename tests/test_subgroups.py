@@ -102,32 +102,6 @@ class TestEval:
         assert all(math.isfinite(x) for e in eval_subgroup(spec, 0.5).entries()
                    for x in (e.a1, e.a2))
 
-    def test_stacked_eval_matches_each_t(self):
-        # math per element: np.exp, np.cosh and np.sinh differ in the last bit
-        ts = rng_from_seed(13).uniform(-6.0, 6.0, 500)
-        specs = [DoubleGL(sp, 0.7, sm, -0.4, 1.3) for sp in SigmaKind for sm in SigmaKind]
-        specs += [DoubleSL(SigmaKind.HYPERBOLIC, SigmaKind.ELLIPTIC, -0.6)]
-        specs += [DualGL(sigma, -0.3, 1.1, 0.4) for sigma in SigmaKind]
-        specs += [DualSL(sigma, -0.8, 0.5, -0.7) for sigma in NONTRIVIAL]
-        specs += [RealGL(sigma, -0.9) for sigma in SigmaKind]
-
-        def coordinates(m):
-            if isinstance(m, np.ndarray):  # real-gl: a (2, 2) matrix or an (n, 2, 2) stack
-                return list(np.moveaxis(m.reshape(*m.shape[:-2], 4), -1, 0))
-            return [x for e in m.entries() for x in (e.a1, e.a2)]
-
-        for spec in specs:
-            stack = [np.broadcast_to(x, ts.shape) for x in coordinates(eval_subgroup(spec, ts))]
-            for i, t in enumerate(ts.tolist()):
-                assert [x[i] for x in stack] == coordinates(eval_subgroup(spec, t)), (spec, t)
-
-    def test_stacked_eval_raises_what_math_raises(self):
-        with pytest.raises(OverflowError):
-            eval_subgroup(parse_spec("double-gl(sigma+=A,lambda+=800,sigma-=K,lambda-=0)"),
-                          np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):  # math.cos(inf): a*t overflows
-            eval_subgroup(parse_spec("double-sl(sigma+=K,sigma-=K,a=1e308)"), np.array([10.0]))
-
     def test_ring_families_match_array_builders(self):
         # the float-tuple builders give the bits of the numpy expressions
         rng = rng_from_seed(12)
