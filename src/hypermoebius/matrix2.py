@@ -93,8 +93,10 @@ class Mat2:
         a, b, c, d = (self.a.magnitude(), self.b.magnitude(),
                       self.c.magnitude(), self.d.magnitude())
         if type(a) is float:  # every entry of a stack is a stack
-            # max keeps a NaN in first place only; np.maximum keeps one anywhere
-            return max(a, b, c, d) if b == b and c == c and d == d else math.nan
+            # pairwise as the stack below, a NaN in either place, as np.maximum
+            ab = a if a > b or a != a else b
+            cd = c if c > d or c != c else d
+            return ab if ab > cd or ab != ab else cd
         import numpy as np
 
         return np.maximum(np.maximum(a, b), np.maximum(c, d))

@@ -427,11 +427,14 @@ def orbit_label(p: ProjPoint, tol: float = TAU_ZERO) -> OrbitLabel:
     """The orbit of p: the projective line when p is admissible, else its
     non-admissible family; over the double numbers the family is read from
     the pair test of :func:`admissible`."""
+    if p.kind is Kind.DOUBLE:
+        plus, minus = _nonzero_pairs(p, tol)
+        if plus and minus:
+            return OrbitLabel.PROJECTIVE_LINE
+        return OrbitLabel.PR_MINUS if minus else OrbitLabel.PR_PLUS
     if admissible(p, tol):
         return OrbitLabel.PROJECTIVE_LINE
-    if p.kind is Kind.DUAL:
-        return OrbitLabel.PR
-    return OrbitLabel.PR_MINUS if _nonzero_pairs(p, tol)[1] else OrbitLabel.PR_PLUS
+    return OrbitLabel.PR  # complex points are all admissible
 
 
 # ---------------------------------------------------------------------------

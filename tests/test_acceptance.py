@@ -1,17 +1,14 @@
 """Acceptance gate: every contract criterion at its stated scale and
 tolerance, one pass line printed per criterion (run with -s to see them)."""
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from hypermoebius import algebra, sampling, verify
-from hypermoebius.algebra import ElementClass, Hypercomplex, Kind, decompose, recompose
+from hypermoebius.algebra import Hypercomplex, Kind, recompose
 from hypermoebius.errors import NotInCentralizerError
 from hypermoebius.matrix2 import (
-    Mat2,
     det,
     det_dual_formula,
     det_split_double,

@@ -6,7 +6,7 @@ import pytest
 from hypermoebius import algebra
 from hypermoebius.algebra import Kind, P_PLUS, generator, number, one, zero
 from hypermoebius.errors import FixesEverythingError, NotNormalizableError, SingularMatrixError
-from hypermoebius.matrix2 import Mat2, double_from_components, identity, mat2, membership
+from hypermoebius.matrix2 import Mat2, double_from_components, identity, mat2
 from hypermoebius.moebius import (
     MapTag,
     MoebiusMap,

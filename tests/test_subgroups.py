@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hypermoebius.algebra import Kind, cos_sigma, number, one
+from hypermoebius.algebra import Kind, cos_sigma, one
 from hypermoebius.errors import DomainError, InvalidLiteralError, NotInCentralizerError
 from hypermoebius.matrix2 import (
-    det,
     double_from_components,
     dual_from_parts,
     identity,
-    mat_exp_real,
     split_double,
     split_dual,
 )
