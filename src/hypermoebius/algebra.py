@@ -160,9 +160,9 @@ class Hypercomplex:
         """Max-abs of the two scalar coordinates (used for error bounds), NaN
         when either is NaN; for a stack, the array of each number's."""
         a1, a2 = self.a1, self.a2
-        if type(a1) is float:  # a stack's coordinates are arrays of one shape
+        if type(a1) is float or not is_stack(a1):  # a stack's coordinates are arrays
             m1, m2 = abs(a1), abs(a2)
-            return m1 if m1 > m2 or m1 != m1 else m2  # a NaN in either place, as np.maximum
+            return float(m1 if m1 > m2 or m1 != m1 else m2)  # a NaN in either place, as np.maximum
         import numpy as np
 
         return np.maximum(abs(a1), abs(a2))

@@ -1,9 +1,9 @@
 """2x2 matrices with entries in one of the three algebras.
 
-Provides ring matrix arithmetic, the adjugate ("hat") operator, group
-membership tests, determinant formulas that reduce a double or dual matrix
-to real component matrices, rescaling to determinant one, and a matrix
-exponential used as an independent oracle for one-parameter subgroups.
+Provides ring matrix arithmetic, the adjugate ("hat") operator, determinant
+formulas that reduce a double or dual matrix to real component matrices,
+rescaling to determinant one, and a matrix exponential used as an
+independent oracle for one-parameter subgroups.
 
 Real 2x2 matrices appear as float 4-tuples (a, b, c, d) in the split_* and
 join_* component maps, and as (2, 2) numpy arrays elsewhere; numpy is
@@ -30,11 +30,9 @@ from .algebra import (
     is_stack,
     is_unit,
     sqrt_all,
-    zero,
 )
 from .errors import (
     InvalidLiteralError,
-    KindMismatchError,
     NotNormalizableError,
     SingularMatrixError,
 )
@@ -42,36 +40,32 @@ from .errors import (
 
 @dataclass(frozen=True, slots=True)
 class Mat2:
-    """Row-major matrix [[a, b], [c, d]]; all entries share one kind."""
+    """Row-major matrix [[a, b], [c, d]]; its kind is the kind its entries
+    share, and entries that mix kinds raise :class:`KindMismatchError` in
+    ``det`` and ``@``."""
 
-    kind: Kind
     a: Hypercomplex
     b: Hypercomplex
     c: Hypercomplex
     d: Hypercomplex
 
-    def __post_init__(self):
-        for entry in (self.a, self.b, self.c, self.d):
-            if entry.kind is not self.kind:
-                raise KindMismatchError("matrix entries must share the matrix kind")
+    @property
+    def kind(self) -> Kind:
+        return self.a.kind
 
     def entries(self) -> tuple[Hypercomplex, Hypercomplex, Hypercomplex, Hypercomplex]:
         return (self.a, self.b, self.c, self.d)
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        self._check(other)
-        return Mat2(self.kind, self.a + other.a, self.b + other.b,
+        return Mat2(self.a + other.a, self.b + other.b,
                     self.c + other.c, self.d + other.d)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        self._check(other)
-        return Mat2(self.kind, self.a - other.a, self.b - other.b,
+        return Mat2(self.a - other.a, self.b - other.b,
                     self.c - other.c, self.d - other.d)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        self._check(other)
         return Mat2(
-            self.kind,
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -79,13 +73,7 @@ class Mat2:
         )
 
     def scale(self, s: "Hypercomplex | float") -> "Mat2":
-        return Mat2(self.kind, self.a * s, self.b * s, self.c * s, self.d * s)
-
-    def _check(self, other: "Mat2") -> None:
-        if self.kind is not other.kind:
-            raise KindMismatchError(
-                f"mixed matrix kinds {self.kind.name} and {other.kind.name}"
-            )
+        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def max_entry_magnitude(self) -> float:
         """The largest entry magnitude, NaN when one is NaN; for a stack, the
@@ -112,7 +100,7 @@ def mat2(kind: Kind, rows) -> Mat2:
     """Build a matrix from a nested 2x2 of Hypercomplex values or reals."""
     (a, b), (c, d) = rows
     conv = lambda v: v if isinstance(v, Hypercomplex) else algebra.number(kind, v)
-    return Mat2(kind, conv(a), conv(b), conv(c), conv(d))
+    return Mat2(conv(a), conv(b), conv(c), conv(d))
 
 
 def identity(kind: Kind) -> Mat2:
@@ -129,7 +117,7 @@ def trace(x: Mat2) -> Hypercomplex:
 
 def hat(x: Mat2) -> Mat2:
     """Adjugate [[d, -b], [-c, a]]; satisfies X @ hat(X) = det(X) * I."""
-    return Mat2(x.kind, x.d, -x.b, -x.c, x.a)
+    return Mat2(x.d, -x.b, -x.c, x.a)
 
 
 def invert_mat(x: Mat2) -> Mat2:
@@ -138,20 +126,6 @@ def invert_mat(x: Mat2) -> Mat2:
     if cls is not ElementClass.UNIT:
         raise SingularMatrixError(cls)
     return hat(x).scale(invert(d))
-
-
-@dataclass(frozen=True, slots=True)
-class GroupMembership:
-    in_gl: bool
-    in_sl: bool
-    det: Hypercomplex
-
-
-def membership(x: Mat2) -> GroupMembership:
-    d = det(x)
-    in_gl = is_unit(d)
-    in_sl = in_gl and d.close_to(algebra.one(x.kind))
-    return GroupMembership(in_gl, in_sl, d)
 
 
 def normalize_to_sl(x: Mat2) -> Mat2:
@@ -183,7 +157,7 @@ def join_double(plus, minus) -> Mat2:
     """The double matrix A+ P+ + A- P- from its component matrices, each
     given as the floats (a, b, c, d), or as arrays of one shape for a stack;
     the inverse of :func:`split_double`."""
-    return Mat2(Kind.DOUBLE, *map(algebra.recompose, plus, minus))
+    return Mat2(*map(algebra.recompose, plus, minus))
 
 
 def double_from_components(a_plus: np.ndarray, a_minus: np.ndarray) -> Mat2:
@@ -203,7 +177,7 @@ def join_dual(part1, part2) -> Mat2:
     """The dual matrix A1 + eps*A2 from its real part A1 and eps-part A2, each
     given as the floats (a, b, c, d), or as arrays of one shape for a stack;
     the inverse of :func:`split_dual`."""
-    return Mat2(Kind.DUAL, *(Hypercomplex(Kind.DUAL, x, y) for x, y in zip(part1, part2)))
+    return Mat2(*(Hypercomplex(Kind.DUAL, x, y) for x, y in zip(part1, part2)))
 
 
 def dual_from_parts(a1: np.ndarray, a2: np.ndarray) -> Mat2:
@@ -233,8 +207,8 @@ def adj_real(m: np.ndarray) -> np.ndarray:
 def stacked_mat(x: Hypercomplex) -> Mat2:
     """The stack of matrices whose entry (i, j) is x[..., i, j], for a stack of
     numbers x with coordinate arrays of shape (..., 2, 2)."""
-    return Mat2(x.kind, *(Hypercomplex(x.kind, x.a1[..., i, j], x.a2[..., i, j])
-                          for i in (0, 1) for j in (0, 1)))
+    return Mat2(*(Hypercomplex(x.kind, x.a1[..., i, j], x.a2[..., i, j])
+                  for i in (0, 1) for j in (0, 1)))
 
 
 def det_split_double(a_plus: np.ndarray, a_minus: np.ndarray) -> Hypercomplex:
@@ -341,9 +315,9 @@ def _select(keep, x: Mat2, y: Mat2) -> Mat2:
     """The stack of x's matrices where keep holds and y's elsewhere."""
     import numpy as np
 
-    return Mat2(x.kind, *(Hypercomplex(x.kind, np.where(keep, p.a1, q.a1),
-                                       np.where(keep, p.a2, q.a2))
-                          for p, q in zip(x.entries(), y.entries())))
+    return Mat2(*(Hypercomplex(x.kind, np.where(keep, p.a1, q.a1),
+                               np.where(keep, p.a2, q.a2))
+                  for p, q in zip(x.entries(), y.entries())))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +337,7 @@ def parse_mat(kind: Kind, text: str, entry_parser=None) -> Mat2:
         raise InvalidLiteralError(f"cannot parse {text!r} as a 2x2 matrix")
     parse_entry = entry_parser or (lambda raw: algebra.parse_number(kind, raw))
     a, b, c, d = (parse_entry(m.group(i)) for i in (1, 2, 3, 4))
-    return Mat2(kind, a, b, c, d)
+    return Mat2(a, b, c, d)
 
 
 def render_mat(x: Mat2) -> str:

@@ -48,6 +48,7 @@ from .projline import (
     CanonicalClass,
     ClassTag,
     ProjPoint,
+    bijection_f,
     canonical_ratio,
     canonicalize,
     image,
@@ -165,11 +166,6 @@ def mob_equal(m1: MoebiusMap, m2: MoebiusMap) -> bool:
 # kernel of the matrix -> map projection
 
 
-def _unit_square_roots_of_one(kind: Kind) -> list[Hypercomplex]:
-    roots = algebra.sqrt_all(algebra.one(kind))
-    return [r for r in roots if algebra.is_unit(r)]
-
-
 N_PROBES = 100  # random points each kernel candidate must fix
 
 
@@ -197,7 +193,7 @@ def kernel_check(name: str, seed: int = 7):
         return kernel
     k = Kind.from_name(name)
     kernel = []
-    for u in _unit_square_roots_of_one(k):
+    for u in filter(algebra.is_unit, algebra.sqrt_all(algebra.one(k))):
         m = MoebiusMap(identity(k).scale(u))
         if all(
             equivalent(apply_point(m, p), p)
@@ -381,44 +377,33 @@ def _combine_double(fp: tuple[float, float], fm: tuple[float, float]) -> ProjPoi
     return ProjPoint(Kind.DOUBLE, recompose(fp[0], fm[0]), recompose(fp[1], fm[1]))
 
 
-def _combine_double_swapped(fm: tuple[float, float], fp: tuple[float, float]) -> ProjPoint:
-    return _combine_double(fp, fm)
-
-
 def _fixed_points_double(m: MoebiusMap, tol: float) -> FixedPointSet:
     fixed_plus, fixed_minus = (_real_fixed_points(*g, tol) for g in split_double(_normalized(m)))
     if fixed_plus is None and fixed_minus is None:
         raise FixesEverythingError("identity map fixes every class")
     points: list[CanonicalClass] = []
     families: list[FixedFamily] = []
-    for tag, own, other, description, combine in (
+    # order is 1 when the free component is the plus one, -1 when it is minus
+    for tag, own, other, description, order in (
             (ClassTag.PR_PLUS, fixed_plus, fixed_minus,
-             "free plus-component over a fixed minus-component", _combine_double),
+             "free plus-component over a fixed minus-component", 1),
             (ClassTag.PR_MINUS, fixed_minus, fixed_plus,
-             "fixed plus-component over a free minus-component",
-             _combine_double_swapped)):
+             "fixed plus-component over a free minus-component", -1)):
         if own is not None:
             points.extend(CanonicalClass(tag, ratio=canonical_ratio(*v)) for v in own)
             continue
         # a scalar component fixes its whole PR family, and every class over
         # each fixed point of the other component
-        reps = [_pr_point(tag, v) for v in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))]
+        reps = [bijection_f(tag, *v) for v in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))]
         families.append(FixedFamily(f"every class of the {tag.value} family", tuple(reps)))
         for fixed in other:
-            reps = tuple(combine(v, fixed) for v in ((0.5, 1.0), (1.0, 0.0), (2.0, 1.0)))
+            reps = tuple(_combine_double(*(v, fixed)[::order])
+                         for v in ((0.5, 1.0), (1.0, 0.0), (2.0, 1.0)))
             families.append(FixedFamily(description, reps))
     if fixed_plus is not None and fixed_minus is not None:
         points.extend(canonicalize(_combine_double(fp, fm))
                       for fp in fixed_plus for fm in fixed_minus)
     return FixedPointSet(tuple(points), tuple(families))
-
-
-def _pr_point(tag: ClassTag, v: tuple[float, float]) -> ProjPoint:
-    from .projline import bijection_f
-
-    if tag is ClassTag.PR:
-        return bijection_f(Kind.DUAL, v[0], v[1])
-    return bijection_f(Kind.DOUBLE, v[0], v[1], "+" if tag is ClassTag.PR_PLUS else "-")
 
 
 def _fixed_points_dual(m: MoebiusMap, tol: float) -> FixedPointSet:
@@ -503,4 +488,4 @@ def class_point(kind: Kind, cls: CanonicalClass) -> ProjPoint:
         return ProjPoint(kind, P_PLUS, P_MINUS)
     if cls.tag is ClassTag.SIGMA_TWO:
         return ProjPoint(kind, P_MINUS, P_PLUS)
-    return _pr_point(cls.tag, cls.ratio)
+    return bijection_f(cls.tag, *cls.ratio)

@@ -160,8 +160,9 @@ class OrbitLabel(Enum):
 
 
 def canonical_ratio(x: float, y: float, tol: float = TAU_ZERO) -> tuple[float, float]:
-    """Real-projective representative: unit norm, first nonzero entry > 0;
-    :class:`DomainError` when the norm of (x, y) is infinite or NaN."""
+    """Real-projective representative: unit norm, first nonzero entry > 0,
+    a zero entry +0.0; :class:`DomainError` when the norm of (x, y) is
+    infinite or NaN."""
     n = math.hypot(x, y)
     if n == 0.0:
         raise InvalidPointError("ratio of two zeros")
@@ -170,7 +171,7 @@ def canonical_ratio(x: float, y: float, tol: float = TAU_ZERO) -> tuple[float, f
     x, y = x / n, y / n
     if x < -tol or (abs(x) <= tol and y < 0.0):
         x, y = -x, -y
-    return (x, y)
+    return (x + 0.0, y + 0.0)  # -0.0 + 0.0 is +0.0
 
 
 def same_class(p: CanonicalClass | ClassStack, q: CanonicalClass | ClassStack) -> bool:
@@ -332,7 +333,7 @@ def stack(values):
 
     first = values[0]
     if isinstance(first, Mat2):
-        return Mat2(first.kind, *map(stack, zip(*(m.entries() for m in values))))
+        return Mat2(*map(stack, zip(*(m.entries() for m in values))))
     if isinstance(first, ProjPoint):
         return ProjPoint(first.kind, stack([p.x for p in values]), stack([p.y for p in values]))
     return Hypercomplex(first.kind, np.array([v.a1 for v in values]),
@@ -349,7 +350,7 @@ def from_row(kind: Kind, row):
     if len(row) == 4:
         return ProjPoint(kind, Hypercomplex(kind, row[0], row[1]),
                          Hypercomplex(kind, row[2], row[3]))
-    return Mat2(kind, *(Hypercomplex(kind, row[i], row[i + 1]) for i in range(0, 8, 2)))
+    return Mat2(*(Hypercomplex(kind, row[i], row[i + 1]) for i in range(0, 8, 2)))
 
 
 def stack_rows(kind: Kind, rows):
@@ -453,23 +454,13 @@ def transporter_to(p: ProjPoint) -> Mat2:
     if not (ok.all() if is_stack(p.x.a1) else ok):
         raise NotAdmissibleError("no transporter: point is not admissible")
     if p.kind is Kind.COMPLEX:
-        return Mat2(p.kind, p.x, -p.y.conjugate(), p.y, p.x.conjugate())
-    return Mat2(p.kind, p.x, -p.y, p.y, p.x)
+        return Mat2(p.x, -p.y.conjugate(), p.y, p.x.conjugate())
+    return Mat2(p.x, -p.y, p.y, p.x)
 
 
-def pr_base_point(kind: Kind, tag: ClassTag) -> ProjPoint:
-    """The base point of a non-admissible family: [P+:0], [P-:0] or [eps:0]."""
-    if tag is ClassTag.PR_PLUS:
-        return ProjPoint(Kind.DOUBLE, P_PLUS, algebra.zero(Kind.DOUBLE))
-    if tag is ClassTag.PR_MINUS:
-        return ProjPoint(Kind.DOUBLE, P_MINUS, algebra.zero(Kind.DOUBLE))
-    if tag is ClassTag.PR:
-        return ProjPoint(Kind.DUAL, algebra.generator(Kind.DUAL), algebra.zero(Kind.DUAL))
-    raise InvalidPointError(f"{tag} is not a non-admissible family tag")
-
-
-def transporter_nonadmissible(kind: Kind, target: CanonicalClass) -> Mat2:
-    """An invertible matrix sending the family base point onto ``target``.
+def transporter_nonadmissible(target: CanonicalClass) -> Mat2:
+    """An invertible matrix sending the base point ``bijection_f(target.tag,
+    1.0, 0.0)`` of the family onto ``target``.
 
     For the double families the transporter columns mix the target ratio
     with the opposite idempotent; when the ratio's first entry vanishes the
@@ -479,34 +470,29 @@ def transporter_nonadmissible(kind: Kind, target: CanonicalClass) -> Mat2:
         raise InvalidPointError(f"{target.tag} is not a non-admissible class")
     lam, mu = target.ratio
     if target.tag is ClassTag.PR:
-        if kind is not Kind.DUAL:
-            raise KindMismatchError("PR targets live over the dual numbers")
         eps = algebra.generator(Kind.DUAL)
         return mat2(Kind.DUAL, [[eps + lam, -mu], [eps + mu, lam]])
-    if kind is not Kind.DOUBLE:
-        raise KindMismatchError("PR+- targets live over the double numbers")
     same, other = (P_PLUS, P_MINUS) if target.tag is ClassTag.PR_PLUS else (P_MINUS, P_PLUS)
     if abs(lam) > TAU_ZERO:
-        return Mat2(Kind.DOUBLE, same * lam, other, same * mu + other, same)
-    return Mat2(Kind.DOUBLE, same * lam + other, same, same * mu, other)
+        return Mat2(same * lam, other, same * mu + other, same)
+    return Mat2(same * lam + other, same, same * mu, other)
 
 
 # ---------------------------------------------------------------------------
 # the real projective line and its embedding into the families
 
 
-def bijection_f(kind: Kind, x: float, y: float, family: str = "+") -> ProjPoint:
-    """Embed a real projective point into a non-admissible family.
+_FAMILY_BASES = {ClassTag.PR_PLUS: P_PLUS, ClassTag.PR_MINUS: P_MINUS,
+                 ClassTag.PR: algebra.generator(Kind.DUAL)}
 
-    Double: [x*P+- : y*P+-] according to ``family``; dual: [eps*x : eps*y].
-    """
-    if kind is Kind.DOUBLE:
-        p = P_PLUS if family == "+" else P_MINUS
-        return ProjPoint(Kind.DOUBLE, p * x, p * y)
-    if kind is Kind.DUAL:
-        eps = algebra.generator(Kind.DUAL)
-        return ProjPoint(Kind.DUAL, eps * x, eps * y)
-    raise KindMismatchError("embedding is defined for double and dual kinds")
+
+def bijection_f(tag: ClassTag, x: float, y: float) -> ProjPoint:
+    """Embed the real projective point [x : y] into the non-admissible family
+    of ``tag``: [x*P+ : y*P+], [x*P- : y*P-] or [eps*x : eps*y]."""
+    if tag not in PR_TAGS:
+        raise InvalidPointError(f"{tag} is not a non-admissible family tag")
+    base = _FAMILY_BASES[tag]
+    return ProjPoint(base.kind, base * x, base * y)
 
 
 def real_projective_equal(v: tuple[float, float], w: tuple[float, float]) -> bool:

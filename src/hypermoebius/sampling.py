@@ -171,6 +171,11 @@ def _signed_magnitude(rng: Rng, lo: float, hi: float) -> float:
     return sign * rng.uniform(lo, hi)
 
 
+def random_regime(rng: Rng) -> SigmaKind:
+    """A nontrivial regime, K, N or A, with equal chances."""
+    return NONTRIVIAL[int(rng.integers(0, len(NONTRIVIAL)))]
+
+
 def random_number(kind: Kind, rng: Rng) -> Hypercomplex:
     return Hypercomplex(kind, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
 
@@ -377,29 +382,29 @@ def random_specs(rng: Rng, n_per_family: int = 20) -> dict[str, list]:
     double-sl and dual-gl."""
     families = {}
     families["real-gl"] = [
-        RealGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1))
+        RealGL(random_regime(rng), rng.uniform(-1, 1))
         for _ in range(n_per_family)
     ] + [RealGL(SigmaKind.TRIVIAL, rng.uniform(-1, 1))]
     families["double-sl"] = [
-        DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))],
-                 NONTRIVIAL[int(rng.integers(0, 3))],
+        DoubleSL(random_regime(rng),
+                 random_regime(rng),
                  rng.uniform(0.5, 2.0))
         for _ in range(n_per_family)
-    ] + [DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))], SigmaKind.TRIVIAL)]
+    ] + [DoubleSL(random_regime(rng), SigmaKind.TRIVIAL)]
     families["double-gl"] = [
-        DoubleGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
-                 NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
+        DoubleGL(random_regime(rng), rng.uniform(-1, 1),
+                 random_regime(rng), rng.uniform(-1, 1),
                  rng.uniform(0.5, 2.0))
         for _ in range(n_per_family)
     ]
     families["dual-gl"] = [
-        DualGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
+        DualGL(random_regime(rng), rng.uniform(-1, 1),
                _signed_magnitude(rng, 0.5, 2.0), rng.uniform(-1, 1))
         for _ in range(n_per_family)
     ] + [DualGL(SigmaKind.TRIVIAL, rng.uniform(-1, 1),
                 _signed_magnitude(rng, 0.5, 2.0), rng.uniform(-1, 1))]
     families["dual-sl"] = [
-        DualSL(NONTRIVIAL[int(rng.integers(0, 3))],
+        DualSL(random_regime(rng),
                _signed_magnitude(rng, 0.5, 2.0),
                rng.uniform(-1, 1), rng.uniform(-1, 1))
         for _ in range(n_per_family)

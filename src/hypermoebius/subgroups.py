@@ -292,10 +292,6 @@ def _magnitude(m) -> float:
     return abs(m).max(axis=(-2, -1))
 
 
-def _entry_gap(x, y) -> float:
-    return _magnitude(x - y)
-
-
 def group_law_terms(spec, t1: float, t2: float) -> tuple[float, float, float]:
     """The max entry gap between eval(t1+t2) and eval(t1) @ eval(t2), with
     the max entry magnitudes of eval(t1) and eval(t2), each of the three
@@ -303,7 +299,7 @@ def group_law_terms(spec, t1: float, t2: float) -> tuple[float, float, float]:
     are stacks and each term is an array over the (t1, t2) pairs."""
     lhs = eval_subgroup(spec, t1 + t2)
     g1, g2 = eval_subgroup(spec, t1), eval_subgroup(spec, t2)
-    return _entry_gap(lhs, g1 @ g2), _magnitude(g1), _magnitude(g2)
+    return _magnitude(lhs - g1 @ g2), _magnitude(g1), _magnitude(g2)
 
 
 def sl_membership_check(spec, t: float) -> Hypercomplex:
@@ -548,7 +544,7 @@ def exp_cross_check(spec) -> float:
     gen = generator_of(spec)
     ts = np.linspace(-2.0, 2.0, 9)
     exp = mat_exp if isinstance(gen, Mat2) else mat_exp_real
-    return float(_entry_gap(exp(gen, ts), eval_subgroup(spec, ts)).max(initial=0.0))
+    return float(_magnitude(exp(gen, ts) - eval_subgroup(spec, ts)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,10 @@ from .projline import (
     ClassTag,
     ProjPoint,
     admissible,
+    bijection_f,
     canonical_ratio,
     canonicalize,
     equivalent,
-    pr_base_point,
     real_apply,
     same_class,
     stack,
@@ -94,7 +94,7 @@ from .projline import (
     transporter_nonadmissible,
     transporter_to,
 )
-from .sampling import NONTRIVIAL
+from .sampling import NONTRIVIAL, random_regime
 from .subgroups import (
     DoubleGL,
     DoubleSL,
@@ -154,7 +154,13 @@ class _Tally:
     def full(self) -> bool:
         return self.good == self.total
 
+    def __str__(self) -> str:
+        """The counts "<good>/<total>", as a check's detail line gives them."""
+        return f"{self.good}/{self.total}"
 
+
+_DET_TS = t_grid(-2.0, 2.0, 0.25)  # the t grid of the determinant checks
+_ORBIT_TS = t_grid(-2.0, 2.0, 0.1)  # the t grid of the orbit checks
 _CHUNK = 1_000  # samples per batched step: keeps the sweep arrays near 100 kB
 _CASES = 100  # drawn cases per stacked test: a map, a point and a unit take 650 B as rows
 
@@ -166,7 +172,7 @@ def _sweep(name: str, what: str, n: int, draw, residual, bound: float) -> CheckR
     for start in range(0, n, _CHUNK):
         res = residual(draw(min(_CHUNK, n - start)))
         tally.add_many(res <= bound, res)
-    return CheckResult(name, tally.full, f"{tally.good}/{n} {what} {_fmt(tally.worst)}")
+    return CheckResult(name, tally.full, f"{tally} {what} {_fmt(tally.worst)}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +256,7 @@ def check_square_roots(rng, n: int = 10_000) -> list[CheckResult]:
             identities.add_many((gaps < 1e-9).all(axis=0), worst)
         out.append(CheckResult(
             f"square-roots/{name}", counts.full and identities.full,
-            f"{counts.good}/{n} counts, worst s^2-x {_fmt(counts.worst)}"))
+            f"{counts} counts, worst s^2-x {_fmt(counts.worst)}"))
     return out
 
 
@@ -292,7 +298,7 @@ def check_trig_roundtrip(rng, n: int = 1_000) -> list[CheckResult]:
             gap = abs(back - t)
             tally.add(gap <= 1e-10, gap)
     return [CheckResult("inverse-trig-roundtrip", tally.full,
-                        f"{tally.good}/{3 * n} round trips, worst {_fmt(tally.worst)}")]
+                        f"{tally} round trips, worst {_fmt(tally.worst)}")]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +376,7 @@ def check_exp_split(rng, n: int = 100) -> list[CheckResult]:
         gap = (ring - split).max_entry_magnitude()
         tally.add(gap <= 1e-8, gap)
     return [CheckResult("exp-component-split/double", tally.full,
-                        f"{tally.good}/{n} matrices, worst {_fmt(tally.worst)}")]
+                        f"{tally} matrices, worst {_fmt(tally.worst)}")]
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +499,12 @@ def check_family_transporters(rng, n: int = 1_000) -> list[CheckResult]:
             else:
                 ratio = canonical_ratio(rng.uniform(-3, 3), rng.uniform(-3, 3))
             target = CanonicalClass(tag, ratio=ratio)
-            m = MoebiusMap(transporter_nonadmissible(kind, target))
-            image = apply(m, pr_base_point(kind, tag))
+            m = MoebiusMap(transporter_nonadmissible(target))
+            image = apply(m, bijection_f(tag, 1.0, 0.0))
             tally.add(same_class(image, target))
         out.append(CheckResult(
             f"family-transporter/{tag.value}", tally.full,
-            f"{tally.good}/{n} transporters land on target"))
+            f"{tally} transporters land on target"))
     return out
 
 
@@ -586,7 +592,7 @@ def check_fixed_point_reapply(rng, n: int = 200) -> list[CheckResult]:
                     tally.add(same_class(apply(m, rep), canonicalize(rep)))
         out.append(CheckResult(
             f"fixed-point-reapply/{kind.name.lower()}", tally.full,
-            f"{tally.good}/{tally.total} fixed classes re-apply to themselves"))
+            f"{tally} fixed classes re-apply to themselves"))
     return out
 
 
@@ -608,7 +614,7 @@ def check_class_vs_fixed_count(rng, n: int = 1_000) -> list[CheckResult]:
             continue
         tally.add(len(fps) == expected[_classify_real_tr2(float(np.trace(g)) ** 2)])
     return [CheckResult("trace-class-vs-fixed-count/real", tally.full,
-                        f"{tally.good}/{tally.total} maps match the count table")]
+                        f"{tally} maps match the count table")]
 
 
 # ---------------------------------------------------------------------------
@@ -628,33 +634,31 @@ def check_group_law(rng, n_specs: int = 20, n_pairs: int = 100) -> list[CheckRes
             tally.add_many(rel < 1e-8, rel)
         out.append(CheckResult(
             f"one-parameter-law/{family}", tally.full,
-            f"{tally.good}/{tally.total} (t1,t2) pairs, worst rel {_fmt(tally.worst)}"))
+            f"{tally} (t1,t2) pairs, worst rel {_fmt(tally.worst)}"))
     return out
 
 
 def check_det_one(rng, n_specs: int = 20) -> list[CheckResult]:
     out = []
-    ts = t_grid(-2.0, 2.0, 0.25)
     specs = sampling.random_specs(rng, n_specs)
     for family in ("double-sl", "dual-sl"):
         tally = _Tally()
         for spec in specs[family]:
-            for t in ts:
+            for t in _DET_TS:
                 d = sl_membership_check(spec, t)
                 gap = (d - algebra.one(d.kind)).magnitude()
                 tally.add(gap < 1e-8, gap)
         out.append(CheckResult(
             f"determinant-one/{family}", tally.full,
-            f"{tally.good}/{tally.total} grid points, worst {_fmt(tally.worst)}"))
+            f"{tally} grid points, worst {_fmt(tally.worst)}"))
     return out
 
 
 def check_dual_gl_det(rng, n_specs: int = 20) -> list[CheckResult]:
-    ts = t_grid(-2.0, 2.0, 0.25)
     tally = _Tally()
     printed_gap = 0.0
     for spec in sampling.random_specs(rng, n_specs)["dual-gl"]:
-        for t in ts:
+        for t in _DET_TS:
             actual = sl_membership_check(spec, t)
             gap = (actual - dual_gl_det_closed_form(spec, t)).magnitude()
             printed_gap = max(printed_gap,
@@ -662,7 +666,7 @@ def check_dual_gl_det(rng, n_specs: int = 20) -> list[CheckResult]:
             tally.add(gap < 1e-8, gap)
     return [CheckResult(
         "determinant-closed-form/dual-gl", tally.full,
-        f"{tally.good}/{tally.total} grid points, worst {_fmt(tally.worst)}; "
+        f"{tally} grid points, worst {_fmt(tally.worst)}; "
         f"cos(2t+t0) variant drifts up to {_fmt(printed_gap)}")]
 
 
@@ -689,8 +693,8 @@ def check_centralizer_grid() -> list[CheckResult]:
                             commute.add(float(np.max(np.abs(b @ h - h @ b))) < 1e-9)
         out.append(CheckResult(
             f"centralizer-grid/{sigma_kind.letter}", grid.full and commute.full,
-            f"{grid.good}/{grid.total} grid matrices, "
-            f"{commute.good}/{commute.total} successes commute"))
+            f"{grid} grid matrices, "
+            f"{commute} successes commute"))
     return out
 
 
@@ -703,7 +707,7 @@ def check_exp_cross(rng, n_specs: int = 10) -> list[CheckResult]:
             tally.add(r < 1e-5, r)
         out.append(CheckResult(
             f"exp-oracle/{family}", tally.full,
-            f"{tally.good}/{len(specs)} descriptions, worst {_fmt(tally.worst)}"))
+            f"{tally} descriptions, worst {_fmt(tally.worst)}"))
     return out
 
 
@@ -718,12 +722,12 @@ def check_swap_homomorphism(rng, n: int = 200) -> list[CheckResult]:
     tally = _Tally()
     for i in range(n):
         if i % 2 == 0:
-            spec = DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))],
-                            NONTRIVIAL[int(rng.integers(0, 3))],
+            spec = DoubleSL(random_regime(rng),
+                            random_regime(rng),
                             sampling._signed_magnitude(rng, 0.5, 2.0))
         else:
-            spec = DoubleGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
-                            NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
+            spec = DoubleGL(random_regime(rng), rng.uniform(-1, 1),
+                            random_regime(rng), rng.uniform(-1, 1),
                             sampling._signed_magnitude(rng, 0.5, 2.0))
         mirrored, scale = swap_double(spec)
         t = rng.uniform(-2, 2)
@@ -733,7 +737,7 @@ def check_swap_homomorphism(rng, n: int = 200) -> list[CheckResult]:
         rel = gap / (1.0 + rhs.max_entry_magnitude())
         tally.add(rel <= 1e-12, rel)
     return [CheckResult("component-swap-homomorphism/double", tally.full,
-                        f"{tally.good}/{n} samples, worst rel {_fmt(tally.worst)}")]
+                        f"{tally} samples, worst rel {_fmt(tally.worst)}")]
 
 
 # ---------------------------------------------------------------------------
@@ -741,29 +745,27 @@ def check_swap_homomorphism(rng, n: int = 200) -> list[CheckResult]:
 
 
 def check_orbit_two_regime(rng, n_sets: int = 20) -> list[CheckResult]:
-    ts = t_grid(-2.0, 2.0, 0.1)
     tally = _Tally()
     for _ in range(n_sets):
-        spec = DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))],
-                        NONTRIVIAL[int(rng.integers(0, 3))],
+        spec = DoubleSL(random_regime(rng),
+                        random_regime(rng),
                         rng.uniform(0.5, 2.0))
         start = start_double(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
-        sample = sampled_orbit(spec, start, ts)
+        sample = sampled_orbit(spec, start, _ORBIT_TS)
         for row in sample.rows:
             if row.residual_primary is None:
                 continue
             tally.add(abs(row.residual_primary) < 1e-8, abs(row.residual_primary))
     return [CheckResult("orbit-equation/two-regime", tally.full,
-                        f"{tally.good}/{tally.total} applicable rows, worst {_fmt(tally.worst)}")]
+                        f"{tally} applicable rows, worst {_fmt(tally.worst)}")]
 
 
 def check_orbit_shear_pair(rng, n_sets: int = 20) -> list[CheckResult]:
-    ts = t_grid(-2.0, 2.0, 0.1)
     rows, agree = _Tally(), _Tally()
     for _ in range(n_sets):
         spec = DoubleSL(SigmaKind.PARABOLIC, SigmaKind.PARABOLIC, rng.uniform(0.5, 2.0))
         start = start_double(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
-        sample = sampled_orbit(spec, start, ts)
+        sample = sampled_orbit(spec, start, _ORBIT_TS)
         for row in sample.rows:
             if row.residual_secondary is not None:
                 # rows near projective poles carry coordinates ~1/dist; the
@@ -783,20 +785,19 @@ def check_orbit_shear_pair(rng, n_sets: int = 20) -> list[CheckResult]:
                 continue
             agree.add((abs(r11) < 1e-8) == (abs(r1) < 1e-8 * (1.0 + u * u + v * v)))
     return [CheckResult("orbit-equation/shear-pair", rows.full and agree.full,
-                        f"{rows.good}/{rows.total} rows, worst {_fmt(rows.worst)}; "
-                        f"{agree.good}/{agree.total} vanish together with the general form")]
+                        f"{rows} rows, worst {_fmt(rows.worst)}; "
+                        f"{agree} vanish together with the general form")]
 
 
 def check_orbit_line(rng, n_sets: int = 20) -> list[CheckResult]:
-    ts = t_grid(-2.0, 2.0, 0.1)
     line, pattern = _Tally(), _Tally()
     worst_corr = 0.0
     for i in range(n_sets):
-        sigma = NONTRIVIAL[int(rng.integers(0, 3))]
+        sigma = random_regime(rng)
         spec = DoubleSL(sigma, SigmaKind.TRIVIAL)
         y_minus = 1.0 if i % 5 == 0 else rng.uniform(0.5, 3.0)
         start = start_double(rng.uniform(0.5, 3.0), y_minus)
-        sample = sampled_orbit(spec, start, ts)
+        sample = sampled_orbit(spec, start, _ORBIT_TS)
         for row in sample.rows:
             if row.u is None:
                 continue
@@ -810,16 +811,16 @@ def check_orbit_line(rng, n_sets: int = 20) -> list[CheckResult]:
             predicted = 2.0 * row.v * (1.0 - y_minus)
             pattern.add(abs(res.printed - predicted) < 1e-9 * quad)
     return [CheckResult("orbit-equation/trivial-minus-line", line.full and pattern.full,
-                        f"{line.good}/{line.total} rows, worst line {_fmt(line.worst)}, "
+                        f"{line} rows, worst line {_fmt(line.worst)}, "
                         f"corrected {_fmt(worst_corr)}; unmodified variant = 2v(1-y-) "
-                        f"on {pattern.good}/{line.total}")]
+                        f"on {pattern}")]
 
 
 def check_orbit_dual_report(rng, n_sets: int = 8) -> list[CheckResult]:
     cases = []
     cases.append((DualSL(SigmaKind.PARABOLIC, 1.0, 0.0, 0.0), start_dual(1.0, 0.0)))
     for _ in range(n_sets - 1):
-        spec = DualSL(NONTRIVIAL[int(rng.integers(0, 3))],
+        spec = DualSL(random_regime(rng),
                       sampling._signed_magnitude(rng, 0.5, 2.0),
                       rng.uniform(-1, 1), rng.uniform(-1, 1))
         cases.append((spec, start_dual(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))))
@@ -844,7 +845,7 @@ def check_orbit_discrimination(rng, n: int = 500) -> list[CheckResult]:
         tally.add(abs(r) > 1e-3)
     share = tally.good / max(tally.total, 1)
     return [CheckResult("orbit-equation/off-orbit-discrimination", share > 0.9,
-                        f"{tally.good}/{tally.total} random points rejected")]
+                        f"{tally} random points rejected")]
 
 
 # ---------------------------------------------------------------------------

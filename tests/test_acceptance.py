@@ -29,10 +29,10 @@ from hypermoebius.projline import (
     ClassTag,
     ProjPoint,
     admissible,
+    bijection_f,
     canonical_ratio,
     canonicalize,
     equivalent,
-    pr_base_point,
     same_class,
     transporter_nonadmissible,
     transporter_to,
@@ -189,8 +189,8 @@ def test_c06_orbit_transporters_and_invariance():
             else:
                 ratio = canonical_ratio(rng.uniform(-3, 3), rng.uniform(-3, 3))
             target = CanonicalClass(tag, ratio=ratio)
-            m = MoebiusMap(transporter_nonadmissible(kind, target))
-            assert same_class(apply(m, pr_base_point(kind, tag)), target)
+            m = MoebiusMap(transporter_nonadmissible(target))
+            assert same_class(apply(m, bijection_f(tag, 1.0, 0.0)), target)
     for kind in (Kind.DOUBLE, Kind.DUAL):
         for _ in range(1000):
             p = sampling.random_point_mixed(kind, rng)
@@ -210,15 +210,15 @@ def test_c07_kernel_scalars():
 def _acceptance_specs(rng):
     specs = []
     for _ in range(8):
-        specs.append(RealGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1)))
-        specs.append(DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))],
-                              NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(0.5, 2)))
-        specs.append(DoubleGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
-                              NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
+        specs.append(RealGL(sampling.random_regime(rng), rng.uniform(-1, 1)))
+        specs.append(DoubleSL(sampling.random_regime(rng),
+                              sampling.random_regime(rng), rng.uniform(0.5, 2)))
+        specs.append(DoubleGL(sampling.random_regime(rng), rng.uniform(-1, 1),
+                              sampling.random_regime(rng), rng.uniform(-1, 1),
                               rng.uniform(0.5, 2)))
-        specs.append(DualGL(NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(-1, 1),
+        specs.append(DualGL(sampling.random_regime(rng), rng.uniform(-1, 1),
                             sampling._signed_magnitude(rng, 0.5, 2), rng.uniform(-1, 1)))
-        specs.append(DualSL(NONTRIVIAL[int(rng.integers(0, 3))],
+        specs.append(DualSL(sampling.random_regime(rng),
                             sampling._signed_magnitude(rng, 0.5, 2),
                             rng.uniform(-1, 1), rng.uniform(-1, 1)))
     specs.append(RealGL(SigmaKind.TRIVIAL, 0.7))
@@ -312,8 +312,8 @@ def test_c11_orbit_equations_and_runtime():
     # general two-regime equation
     checked = 0
     for _ in range(20):
-        spec = DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))],
-                        NONTRIVIAL[int(rng.integers(0, 3))], rng.uniform(0.5, 2))
+        spec = DoubleSL(sampling.random_regime(rng),
+                        sampling.random_regime(rng), rng.uniform(0.5, 2))
         start = start_double(rng.uniform(0.5, 3), rng.uniform(0.5, 3))
         for row in sampled_orbit(spec, start, ts).rows:
             if row.residual_primary is not None:
@@ -335,7 +335,7 @@ def test_c11_orbit_equations_and_runtime():
     # trivial-minus line: corrected form to 1e-10, unmodified variant reproduced
     discrepancy_seen = False
     for i in range(20):
-        spec = DoubleSL(NONTRIVIAL[int(rng.integers(0, 3))], SigmaKind.TRIVIAL)
+        spec = DoubleSL(sampling.random_regime(rng), SigmaKind.TRIVIAL)
         y_minus = 1.0 if i % 5 == 0 else rng.uniform(0.5, 3)
         start = start_double(rng.uniform(0.5, 3), y_minus)
         for row in sampled_orbit(spec, start, ts).rows:
@@ -353,7 +353,7 @@ def test_c11_orbit_equations_and_runtime():
     # dual family: verdict report against the oracle
     cases = [(DualSL(SigmaKind.PARABOLIC, 1.0, 0.0, 0.0), start_dual(1.0, 0.0))]
     for _ in range(7):
-        cases.append((DualSL(NONTRIVIAL[int(rng.integers(0, 3))],
+        cases.append((DualSL(sampling.random_regime(rng),
                              sampling._signed_magnitude(rng, 0.5, 2),
                              rng.uniform(-1, 1), rng.uniform(-1, 1)),
                       start_dual(rng.uniform(0.5, 3), rng.uniform(0.5, 3))))

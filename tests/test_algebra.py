@@ -69,6 +69,10 @@ class TestRingOps:
             assert (two * x).close_to(number(Kind.DUAL, 4, 6), 0)
             assert (x / two).close_to(number(Kind.DUAL, 1, 1.5), 0)
         assert type((x * np.int64(2)).a1) is float
+        # integer or numpy scalar coordinates take the float path of magnitude
+        for coord in (-2, np.int64(-2), np.float64(-2.0)):
+            size = Hypercomplex(Kind.DUAL, 1, coord).magnitude()
+            assert size == 2.0 and type(size) is float
 
     def test_numpy_scalar_products_hold_plain_floats(self):
         import numpy as np

@@ -27,6 +27,7 @@ from hypermoebius.matrix2 import (
     mat_exp_real,
 )
 from hypermoebius.moebius import kernel_labels
+from hypermoebius.projline import ClassTag
 from hypermoebius.subgroups import eval_subgroup, exp_cross_check, generator_of, group_law_terms
 
 KINDS = (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL)
@@ -130,7 +131,7 @@ def ring_point_mixed(kind, rng):
 
 def ring_gl(kind, rng):
     while True:
-        m = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
+        m = Mat2(*(sampling.random_number(kind, rng) for _ in range(4)))
         d = det(m)
         if kind is Kind.DOUBLE:
             size = min(map(abs, algebra.decompose(d)))
@@ -368,8 +369,8 @@ def scalar_inverses(kind, rng, n):
 def scalar_det_multiplicative(kind, rng, n):
     tally = verify._Tally()
     for _ in range(n):
-        x = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
-        y = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
+        x = Mat2(*(sampling.random_number(kind, rng) for _ in range(4)))
+        y = Mat2(*(sampling.random_number(kind, rng) for _ in range(4)))
         gap = (det(x @ y) - det(x) * det(y)).magnitude()
         scale = 1.0 + (det(x) * det(y)).magnitude()
         tally.add(gap / scale <= 1e-10, gap / scale)
@@ -379,8 +380,8 @@ def scalar_det_multiplicative(kind, rng, n):
 def scalar_adjugate(kind, rng, n):
     tally = verify._Tally()
     for _ in range(n):
-        x = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
-        rhs = Mat2(kind, *(algebra.number(kind, v) for v in (1, 0, 0, 1))).scale(det(x))
+        x = Mat2(*(sampling.random_number(kind, rng) for _ in range(4)))
+        rhs = Mat2(*(algebra.number(kind, v) for v in (1, 0, 0, 1))).scale(det(x))
         gap = (x @ hat(x) - rhs).max_entry_magnitude()
         tally.add(gap <= 1e-10, gap)
     return tally
@@ -446,7 +447,7 @@ class TestSweepsMatchScalarLoops:
 def scalar_exp_law(kind, rng, n):
     residuals = []
     for _ in range(n):
-        b = Mat2(kind, *(sampling.random_number(kind, rng) for _ in range(4)))
+        b = Mat2(*(sampling.random_number(kind, rng) for _ in range(4)))
         s = rng.uniform(-3, 3)
         t = rng.uniform(-3, 3)
         lhs, e_s, e_t = mat_exp(b, s + t), mat_exp(b, s), mat_exp(b, t)
@@ -475,7 +476,7 @@ def scalar_exp_cross(spec):
     exp = mat_exp if isinstance(gen, Mat2) else mat_exp_real
     worst = 0.0
     for t in np.linspace(-2.0, 2.0, 9).tolist():
-        worst = max(worst, subgroups._entry_gap(exp(gen, t), eval_subgroup(spec, t)))
+        worst = max(worst, subgroups._magnitude(exp(gen, t) - eval_subgroup(spec, t)))
     return worst
 
 
@@ -689,12 +690,9 @@ def scalar_projection_equivariance(rng, n):
         g = sampling.random_sl(Kind.DOUBLE, rng)
         gp, gm = matrix2.split_double(g)
         v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-        family = "+" if i % 2 == 0 else "-"
-        comp = gp if family == "+" else gm
-        lhs = moebius.apply_point(moebius.MoebiusMap(g),
-                                  projline.bijection_f(Kind.DOUBLE, v[0], v[1], family))
-        rhs_v = projline.real_apply(comp, v)
-        rhs = projline.bijection_f(Kind.DOUBLE, rhs_v[0], rhs_v[1], family)
+        tag, comp = (ClassTag.PR_PLUS, gp) if i % 2 == 0 else (ClassTag.PR_MINUS, gm)
+        lhs = moebius.apply_point(moebius.MoebiusMap(g), projline.bijection_f(tag, *v))
+        rhs = projline.bijection_f(tag, *projline.real_apply(comp, v))
         tally.add(projline.equivalent(lhs, rhs))
     out.append(verify.CheckResult("sl-projection-equivariance/double", tally.full,
                                   f"{tally.good}/{n} component actions match"))
@@ -703,9 +701,8 @@ def scalar_projection_equivariance(rng, n):
         g = sampling.random_sl(Kind.DUAL, rng)
         g1 = matrix2.split_dual(g)[0]
         v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-        lhs = moebius.apply_point(moebius.MoebiusMap(g), projline.bijection_f(Kind.DUAL, *v))
-        rhs_v = projline.real_apply(g1, v)
-        rhs = projline.bijection_f(Kind.DUAL, rhs_v[0], rhs_v[1])
+        lhs = moebius.apply_point(moebius.MoebiusMap(g), projline.bijection_f(ClassTag.PR, *v))
+        rhs = projline.bijection_f(ClassTag.PR, *projline.real_apply(g1, v))
         tally.add(projline.equivalent(lhs, rhs))
     out.append(verify.CheckResult("sl-projection-equivariance/dual", tally.full,
                                   f"{tally.good}/{n} a1-part actions match"))

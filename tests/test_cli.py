@@ -53,6 +53,14 @@ class TestClassifyCommands:
         assert inverse.startswith("inverse 0-0.") and inverse.endswith("i")
         assert float(inverse[len("inverse 0-"):-1]) == pytest.approx(1e-307, rel=1e-15)
 
+    @pytest.mark.parametrize("algebra, literal, line", [
+        ("double", "[0 : -2P+]", "NonAdmissiblePRPlus ratio=[0:1], label PR+[0:1], orbit PRPlus"),
+        ("dual", "[0 : -2e]", "NonAdmissiblePR ratio=[0:1], label PR[0:1], orbit PR"),
+    ], ids=["double", "dual"])
+    def test_zero_ratio_entry_prints_unsigned(self, algebra, literal, line, capsys):
+        code, out, _ = run(["classify-point", "--algebra", algebra, literal], capsys)
+        assert (code, out) == (0, line + "\n")
+
 
 HUGE_DUAL = "dual-sl(sigma=K,lambda=1e308,t0=1)"
 HUGE_RESCALE = "double-sl(sigma+=K,sigma-=K,a=1e308)"

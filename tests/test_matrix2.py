@@ -5,7 +5,7 @@ import pytest
 
 from hypermoebius import algebra
 from hypermoebius.algebra import ElementClass, Kind, P_MINUS, P_PLUS, number, one, zero
-from hypermoebius.errors import NotNormalizableError, SingularMatrixError
+from hypermoebius.errors import KindMismatchError, NotNormalizableError, SingularMatrixError
 from hypermoebius.matrix2 import (
     Mat2,
     det,
@@ -21,7 +21,6 @@ from hypermoebius.matrix2 import (
     mat2,
     mat_exp,
     mat_exp_real,
-    membership,
     normalize_to_sl,
     parse_mat,
     render_mat,
@@ -29,6 +28,7 @@ from hypermoebius.matrix2 import (
     split_dual,
     trace,
 )
+from hypermoebius.moebius import MoebiusMap
 from hypermoebius.sampling import random_number, rng_from_seed
 
 
@@ -38,7 +38,7 @@ def test_det_identity():
 
 
 def test_det_idempotent_columns_is_generator():
-    m = Mat2(Kind.DOUBLE, P_PLUS, P_MINUS, one(Kind.DOUBLE), one(Kind.DOUBLE))
+    m = Mat2(P_PLUS, P_MINUS, one(Kind.DOUBLE), one(Kind.DOUBLE))
     assert det(m).close_to(algebra.generator(Kind.DOUBLE), 1e-15)
 
 
@@ -52,8 +52,8 @@ def test_det_multiplicative_sweep():
     rng = rng_from_seed(11)
     for kind in Kind:
         for _ in range(300):
-            x = Mat2(kind, *(random_number(kind, rng) for _ in range(4)))
-            y = Mat2(kind, *(random_number(kind, rng) for _ in range(4)))
+            x = Mat2(*(random_number(kind, rng) for _ in range(4)))
+            y = Mat2(*(random_number(kind, rng) for _ in range(4)))
             assert (det(x @ y) - det(x) * det(y)).magnitude() < 1e-10
 
 
@@ -68,25 +68,32 @@ def test_hat_gives_determinant():
     assert (m @ hat(m)).close_to(identity(Kind.COMPLEX).scale(-2.0), 1e-12)
 
 
+def test_mixed_kind_entries_raise_at_first_operation():
+    m = Mat2(one(Kind.DOUBLE), zero(Kind.DUAL), zero(Kind.DOUBLE), one(Kind.DOUBLE))
+    for operation in (det, lambda x: x @ identity(Kind.DOUBLE), MoebiusMap):
+        with pytest.raises(KindMismatchError):
+            operation(m)
+
+
 def test_invert_identity():
     assert invert_mat(identity(Kind.DOUBLE)).close_to(identity(Kind.DOUBLE), 0)
 
 
 def test_invert_dual_shear():
     eps = algebra.generator(Kind.DUAL)
-    m = Mat2(Kind.DUAL, one(Kind.DUAL), eps, zero(Kind.DUAL), one(Kind.DUAL))
+    m = Mat2(one(Kind.DUAL), eps, zero(Kind.DUAL), one(Kind.DUAL))
     inv = invert_mat(m)
     assert inv.b.close_to(-eps, 1e-12)
     assert (m @ inv).close_to(identity(Kind.DUAL), 1e-12)
 
 
 def test_invert_zero_divisor_entries():
-    m = Mat2(Kind.DOUBLE, P_PLUS, P_MINUS, one(Kind.DOUBLE), one(Kind.DOUBLE))
+    m = Mat2(P_PLUS, P_MINUS, one(Kind.DOUBLE), one(Kind.DOUBLE))
     assert (m @ invert_mat(m)).close_to(identity(Kind.DOUBLE), 1e-12)
 
 
 def test_invert_singular_carries_class():
-    m = Mat2(Kind.DOUBLE, P_PLUS, zero(Kind.DOUBLE), zero(Kind.DOUBLE), one(Kind.DOUBLE))
+    m = Mat2(P_PLUS, zero(Kind.DOUBLE), zero(Kind.DOUBLE), one(Kind.DOUBLE))
     with pytest.raises(SingularMatrixError) as err:
         invert_mat(m)
     assert err.value.det_class is ElementClass.ZERO_DIVISOR_PLUS
@@ -171,12 +178,6 @@ class TestNormalize:
         with pytest.raises(NotNormalizableError):
             normalize_to_sl(m)
 
-    def test_membership_flags(self):
-        m = identity(Kind.DOUBLE).scale(2.0)
-        info = membership(m)
-        assert info.in_gl and not info.in_sl
-        assert membership(normalize_to_sl(m)).in_sl
-
 
 class TestMatExp:
     def test_zero_gives_identity(self):
@@ -197,7 +198,7 @@ class TestMatExp:
         rng = rng_from_seed(3)
         for kind in Kind:
             for _ in range(25):
-                b = Mat2(kind, *(random_number(kind, rng) for _ in range(4)))
+                b = Mat2(*(random_number(kind, rng) for _ in range(4)))
                 s, t = rng.uniform(-3, 3, 2)
                 lhs = mat_exp(b, s + t)
                 rhs = mat_exp(b, s) @ mat_exp(b, t)

@@ -48,7 +48,7 @@ class TestApply:
         assert same_class(apply(identity_map(Kind.DOUBLE), p), canonicalize(p))
 
     def test_upper_triangular_fixes_infinity(self):
-        m = MoebiusMap(Mat2(Kind.DOUBLE, one(Kind.DOUBLE), P_PLUS * 0.7,
+        m = MoebiusMap(Mat2(one(Kind.DOUBLE), P_PLUS * 0.7,
                             zero(Kind.DOUBLE), one(Kind.DOUBLE)))
         assert apply(m, point(Kind.DOUBLE, 1, 0)).tag is ClassTag.INFINITY
 
@@ -63,7 +63,7 @@ class TestApply:
     def test_requires_invertible_matrix(self):
         with pytest.raises(SingularMatrixError,
                            match="^a Moebius map needs an invertible representative matrix$") as exc:
-            MoebiusMap(Mat2(Kind.DOUBLE, P_PLUS, zero(Kind.DOUBLE),
+            MoebiusMap(Mat2(P_PLUS, zero(Kind.DOUBLE),
                             zero(Kind.DOUBLE), one(Kind.DOUBLE)))
         assert exc.value.det_class is algebra.ElementClass.ZERO_DIVISOR_PLUS
 
@@ -83,7 +83,7 @@ class TestMobEqual:
 
     def test_eps_perturbed_not_equal(self):
         m1 = MoebiusMap(mat2(Kind.DUAL, [[1, 0], [0, 1]]))
-        m2 = MoebiusMap(Mat2(Kind.DUAL, one(Kind.DUAL), zero(Kind.DUAL),
+        m2 = MoebiusMap(Mat2(one(Kind.DUAL), zero(Kind.DUAL),
                              generator(Kind.DUAL), one(Kind.DUAL)))
         assert not mob_equal(m1, m2)
 
@@ -131,7 +131,7 @@ class TestMobEqualIdentity:
                     for size, expected in ((0.5, True), (0.9, True), (1.1, False), (2.0, False)):
                         entries = list(scalar.entries())
                         entries[i] = entries[i] + number(kind, *(size * tt * c for c in coord))
-                        assert self._is_identity(MoebiusMap(Mat2(kind, *entries))) is expected
+                        assert self._is_identity(MoebiusMap(Mat2(*entries))) is expected
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_seeded_draws(self, kind):
@@ -319,7 +319,7 @@ class TestRingFixedPoints:
         assert tags == ["Affine", "Infinity"]
 
     def test_dual_eps_shear_family(self):
-        m = MoebiusMap(Mat2(Kind.DUAL, one(Kind.DUAL), zero(Kind.DUAL),
+        m = MoebiusMap(Mat2(one(Kind.DUAL), zero(Kind.DUAL),
                             generator(Kind.DUAL), one(Kind.DUAL)))
         fps = fixed_points(m)
         assert fps.points == ()

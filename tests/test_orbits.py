@@ -212,7 +212,7 @@ class TestStackedRows:
                 m = DoubleSL(SigmaKind.ELLIPTIC, SigmaKind.ELLIPTIC).eval(t)
                 a1 = np.where(t == 1.0, math.inf, m.a.a1) if isinstance(t, np.ndarray) \
                     else math.inf if t == 1.0 else m.a.a1
-                return Mat2(Kind.DOUBLE, Hypercomplex(Kind.DOUBLE, a1, m.a.a2), m.b, m.c, m.d)
+                return Mat2(Hypercomplex(Kind.DOUBLE, a1, m.a.a2), m.b, m.c, m.d)
 
         outcome = self.assert_same(TopLeftOverflow(), start_double(1.0, 2.0), [0.0, 1.0])
         assert "overflows" in outcome

@@ -3,14 +3,14 @@ import math
 import pytest
 
 from hypermoebius import algebra
-from hypermoebius.algebra import Kind, P_MINUS, P_PLUS, number, one, zero, generator
+from hypermoebius.algebra import Kind, P_MINUS, P_PLUS, is_unit, number, one, zero, generator
 from hypermoebius.errors import (
     DomainError,
     InvalidPointError,
     KindMismatchError,
     NotAdmissibleError,
 )
-from hypermoebius.matrix2 import det, identity, membership, split_dual
+from hypermoebius.matrix2 import det, identity, split_dual
 from hypermoebius.moebius import MoebiusMap, apply_point
 from hypermoebius.projline import (
     CanonicalClass,
@@ -25,7 +25,6 @@ from hypermoebius.projline import (
     orbit_label,
     parse_point,
     point,
-    pr_base_point,
     real_apply,
     real_projective_equal,
     render_point,
@@ -207,29 +206,29 @@ class TestTransporters:
                     continue
                 done += 1
                 m = transporter_to(p)
-                assert membership(m).in_gl
+                assert is_unit(det(m))
                 assert equivalent(apply_point(MoebiusMap(m), base), p)
 
 
 class TestFamilyTransporters:
     def test_plus_family_example(self):
         target = canonicalize(point(Kind.DOUBLE, P_PLUS * 3, P_PLUS * 5))
-        m = transporter_nonadmissible(Kind.DOUBLE, target)
-        image = apply_point(MoebiusMap(m), pr_base_point(Kind.DOUBLE, ClassTag.PR_PLUS))
+        m = transporter_nonadmissible(target)
+        image = apply_point(MoebiusMap(m), bijection_f(ClassTag.PR_PLUS, 1.0, 0.0))
         assert same_class(canonicalize(image), target)
 
     def test_zero_leading_ratio_uses_alternate_matrix(self):
         target = CanonicalClass(ClassTag.PR_PLUS, ratio=canonical_ratio(0.0, 1.0))
-        m = transporter_nonadmissible(Kind.DOUBLE, target)
-        assert membership(m).in_gl
-        image = apply_point(MoebiusMap(m), pr_base_point(Kind.DOUBLE, ClassTag.PR_PLUS))
+        m = transporter_nonadmissible(target)
+        assert is_unit(det(m))
+        image = apply_point(MoebiusMap(m), bijection_f(ClassTag.PR_PLUS, 1.0, 0.0))
         assert same_class(canonicalize(image), target)
 
     def test_dual_example(self):
         target = canonicalize(parse_point(Kind.DUAL, "[2e : 7e]"))
-        m = transporter_nonadmissible(Kind.DUAL, target)
-        assert membership(m).in_gl
-        image = apply_point(MoebiusMap(m), pr_base_point(Kind.DUAL, ClassTag.PR))
+        m = transporter_nonadmissible(target)
+        assert is_unit(det(m))
+        image = apply_point(MoebiusMap(m), bijection_f(ClassTag.PR, 1.0, 0.0))
         assert same_class(canonicalize(image), target)
 
     def test_minus_family_sweep(self):
@@ -238,8 +237,8 @@ class TestFamilyTransporters:
             target = CanonicalClass(
                 ClassTag.PR_MINUS,
                 ratio=canonical_ratio(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-            m = transporter_nonadmissible(Kind.DOUBLE, target)
-            image = apply_point(MoebiusMap(m), pr_base_point(Kind.DOUBLE, ClassTag.PR_MINUS))
+            m = transporter_nonadmissible(target)
+            image = apply_point(MoebiusMap(m), bijection_f(ClassTag.PR_MINUS, 1.0, 0.0))
             assert same_class(canonicalize(image), target)
 
 
@@ -255,7 +254,7 @@ class TestAdmissibilityInvariance:
 
 class TestProjection:
     def test_embedding_example(self):
-        p = bijection_f(Kind.DOUBLE, 1.0, 0.0, "+")
+        p = bijection_f(ClassTag.PR_PLUS, 1.0, 0.0)
         assert same_class(canonicalize(p),
                           canonicalize(point(Kind.DOUBLE, P_PLUS, zero(Kind.DOUBLE))))
 
@@ -265,9 +264,9 @@ class TestProjection:
             g = random_sl(Kind.DUAL, rng)
             g1 = split_dual(g)[0]
             v = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            lhs = apply_point(MoebiusMap(g), bijection_f(Kind.DUAL, *v))
+            lhs = apply_point(MoebiusMap(g), bijection_f(ClassTag.PR, *v))
             w = real_apply(g1, v)
-            assert equivalent(lhs, bijection_f(Kind.DUAL, *w))
+            assert equivalent(lhs, bijection_f(ClassTag.PR, *w))
 
 
 def test_point_text_round_trip():
