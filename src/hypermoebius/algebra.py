@@ -275,7 +275,7 @@ def invert(x: Hypercomplex, tol: float = TAU_ZERO) -> Hypercomplex:
     """1/x, or for a stack 1/x of each number, bit for bit.  A non-unit
     raises :class:`NotInvertibleError` with its class; a stack raises for
     its first non-unit.  A stack's non-finite rows raise no numpy warning."""
-    if type(x.a1) is float:
+    if type(x.a1) is float or not is_stack(x.a1):
         return _invert(x, tol)
     import numpy as np
 
@@ -300,11 +300,12 @@ def _inverse(x: Hypercomplex) -> Hypercomplex:
         return Hypercomplex(Kind.DUAL, r, -r * r * x.a2)
     d = x.a1 * x.a1 + x.a2 * x.a2
     big = d == math.inf  # past about 1e154 the squares overflow (a NaN d needs no scaling)
-    if not (big if isinstance(d, float) else big.any()):
+    scalar = not is_stack(d)
+    if not (big if scalar else big.any()):
         return Hypercomplex(Kind.COMPLEX, x.a1 / d, -x.a2 / d)
     # scale by the larger coordinate first, as math.hypot does; a stack
     # divides its other rows by 1.0, which is exact
-    if isinstance(d, float):
+    if scalar:
         s = max(abs(x.a1), abs(x.a2))
     else:
         import numpy as np
@@ -565,13 +566,13 @@ def _parse_number(kind: Kind, text: str) -> Hypercomplex:
 def _fmt(v: float) -> str:
     """The shortest round-trip digits of v in positional notation, the text of
     ``np.format_float_positional(v, trim="-")``: the grammar carries no
-    exponent part.  Built from ``repr``, which is about twice as fast."""
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    text = repr(float(v))
-    mantissa, e, exponent = text.partition("e")
-    if not e:
+    exponent part.  Built from ``repr``, which is about twice as fast: a repr
+    with no exponent, the common case, is answered first, and ``+ 0.0``
+    folds -0.0 into 0.0."""
+    text = repr(float(v) + 0.0)
+    if "e" not in text:
         return text[:-2] if text.endswith(".0") else text
+    mantissa, _, exponent = text.partition("e")
     sign = "-" if mantissa[0] == "-" else ""
     digits = mantissa.lstrip("-").replace(".", "")
     point = int(exponent) + 1  # digits before the decimal point
@@ -584,7 +585,7 @@ def _fmt(v: float) -> str:
 def render(x: Hypercomplex) -> str:
     """Canonical text form ``a1+a2<sym>`` (sign folded into the middle)."""
     sign = "-" if x.a2 < 0 else "+"
-    return f"{_fmt(x.a1)}{sign}{_fmt(abs(x.a2))}{x.kind.symbol}"
+    return f"{_fmt(x.a1)}{sign}{_fmt(abs(x.a2))}{_SYMBOLS[x.kind]}"
 
 
 def render_components(x: Hypercomplex) -> str:

@@ -28,8 +28,6 @@ parameter set, not asserted.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -144,23 +142,31 @@ def residual_two_regime(sigma_plus: int, sigma_minus: int, a: float,
     Returns None (inapplicable) for a = 0, vanishing denominators, or
     arguments outside the hyperbolic-inverse domain.
     """
+    return _two_regime(sigma_plus, sigma_minus, a, start)(u, v)
+
+
+def _two_regime(sigma_plus: int, sigma_minus: int, a: float, start: StartPoint):
+    """:func:`residual_two_regime` of one sample as a function (u, v) -> value."""
     if abs(a) <= TAU_ZERO:
-        return None
+        return lambda u, v: None
     y_plus, y_minus = start.c1, start.c2
-    u_prime, v_prime = u + v, u - v
-    den_p = y_plus * u_prime - sigma_plus
-    den_m = y_minus * v_prime - sigma_minus
-    scale_p = 1.0 + abs(y_plus * u_prime)
-    scale_m = 1.0 + abs(y_minus * v_prime)
-    if abs(den_p) <= TAU_ZERO * scale_p or abs(den_m) <= TAU_ZERO * scale_m:
-        return None
-    arg_p = (y_plus - u_prime) / den_p
-    arg_m = (y_minus - v_prime) / den_m
-    if sigma_plus == 1 and abs(arg_p) >= 1.0:
-        return None
-    if sigma_minus == 1 and abs(arg_m) >= 1.0:
-        return None
-    return arctan_sigma(sigma_plus, arg_p) - arctan_sigma(sigma_minus, arg_m) / a
+
+    def value(u: float, v: float) -> float | None:
+        u_prime, v_prime = u + v, u - v
+        den_p = y_plus * u_prime - sigma_plus
+        den_m = y_minus * v_prime - sigma_minus
+        scale_p = 1.0 + abs(y_plus * u_prime)
+        scale_m = 1.0 + abs(y_minus * v_prime)
+        if abs(den_p) <= TAU_ZERO * scale_p or abs(den_m) <= TAU_ZERO * scale_m:
+            return None
+        arg_p = (y_plus - u_prime) / den_p
+        arg_m = (y_minus - v_prime) / den_m
+        if sigma_plus == 1 and abs(arg_p) >= 1.0:
+            return None
+        if sigma_minus == 1 and abs(arg_m) >= 1.0:
+            return None
+        return arctan_sigma(sigma_plus, arg_p) - arctan_sigma(sigma_minus, arg_m) / a
+    return value
 
 
 def residual_shear_pair(a: float, start: StartPoint, u: float, v: float) -> float | None:
@@ -210,39 +216,55 @@ def residual_dual_orbit(spec: DualSL, start: StartPoint, u: float, v: float) -> 
     The value is the left side of the displayed "... = 0" statement; it is
     reported, not asserted, since the displayed expression does not match
     the oracle rows (see ``dual_orbit_report``).  None where it is
-    inapplicable, or where one of its powers overflows the float range
-    (``**`` raises OverflowError there), as a non-finite value is None in
-    the orbit row.
+    inapplicable, or where one of its powers or its exponential overflows
+    the float range (they raise OverflowError there), as a non-finite value
+    is None in the orbit row.
     """
-    try:
-        return _dual_orbit_value(spec, start, u, v)
-    except OverflowError:
-        return None
+    return _dual_orbit(spec, start)(u, v)
 
 
-def _dual_orbit_value(spec: DualSL, start: StartPoint, u: float, v: float) -> float | None:
+def _dual_orbit(spec: DualSL, start: StartPoint):
+    """:func:`residual_dual_orbit` of one sample as a function (u, v) ->
+    value.  The terms that do not depend on the row, cos_s(t0), sin_s(t0),
+    lam e^(lam1 t0) and the powers of a^2 - s, are computed once; when one
+    overflows, every row is None."""
     s = spec.sigma.sigma
     a, b = start.c1, start.c2
-    den1 = a * u - s
-    den2 = a * a - s
-    den3 = u * u - s
-    scale = 1.0 + max(abs(a * u), abs(a * a), abs(u * u))
-    if min(abs(den1), abs(den2), abs(den3)) <= TAU_ZERO * scale:
-        return None
-    arg = (a - u) / den1
-    if s == 1 and abs(arg) >= 1.0:
-        return None
-    angle = arctan_sigma(s, arg)
-    c0, s0 = cos_sigma(s, spec.t0), sin_sigma(s, spec.t0)
-    p = (u * u + s) * (a * a + s) - 4.0 * s * a * u
-    q1 = (b - a) * den3 / den2
-    q2 = (p / den2 ** 2) * c0 + 2.0 * s * ((a - u) * den1 / den2 ** 2) * s0
-    q3 = 2.0 * ((a - u) * den1 ** 3 / (den3 * den2 ** 3)) * c0 \
-        + (p * den1 ** 2 / (den3 * den2 ** 3)) * s0
-    q4 = (p * den1 ** 2 / (den3 * den2 ** 3)) * c0 \
-        + 2.0 * s * ((a - u) * den1 ** 3 / (den3 * den2 ** 3)) * s0
-    total = q1 - a * a * q2 - s * q3 * q4
-    return v - spec.lam * math.exp(spec.lam1 * spec.t0) * angle * total
+    aa = a * a
+    den2 = aa - s
+    try:
+        c0, s0 = cos_sigma(s, spec.t0), sin_sigma(s, spec.t0)
+        growth = spec.lam * math.exp(spec.lam1 * spec.t0)
+        den2_2, den2_3 = den2 ** 2, den2 ** 3
+    except OverflowError:
+        return lambda u, v: None
+    aa_s = aa + s
+
+    def value(u: float, v: float) -> float | None:
+        uu = u * u
+        den1 = a * u - s
+        den3 = uu - s
+        scale = 1.0 + max(abs(a * u), abs(aa), abs(uu))
+        if min(abs(den1), abs(den2), abs(den3)) <= TAU_ZERO * scale:
+            return None
+        arg = (a - u) / den1
+        if s == 1 and abs(arg) >= 1.0:
+            return None
+        angle = arctan_sigma(s, arg)
+        try:
+            den1_2, den1_3 = den1 ** 2, den1 ** 3
+        except OverflowError:
+            return None
+        p = (uu + s) * aa_s - 4.0 * s * a * u
+        q1 = (b - a) * den3 / den2
+        q2 = (p / den2_2) * c0 + 2.0 * s * ((a - u) * den1 / den2_2) * s0
+        odd = (a - u) * den1_3 / (den3 * den2_3)
+        even = p * den1_2 / (den3 * den2_3)
+        q3 = 2.0 * odd * c0 + even * s0
+        q4 = even * c0 + 2.0 * s * odd * s0
+        total = q1 - aa * q2 - s * q3 * q4
+        return v - growth * angle * total
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +272,13 @@ def _dual_orbit_value(spec: DualSL, start: StartPoint, u: float, v: float) -> fl
 
 def _residual_columns(spec, start: StartPoint):
     """The family's closed forms as one function (t, u, v) -> (primary,
-    secondary), chosen once per sample; None marks an inapplicable column.
-    They are two-regime and shear-pair (both shears only) for two active
+    secondary), chosen once per sample with the terms that do not depend on
+    the row; None marks an inapplicable column.  They are two-regime and shear-pair (both shears only) for two active
     det-1 double components, corrected and circulating line form for a
     trivial minus component, and the literal transcription for det-1 dual."""
     if isinstance(spec, DualSL):
-        return lambda t, u, v: (residual_dual_orbit(spec, start, u, v), None)
+        dual = _dual_orbit(spec, start)
+        return lambda t, u, v: (dual(u, v), None)
     if not isinstance(spec, DoubleSL) or spec.sigma_plus is SigmaKind.TRIVIAL:
         return lambda t, u, v: (None, None)
     sp, sm, a = spec.sigma_plus.sigma, spec.sigma_minus.sigma, spec.a
@@ -265,13 +288,14 @@ def _residual_columns(spec, start: StartPoint):
             return res.corrected, res.printed
         return line
     shear = sp == sm == 0
+    regime = _two_regime(sp, sm, a, start)
     # the principal-branch window where arctan inverts the circular tangent
     window = math.pi / 2.0 - 1e-9
 
     def two_regime(t, u, v):
         primary = None
         if (sp != -1 or abs(t) < window) and (sm != -1 or abs(a * t) < window):
-            primary = residual_two_regime(sp, sm, a, start, u, v)
+            primary = regime(u, v)
         return primary, residual_shear_pair(a, start, u, v) if shear else None
     return two_regime
 
@@ -292,37 +316,42 @@ def sampled_orbit(spec, start: StartPoint, ts) -> OrbitSample:
     import numpy as np
 
     p = start.to_point()
+    kind = p.kind
     columns = _residual_columns(spec, start)
     ts = np.fromiter(ts, float)
     rows = []
     for lo in range(0, len(ts), STACK_SIZE):
         chunk = ts[lo:lo + STACK_SIZE]
-        for t, affine in zip(chunk.tolist(), _stacked_affine(spec, p, chunk)):
-            if affine is None:
+        for t, certified, u, v in zip(chunk.tolist(), *_stacked_affine(spec, p, chunk)):
+            if certified:
+                cls = CanonicalClass(ClassTag.AFFINE, affine=Hypercomplex(kind, u, v))
+            else:
                 cls = canonicalize(image(eval_subgroup(spec, t), p))
                 if cls.tag in PR_TAGS:  # an invertible matrix keeps the start admissible
                     raise DomainError(
                         f"the subgroup matrix at t={t!r} loses a component to rounding")
-            else:
-                cls = CanonicalClass(ClassTag.AFFINE, affine=affine)
-            if cls.tag is ClassTag.AFFINE:
+                if cls.tag is not ClassTag.AFFINE:
+                    rows.append(OrbitRow(t, cls, None, None))
+                    continue
                 u, v = cls.affine.a1, cls.affine.a2
-                rows.append(OrbitRow(t, cls, u, v, *(r if r is not None and math.isfinite(r)
-                                                     else None for r in columns(t, u, v))))
-            else:
-                rows.append(OrbitRow(t, cls, None, None))
+            primary, secondary = columns(t, u, v)
+            rows.append(OrbitRow(t, cls, u, v, _finite(primary), _finite(secondary)))
     return OrbitSample(spec, start, tuple(rows))
 
 
-def _stacked_affine(spec, p: ProjPoint, ts: np.ndarray) -> list:
-    """Per t, the affine coordinate of the image of p when one stacked
-    evaluation over ts certifies the row, else None.
+def _finite(r: float | None) -> float | None:
+    return r if r is not None and math.isfinite(r) else None
+
+
+def _stacked_affine(spec, p: ProjPoint, ts: np.ndarray) -> tuple[list, list, list]:
+    """Per t, whether one stacked evaluation over ts certifies the row, and
+    the two coordinates of the image of p there, as three lists.
 
     A row is certified when every entry of its matrix is finite (so
     eval_subgroup accepts it) and :func:`projline.certify_affine` certifies
     the image (so canonicalize takes the affine branch, whose value it gives,
-    and does not refuse it).  No stack, every row None, when math raises on
-    an element or the family gives no stack of matrices of p's kind.
+    and does not refuse it).  No stack, no row certified, when math raises
+    on an element or the family gives no stack of matrices of p's kind.
     """
     import numpy as np
 
@@ -331,14 +360,13 @@ def _stacked_affine(spec, p: ProjPoint, ts: np.ndarray) -> list:
     except (OverflowError, ValueError):
         g = None
     if not isinstance(g, Mat2) or g.kind is not p.kind:
-        return [None] * len(ts)
+        uncertified = [False] * len(ts)
+        return uncertified, uncertified, uncertified
     with np.errstate(all="ignore"):
         ok, a = certify_affine(*act(g, p.x, p.y))
         for e in g.entries():
             ok = ok & np.isfinite(e.a1) & np.isfinite(e.a2)
-    kind = p.kind
-    return [Hypercomplex(kind, u, v) if certified else None
-            for certified, u, v in zip(ok.tolist(), a.a1.tolist(), a.a2.tolist())]
+    return ok.tolist(), a.a1.tolist(), a.a2.tolist()
 
 
 @dataclass(frozen=True, slots=True)
@@ -377,25 +405,19 @@ CSV_HEADER = ["t", "class", "u", "v", "residual_primary", "residual_secondary"]
 
 
 def _fmt_opt(v: float | None) -> str:
-    if v is None:
-        return ""
-    return format(v, ".12g")
+    return "" if v is None else f"{v:.12g}"
 
 
 def to_csv(sample: OrbitSample) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in sample.rows:
-        writer.writerow([
-            format(row.t, ".12g"),
-            row.cls.label(),
-            _fmt_opt(row.u),
-            _fmt_opt(row.v),
-            _fmt_opt(row.residual_primary),
-            _fmt_opt(row.residual_secondary),
-        ])
-    return buf.getvalue()
+    """The rows as CSV, one line each.  Every line is one f-string: no field
+    needs quoting, since none can hold a comma, a quote or a newline (they are
+    numbers, ``∞``, ``σ1``/``σ2``, ``…ω`` and ``PR±[p:q]``)."""
+    lines = [",".join(CSV_HEADER)]
+    lines += [f"{row.t:.12g},{row.cls.label()},{_fmt_opt(row.u)},{_fmt_opt(row.v)},"
+              f"{_fmt_opt(row.residual_primary)},{_fmt_opt(row.residual_secondary)}"
+              for row in sample.rows]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def to_json_obj(sample: OrbitSample) -> dict:

@@ -61,7 +61,6 @@ from hypermoebius.verify import (
 )
 
 RING_KINDS = (Kind.COMPLEX, Kind.DOUBLE, Kind.DUAL)
-NONTRIVIAL = (SigmaKind.ELLIPTIC, SigmaKind.PARABOLIC, SigmaKind.HYPERBOLIC)
 
 
 def report(n: int, text: str) -> None:
@@ -254,7 +253,7 @@ def test_c08_subgroup_laws_and_determinants():
 
 def test_c09_centralizer_grid():
     values = [-2.0 + 0.5 * k for k in range(9)]
-    for sigma_kind in NONTRIVIAL:
+    for sigma_kind in sampling.NONTRIVIAL:
         s = sigma_kind.sigma
         h = rotation_real(sigma_kind, 0.7)
         for p in values:

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,17 @@ class TestInvert:
         with pytest.raises(NotInvertibleError) as err:
             invert(number(Kind.DUAL, 0, 5))
         assert err.value.element_class is ElementClass.NILPOTENT_NONZERO
+
+
+    def test_integer_coordinates_take_the_float_path(self):
+        # in a fresh interpreter, as the test process has numpy loaded already
+        code = ("import sys; from hypermoebius.algebra import Hypercomplex, Kind, invert; "
+                "print(invert(Hypercomplex(Kind.DUAL, 2, 1)), "
+                "invert(Hypercomplex(Kind.COMPLEX, 2, 1)), 'numpy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(algebra.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "0.5-0.25e 0.4-0.2i False\n"
 
 
 class TestSqrtAll:

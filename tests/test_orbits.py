@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 
@@ -26,7 +28,7 @@ from hypermoebius.orbits import (
     to_json_obj,
 )
 from hypermoebius.projline import ClassTag
-from hypermoebius.sampling import rng_from_seed
+from hypermoebius.sampling import NONTRIVIAL, rng_from_seed
 from hypermoebius.subgroups import (
     DoubleGL,
     DoubleSL,
@@ -112,7 +114,7 @@ def _row_by_row(spec, start, ts):
     """sampled_orbit with no row certified by the stacked evaluation: every
     row from its own matrix, the reference for the stacked rows."""
     stacked = orbits._stacked_affine
-    orbits._stacked_affine = lambda spec, p, ts: [None] * len(ts)
+    orbits._stacked_affine = lambda spec, p, ts: ([False] * len(ts),) * 3
     try:
         return sampled_orbit(spec, start, ts)
     finally:
@@ -345,6 +347,34 @@ class TestDualOrbitEquation:
         # a*u = sigma on the guard locus
         assert residual_dual_orbit(spec, start_dual(1.0, 0.5), 1.0, 0.2) is None
 
+    @pytest.mark.parametrize("sigma", NONTRIVIAL)
+    def test_rows_hold_the_per_point_value(self, sigma):
+        # the row's residual is the per-point call's value, bit for bit
+        spec = DualSL(sigma, -1.1, 0.4, 0.7)
+        start = start_dual(1.3, 0.6)
+        rows = [row for row in sampled_orbit(spec, start, t_grid(-2, 2, 0.05)).rows
+                if row.u is not None]
+        values = [residual_dual_orbit(spec, start, row.u, row.v) for row in rows]
+        want = [r if r is not None and math.isfinite(r) else None for r in values]
+        assert [repr(row.residual_primary) for row in rows] == list(map(repr, want))
+        assert sum(r is not None for r in want) > len(rows) // 2
+
+    def test_overflow_is_none(self):
+        start = start_dual(1.0, 2.0)
+        # math.exp(800) raises OverflowError; at lam1 = 1 the point has a value
+        for lam1, applicable in ((800.0, False), (1.0, True)):
+            r = residual_dual_orbit(DualSL(SigmaKind.ELLIPTIC, 1.0, lam1, 1.0), start, 0.5, 0.3)
+            assert (r is not None) is applicable
+        # at a = 1e50, u = 1e55 the guards pass (den1 = a u + 1 is about 1e105,
+        # above 1e-12 times the largest of a u, a^2 and u^2) and den1 ** 3
+        # raises OverflowError; at u = 1e120 the guards alone give None
+        a, u = 1e50, 1e55
+        with pytest.raises(OverflowError):
+            (a * u + 1.0) ** 3
+        spec = DualSL(SigmaKind.ELLIPTIC, 1.0, 0.0, 0.5)
+        assert residual_dual_orbit(spec, start_dual(a, 2.0), u, 0.3) is None
+        assert residual_dual_orbit(spec, start, 1e120, 0.3) is None
+
     def test_report_structure(self):
         cases = [(DualSL(SigmaKind.PARABOLIC, 1.0, 0.0, 0.0), start_dual(1.0, 0.0)),
                  (DualSL(SigmaKind.ELLIPTIC, 1.0, 0.5, 0.7), start_dual(1.2, 0.6))]
@@ -381,6 +411,30 @@ class TestExport:
         assert len(lines) == 42
         non_affine = [ln for ln in lines[1:] if ln.endswith(",,,,")]
         assert non_affine  # pole rows carry empty u,v and residuals
+
+    def test_csv_round_trip(self):
+        # csv.reader gives back each row's six fields: no label needs quoting
+        pole = math.pi - math.atan(1.0)
+        samples = [
+            sampled_orbit(DoubleSL(SigmaKind.ELLIPTIC, SigmaKind.PARABOLIC, 1.0),
+                          start_double(1.0, 2.0), t_grid(-2, 2, 0.1)),
+            sampled_orbit(DoubleSL(SigmaKind.ELLIPTIC, SigmaKind.ELLIPTIC, 1.0),
+                          start_double(1.0, 1.0), [1.0, pole]),
+            sampled_orbit(DualSL(SigmaKind.ELLIPTIC, 1.0, 0.0, 0.5),
+                          start_dual(1.0, 2.0), [1.0, pole]),
+        ]
+        tags = set()
+        for sample in samples:
+            parsed = list(csv.reader(io.StringIO(to_csv(sample))))
+            assert parsed[0] == CSV_HEADER
+            assert parsed[1:] == [
+                [format(row.t, ".12g"), row.cls.label(),
+                 *("" if x is None else format(x, ".12g")
+                   for x in (row.u, row.v, row.residual_primary, row.residual_secondary))]
+                for row in sample.rows]
+            tags.update(row.cls.tag for row in sample.rows)
+        assert {ClassTag.AFFINE, ClassTag.INFINITY, ClassTag.OMEGA_PLUS,
+                ClassTag.DUAL_OMEGA} <= tags
 
     def test_json_mirrors_rows(self):
         sample = sampled_orbit(SHEAR_PAIR, start_double(1.0, 2.0), [0.0, 0.5])

@@ -35,9 +35,7 @@ from hypermoebius.subgroups import (
     swap_double,
     swap_image,
 )
-from hypermoebius.sampling import random_specs, rng_from_seed
-
-NONTRIVIAL = (SigmaKind.ELLIPTIC, SigmaKind.PARABOLIC, SigmaKind.HYPERBOLIC)
+from hypermoebius.sampling import NONTRIVIAL, random_regime, random_specs, rng_from_seed
 
 
 class TestEval:
@@ -113,7 +111,7 @@ class TestEval:
             want = dual_from_parts(rotation_real(sp, t, lm),
                                    lp * t * rotation_real(sp, t + t0, lm))
             assert got == want
-            sl = NONTRIVIAL[int(rng.integers(3))]
+            sl = random_regime(rng)
             got = eval_subgroup(DualSL(sl, lp, lm, t0), t)
             h_t = rotation_real(sl, t)
             shift = rotation_real(sl, t + t0) - cos_sigma(sl.sigma, t0) * h_t
