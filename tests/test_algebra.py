@@ -215,7 +215,6 @@ class TestInvert:
             invert(number(Kind.DUAL, 0, 5))
         assert err.value.element_class is ElementClass.NILPOTENT_NONZERO
 
-
     def test_integer_coordinates_take_the_float_path(self):
         # in a fresh interpreter, as the test process has numpy loaded already
         code = ("import sys; from hypermoebius.algebra import Hypercomplex, Kind, invert; "
