@@ -368,7 +368,11 @@ def _real_fixed_points(a: float, b: float, c: float, d: float, tol: float = TAU_
 
 
 def _fixed_points_complex(m: MoebiusMap, tol: float) -> list[CanonicalClass]:
-    roots = _fixed_roots(*(complex(e.a1, e.a2) for e in m.rep.entries()), tol)
+    try:
+        roots = _fixed_roots(*(complex(e.a1, e.a2) for e in m.rep.entries()), tol)
+    except OverflowError:  # abs of a complex past the float range, as abs(1e308+1e308j)
+        raise DomainError("a fixed-point term of the map's entries overflows the float range") \
+            from None
     return [CanonicalClass(ClassTag.AFFINE, affine=Hypercomplex(Kind.COMPLEX, z.real, z.imag))
             if y else CanonicalClass(ClassTag.INFINITY) for z, y in roots]
 

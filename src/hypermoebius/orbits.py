@@ -174,14 +174,22 @@ def residual_shear_pair(a: float, start: StartPoint, u: float, v: float) -> floa
 
     u^2 - v^2 + (a-1) y+ y- / (y+ - a y-) * u - (a+1) y+ y- / (y+ - a y-) * v
     """
+    return _shear_pair(a, start)(u, v)
+
+
+def _shear_pair(a: float, start: StartPoint):
+    """:func:`residual_shear_pair` of one sample as a function (u, v) ->
+    value: the guard, its coefficient and a -+ 1 are computed once."""
     y_plus, y_minus = start.c1, start.c2
     den = y_plus - a * y_minus
     if abs(den) <= TAU_ZERO * (1.0 + abs(y_plus) + abs(a * y_minus)):
-        return None
+        return lambda u, v: None
     coef = y_plus * y_minus / den
+    a_minus, a_plus = a - 1.0, a + 1.0
+
     # (u+v)(u-v) instead of u^2 - v^2: same value, no cancellation blowup
     # on rows near the projective poles
-    return (u + v) * (u - v) + coef * ((a - 1.0) * u - (a + 1.0) * v)
+    return lambda u, v: (u + v) * (u - v) + coef * (a_minus * u - a_plus * v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,13 +209,17 @@ class LineOrbitResiduals:
 
 
 def residual_trivial_minus(start: StartPoint, u: float, v: float) -> LineOrbitResiduals:
-    y_minus = start.c2
-    diff_sq = (u + v) * (u - v)
-    return LineOrbitResiduals(
-        line=(u - v) - y_minus,
-        corrected=2.0 * v * y_minus - diff_sq + y_minus * (u - v),
-        printed=2.0 * v - diff_sq + y_minus * (u - v),
-    )
+    return LineOrbitResiduals((u - v) - start.c2, *_line_forms(start.c2)(u, v))
+
+
+def _line_forms(y_minus: float):
+    """The corrected and circulating forms of :class:`LineOrbitResiduals` of
+    one sample as a function (u, v) -> (corrected, printed)."""
+    def forms(u: float, v: float) -> tuple[float, float]:
+        diff_sq = (u + v) * (u - v)
+        cross = y_minus * (u - v)
+        return 2.0 * v * y_minus - diff_sq + cross, 2.0 * v - diff_sq + cross
+    return forms
 
 
 def residual_dual_orbit(spec: DualSL, start: StartPoint, u: float, v: float) -> float | None:
@@ -273,9 +285,10 @@ def _dual_orbit(spec: DualSL, start: StartPoint):
 def _residual_columns(spec, start: StartPoint):
     """The family's closed forms as one function (t, u, v) -> (primary,
     secondary), chosen once per sample with the terms that do not depend on
-    the row; None marks an inapplicable column.  They are two-regime and shear-pair (both shears only) for two active
-    det-1 double components, corrected and circulating line form for a
-    trivial minus component, and the literal transcription for det-1 dual."""
+    the row; None marks an inapplicable column.  They are two-regime and
+    shear-pair (both shears only) for two active det-1 double components,
+    corrected and circulating line form for a trivial minus component, and
+    the literal transcription for det-1 dual."""
     if isinstance(spec, DualSL):
         dual = _dual_orbit(spec, start)
         return lambda t, u, v: (dual(u, v), None)
@@ -283,11 +296,9 @@ def _residual_columns(spec, start: StartPoint):
         return lambda t, u, v: (None, None)
     sp, sm, a = spec.sigma_plus.sigma, spec.sigma_minus.sigma, spec.a
     if sm is None or a == 0.0:
-        def line(t, u, v):
-            res = residual_trivial_minus(start, u, v)
-            return res.corrected, res.printed
-        return line
-    shear = sp == sm == 0
+        forms = _line_forms(start.c2)
+        return lambda t, u, v: forms(u, v)
+    shear = _shear_pair(a, start) if sp == sm == 0 else lambda u, v: None
     regime = _two_regime(sp, sm, a, start)
     # the principal-branch window where arctan inverts the circular tangent
     window = math.pi / 2.0 - 1e-9
@@ -296,7 +307,7 @@ def _residual_columns(spec, start: StartPoint):
         primary = None
         if (sp != -1 or abs(t) < window) and (sm != -1 or abs(a * t) < window):
             primary = regime(u, v)
-        return primary, residual_shear_pair(a, start, u, v) if shear else None
+        return primary, shear(u, v)
     return two_regime
 
 

@@ -32,6 +32,7 @@ from .algebra import (
     Hypercomplex,
     Kind,
     _DEC,
+    _coerce,
     _inverse,
     _unit_mask,
     decompose,
@@ -44,7 +45,7 @@ from .errors import (
     KindMismatchError,
     NotAdmissibleError,
 )
-from .matrix2 import Mat2, mat2
+from .matrix2 import Mat2, _select
 
 
 @dataclass(frozen=True, slots=True)
@@ -396,6 +397,18 @@ class ClassStack:
     def tags(self) -> list[ClassTag]:
         return [ClassTag.AFFINE if cls is None else cls.tag for cls in self.rows]
 
+    @classmethod
+    def of(cls, kind: Kind, classes: list) -> "ClassStack":
+        """The stack of a list of canonical classes of ``kind``: its affine
+        classes are the certified rows."""
+        import numpy as np
+
+        affine = [c.tag is ClassTag.AFFINE for c in classes]
+        zero = algebra.zero(kind)
+        return cls(np.array(affine, bool),
+                   stack([c.affine if a else zero for c, a in zip(classes, affine)]),
+                   [None if a else c for c, a in zip(classes, affine)])
+
 
 def _canonicalize_stack(p: ProjPoint, tol: float) -> ClassStack:
     """:func:`canonicalize` of a stack: a row that :func:`certify_affine`
@@ -460,7 +473,9 @@ def transporter_to(p: ProjPoint) -> Mat2:
 
 def transporter_nonadmissible(target: CanonicalClass) -> Mat2:
     """An invertible matrix sending the base point ``bijection_f(target.tag,
-    1.0, 0.0)`` of the family onto ``target``.
+    1.0, 0.0)`` of the family onto ``target``.  For a target whose ratio is
+    a pair of float arrays, the stack of the transporters onto the classes
+    of its tag at each ratio.
 
     For the double families the transporter columns mix the target ratio
     with the opposite idempotent; when the ratio's first entry vanishes the
@@ -471,11 +486,13 @@ def transporter_nonadmissible(target: CanonicalClass) -> Mat2:
     lam, mu = target.ratio
     if target.tag is ClassTag.PR:
         eps = algebra.generator(Kind.DUAL)
-        return mat2(Kind.DUAL, [[eps + lam, -mu], [eps + mu, lam]])
+        return Mat2(eps + lam, _coerce(Kind.DUAL, -mu), eps + mu, _coerce(Kind.DUAL, lam))
     same, other = (P_PLUS, P_MINUS) if target.tag is ClassTag.PR_PLUS else (P_MINUS, P_PLUS)
-    if abs(lam) > TAU_ZERO:
-        return Mat2(same * lam, other, same * mu + other, same)
-    return Mat2(same * lam + other, same, same * mu, other)
+    first = Mat2(same * lam, other, same * mu + other, same)
+    alternate = Mat2(same * lam + other, same, same * mu, other)
+    if not is_stack(lam):
+        return first if abs(lam) > TAU_ZERO else alternate
+    return _select(abs(lam) > TAU_ZERO, first, alternate)
 
 
 # ---------------------------------------------------------------------------

@@ -353,21 +353,32 @@ class CentralizerFit:
     s0: float | None
 
 
+def in_centralizer(sigma_kind: SigmaKind, b: np.ndarray):
+    """Whether the real matrix B = [[a, b], [c, d]] has the structure of the
+    centralizer of H_sigma: a = d and b = sigma*c, each within
+    ``TAU_ALG * (1 + max |entry|)``; a NaN entry fails.  For an (n, 2, 2)
+    stack, the bool array of each matrix's answer."""
+    if sigma_kind is SigmaKind.TRIVIAL:
+        raise DomainError("the trivial family has no meaningful centralizer condition")
+    import numpy as np
+
+    b = np.asarray(b, dtype=float)
+    tol = TAU_ALG * (1.0 + abs(b).max(axis=(-2, -1)))
+    return ((abs(b[..., 0, 0] - b[..., 1, 1]) <= tol)
+            & (abs(b[..., 0, 1] - sigma_kind.sigma * b[..., 1, 0]) <= tol))
+
+
 def centralizer_solve(sigma_kind: SigmaKind, b: np.ndarray) -> CentralizerFit:
     """Solve B = lam * H_sigma(s0) for a matrix commuting with H_sigma.
 
-    Succeeds exactly when B has equal diagonal entries and its off-diagonal
-    entries satisfy b = sigma*c; raises NotInCentralizerError otherwise.
+    Succeeds exactly when :func:`in_centralizer` holds; raises
+    NotInCentralizerError otherwise.
     """
-    if sigma_kind is SigmaKind.TRIVIAL:
-        raise DomainError("the trivial family has no meaningful centralizer condition")
-    s = sigma_kind.sigma
-    a, bb = float(b[0, 0]), float(b[0, 1])
-    c, d = float(b[1, 0]), float(b[1, 1])
-    scale = 1.0 + max(abs(a), abs(bb), abs(c), abs(d))
-    if abs(a - d) > TAU_ALG * scale or abs(bb - s * c) > TAU_ALG * scale:
+    if not in_centralizer(sigma_kind, b):
         raise NotInCentralizerError(
             "matrix lacks the equal-diagonal / b = sigma*c structure")
+    s = sigma_kind.sigma
+    a, c = float(b[0, 0]), float(b[1, 0])
     if s == -1:
         if abs(a) > TAU_ALG:
             return CentralizerFit(math.copysign(math.hypot(a, c), a), math.atan(c / a))
@@ -530,21 +541,47 @@ def generator_of(spec):
     return (plus - minus) / (2.0 * _DIFF_STEP)
 
 
-def exp_cross_check(spec) -> float:
+def exp_cross_check(spec):
     """Compare the closed form against exp(generator * t) pointwise.
 
     The generator comes from numerical differentiation at zero, so the
     comparison is an independent check that the closed form really is the
-    one-parameter subgroup it claims to be.  Both sides are evaluated once,
-    as stacks over nine points on [-2, 2]; a matrix past the float range
-    gives an infinite or NaN residual.
+    one-parameter subgroup it claims to be.  Both sides are evaluated as
+    stacks over nine points t on [-2, 2]: the closed form at the nine t, and
+    the exponential of each generator * t at 1, which is exp(generator * t)
+    bit for bit.  A matrix past the float range gives an infinite or NaN
+    residual.
+
+    For a list of specs of one family, the array of each spec's residual,
+    with one exponential over the stack of every spec's nine matrices.
     """
     import numpy as np
 
-    gen = generator_of(spec)
+    specs = spec if isinstance(spec, list) else [spec]
+    if not specs:
+        return np.zeros(0)
     ts = np.linspace(-2.0, 2.0, 9)
-    exp = mat_exp if isinstance(gen, Mat2) else mat_exp_real
-    return float(_magnitude(exp(gen, ts) - eval_subgroup(spec, ts)).max(initial=0.0))
+    scaled, closed = [], []
+    for s in specs:
+        gen = generator_of(s)
+        scaled.append(gen.scale(ts) if isinstance(gen, Mat2) else gen * ts[:, None, None])
+        closed.append(eval_subgroup(s, ts))
+    exp = mat_exp if isinstance(scaled[0], Mat2) else mat_exp_real
+    gaps = _magnitude(exp(_joined(scaled), 1.0) - _joined(closed))
+    worst = gaps.reshape(len(specs), len(ts)).max(axis=1, initial=0.0)
+    return worst if isinstance(spec, list) else float(worst[0])
+
+
+def _joined(stacks: list):
+    """One stack of the matrices of each stack in turn: ``Mat2``s whose
+    entries hold 1-d float arrays, or (n, 2, 2) arrays."""
+    import numpy as np
+
+    if not isinstance(stacks[0], Mat2):
+        return np.concatenate(stacks)
+    return Mat2(*(Hypercomplex(col[0].kind, np.concatenate([e.a1 for e in col]),
+                               np.concatenate([e.a2 for e in col]))
+                  for col in zip(*(m.entries() for m in stacks))))
 
 
 # ---------------------------------------------------------------------------

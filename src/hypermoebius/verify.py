@@ -5,14 +5,15 @@ report byte for byte.  Checks are keyed by what they verify; each line of
 the report reads "<key>: PASS|FAIL (<counts / worst residuals>)".
 
 The fixed-draw sweeps (ring laws, unit inverses, the idempotent split, det
-multiplicativity, the det component formulas, the adjugate identity and
-the exponential law) run the library's own ``Hypercomplex`` and ``Mat2``
-operations on stacks of ``_CHUNK`` samples at a time; the group law and the
-exponential oracle evaluate each subgroup once per spec, at a stack of t.
-Each stack draws from the generator exactly what the scalar loop over the
-same samples would draw, in the same order, so the generator reaches every
-later check in the same state and the report is the one the scalar loops
-give.
+multiplicativity, the det component formulas, the adjugate identity, the
+exponential law and its component split) run the library's own
+``Hypercomplex`` and ``Mat2`` operations on stacks of ``_CHUNK`` samples at
+a time; the group law evaluates each subgroup once per spec, at a stack of
+t, and the exponential oracle makes one exponential per family over every
+spec's stack of t.  The centralizer grid is one stack of matrices.  Each
+stack draws from the generator exactly what the scalar loop over the same
+samples would draw, in the same order, so the generator reaches every later
+check in the same state and the report is the one the scalar loops give.
 
 The square-root, point and map checks (class partition, unit scaling,
 admissibility, transitivity, projection equivariance, class-preserving
@@ -23,6 +24,11 @@ matrices makes a stack of ``MoebiusMap``.  The point and map checks draw
 each case as float rows with the row walks of ``sampling``, the walks the
 object samplers are built from, and ``_count`` makes each column of a
 chunk one stack with one ``numpy.array``.
+
+The family transporters draw their ratios first, then make the transporters,
+their maps, the images and the class comparisons as one stack each.  The
+fixed-point check finds each map's fixed classes one map at a time, then
+re-applies every map to its classes and compares them as one stack.
 """
 
 from __future__ import annotations
@@ -42,12 +48,10 @@ from .algebra import (
     recompose,
     stacked,
 )
-from .errors import NotInCentralizerError
 from .matrix2 import (
     det,
     det_dual_formula,
     det_split_double,
-    double_from_components,
     hat,
     identity,
     mat_exp,
@@ -80,6 +84,7 @@ from .orbits import (
 )
 from .projline import (
     CanonicalClass,
+    ClassStack,
     ClassTag,
     ProjPoint,
     admissible,
@@ -101,12 +106,12 @@ from .subgroups import (
     DualSL,
     GRAMMAR,
     SigmaKind,
-    centralizer_solve,
     dual_gl_det_closed_form,
     dual_gl_det_printed_form,
     eval_subgroup,
     exp_cross_check,
     group_law_terms,
+    in_centralizer,
     rotation_real,
     sl_membership_check,
     swap_double,
@@ -144,11 +149,12 @@ class _Tally:
         self.total += 1
         self.worst = max(self.worst, residual)
 
-    def add_many(self, ok: np.ndarray, residual: np.ndarray) -> None:
+    def add_many(self, ok: np.ndarray, residual: np.ndarray | None = None) -> None:
         """``add`` for each sample; like ``max``, ``worst`` passes over NaN."""
         self.good += int(np.count_nonzero(ok))
         self.total += ok.size
-        self.worst = float(np.fmax.reduce(residual, initial=self.worst))
+        if residual is not None:
+            self.worst = float(np.fmax.reduce(residual, initial=self.worst))
 
     @property
     def full(self) -> bool:
@@ -366,15 +372,15 @@ def check_exp_law(rng, n: int = 100) -> list[CheckResult]:
 
 
 def check_exp_split(rng, n: int = 100) -> list[CheckResult]:
+    # per sample the scalar draws: uniform(-2, 2) for the 4 entries of A+,
+    # the 4 of A-, then t
+    u = rng.uniform(-2, 2, size=(n, 9))
+    ap, am, t = u[:, :4].reshape(n, 2, 2), u[:, 4:8].reshape(n, 2, 2), u[:, 8]
+    ring = mat_exp(stacked_mat(recompose(ap, am)), t)
+    split = stacked_mat(recompose(mat_exp_real(ap, t), mat_exp_real(am, t)))
+    gap = (ring - split).max_entry_magnitude()
     tally = _Tally()
-    for _ in range(n):
-        ap = rng.uniform(-2, 2, size=(2, 2))
-        am = rng.uniform(-2, 2, size=(2, 2))
-        t = rng.uniform(-2, 2)
-        ring = mat_exp(double_from_components(ap, am), t)
-        split = double_from_components(mat_exp_real(ap, t), mat_exp_real(am, t))
-        gap = (ring - split).max_entry_magnitude()
-        tally.add(gap <= 1e-8, gap)
+    tally.add_many(gap <= 1e-8, gap)
     return [CheckResult("exp-component-split/double", tally.full,
                         f"{tally} matrices, worst {_fmt(tally.worst)}")]
 
@@ -486,22 +492,23 @@ def check_transitivity(rng, n: int = 1_000) -> list[CheckResult]:
 
 
 def check_family_transporters(rng, n: int = 1_000) -> list[CheckResult]:
+    def ratio(i: int) -> tuple[float, float]:
+        if i % 10 == 0:
+            return canonical_ratio(0.0, sampling._nonzero_real(rng))
+        if i % 10 == 1:
+            return canonical_ratio(sampling._nonzero_real(rng), 0.0)
+        return canonical_ratio(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
     out = []
-    cases = ((Kind.DOUBLE, ClassTag.PR_PLUS), (Kind.DOUBLE, ClassTag.PR_MINUS),
-             (Kind.DUAL, ClassTag.PR))
-    for kind, tag in cases:
+    for kind, tag in ((Kind.DOUBLE, ClassTag.PR_PLUS), (Kind.DOUBLE, ClassTag.PR_MINUS),
+                      (Kind.DUAL, ClassTag.PR)):
+        # the ratios first, then one stack of transporters, maps and images
+        ratios = [ratio(i) for i in range(n)]
+        m = MoebiusMap(transporter_nonadmissible(
+            CanonicalClass(tag, ratio=tuple(np.array(ratios).T))))
+        targets = ClassStack.of(kind, [CanonicalClass(tag, ratio=r) for r in ratios])
         tally = _Tally()
-        for i in range(n):
-            if i % 10 == 0:
-                ratio = canonical_ratio(0.0, sampling._nonzero_real(rng))
-            elif i % 10 == 1:
-                ratio = canonical_ratio(sampling._nonzero_real(rng), 0.0)
-            else:
-                ratio = canonical_ratio(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            target = CanonicalClass(tag, ratio=ratio)
-            m = MoebiusMap(transporter_nonadmissible(target))
-            image = apply(m, bijection_f(tag, 1.0, 0.0))
-            tally.add(same_class(image, target))
+        tally.add_many(same_class(apply(m, bijection_f(tag, 1.0, 0.0)), targets))
         out.append(CheckResult(
             f"family-transporter/{tag.value}", tally.full,
             f"{tally} transporters land on target"))
@@ -577,19 +584,24 @@ def check_kernels(seed: int) -> list[CheckResult]:
 def check_fixed_point_reapply(rng, n: int = 200) -> list[CheckResult]:
     out = []
     for kind in RING_KINDS:
-        tally = _Tally()
-        maps = 0
-        while maps < n:
+        maps = []  # SL maps, redrawn while the map is the identity
+        while len(maps) < n:
             m = MoebiusMap(sampling.random_sl(kind, rng))
-            if mob_equal(m, identity_map(kind)):
-                continue
-            maps += 1
+            if not mob_equal(m, identity_map(kind)):
+                maps.append(m)
+        # each fixed class (a point of it) and family representative, with its
+        # map's matrix and the class it must keep; then one stack re-applies them
+        cases = []
+        for m in maps:
             fps = fixed_points(m)
-            for cls in fps.points:
-                tally.add(same_class(apply(m, class_point(kind, cls)), cls))
-            for family in fps.families:
-                for rep in family.representatives:
-                    tally.add(same_class(apply(m, rep), canonicalize(rep)))
+            cases += [(m.rep, class_point(kind, cls), cls) for cls in fps.points]
+            cases += [(m.rep, rep, canonicalize(rep))
+                      for family in fps.families for rep in family.representatives]
+        tally = _Tally()
+        if cases:
+            reps, points, classes = zip(*cases)
+            images = apply(MoebiusMap(stack(reps)), stack(points))
+            tally.add_many(same_class(images, ClassStack.of(kind, list(classes))))
         out.append(CheckResult(
             f"fixed-point-reapply/{kind.name.lower()}", tally.full,
             f"{tally} fixed classes re-apply to themselves"))
@@ -673,24 +685,17 @@ def check_dual_gl_det(rng, n_specs: int = 20) -> list[CheckResult]:
 def check_centralizer_grid() -> list[CheckResult]:
     out = []
     values = [-2.0 + 0.5 * k for k in range(9)]
+    # every [[p, q], [r, w]] over the values, w fastest
+    p, q, r, w = (g.ravel() for g in np.meshgrid(values, values, values, values, indexing="ij"))
+    b = np.stack((p, q, r, w), axis=-1).reshape(-1, 2, 2)
     for sigma_kind in NONTRIVIAL:
-        s = sigma_kind.sigma
-        grid, commute = _Tally(), _Tally()
         h = rotation_real(sigma_kind, 0.7)
-        for p in values:
-            for q in values:
-                for r in values:
-                    for w in values:
-                        b = np.array([[p, q], [r, w]])
-                        structural = (p == w) and (q == s * r)
-                        try:
-                            centralizer_solve(sigma_kind, b)
-                            solved = True
-                        except NotInCentralizerError:
-                            solved = False
-                        grid.add(solved == structural)
-                        if solved:
-                            commute.add(float(np.max(np.abs(b @ h - h @ b))) < 1e-9)
+        # in_centralizer is the test that centralizer_solve passes or raises on
+        solved = in_centralizer(sigma_kind, b)
+        grid, commute = _Tally(), _Tally()
+        grid.add_many(solved == ((p == w) & (q == sigma_kind.sigma * r)))
+        members = b[solved]
+        commute.add_many(np.abs(members @ h - h @ members).max(axis=(1, 2)) < 1e-9)
         out.append(CheckResult(
             f"centralizer-grid/{sigma_kind.letter}", grid.full and commute.full,
             f"{grid} grid matrices, "
@@ -701,10 +706,9 @@ def check_centralizer_grid() -> list[CheckResult]:
 def check_exp_cross(rng, n_specs: int = 10) -> list[CheckResult]:
     out = []
     for family, specs in sampling.random_specs(rng, n_specs).items():
+        r = exp_cross_check([_clamp_params(spec) for spec in specs])
         tally = _Tally()
-        for spec in specs:
-            r = exp_cross_check(_clamp_params(spec))
-            tally.add(r < 1e-5, r)
+        tally.add_many(r < 1e-5, r)
         out.append(CheckResult(
             f"exp-oracle/{family}", tally.full,
             f"{tally} descriptions, worst {_fmt(tally.worst)}"))

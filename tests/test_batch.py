@@ -14,6 +14,7 @@ import pytest
 
 from hypermoebius import algebra, matrix2, moebius, projline, sampling, subgroups, verify
 from hypermoebius.algebra import Hypercomplex, Kind
+from hypermoebius.errors import NotInCentralizerError
 from hypermoebius.matrix2 import (
     Mat2,
     adj_real,
@@ -778,3 +779,145 @@ class TestPointAndMapChecksMatchScalarLoops:
         # identities tally the same array
         assert same(np.concatenate(recorded[0::2]), np.array(residuals))
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the scalar loops of the subgroup and fixed-point checks, as an oracle for
+# the stacked ones: each loop body as it was, one matrix at a time
+
+
+def scalar_exp_split(rng, n):
+    tally = verify._Tally()
+    for _ in range(n):
+        ap = rng.uniform(-2, 2, size=(2, 2))
+        am = rng.uniform(-2, 2, size=(2, 2))
+        t = rng.uniform(-2, 2)
+        ring = mat_exp(double_from_components(ap, am), t)
+        split = double_from_components(mat_exp_real(ap, t), mat_exp_real(am, t))
+        gap = (ring - split).max_entry_magnitude()
+        tally.add(gap <= 1e-8, gap)
+    return [verify.CheckResult("exp-component-split/double", tally.full,
+                               f"{tally} matrices, worst {verify._fmt(tally.worst)}")]
+
+
+def scalar_centralizer_grid():
+    out = []
+    values = [-2.0 + 0.5 * k for k in range(9)]
+    for sigma_kind in sampling.NONTRIVIAL:
+        s = sigma_kind.sigma
+        grid, commute = verify._Tally(), verify._Tally()
+        h = subgroups.rotation_real(sigma_kind, 0.7)
+        for p in values:
+            for q in values:
+                for r in values:
+                    for w in values:
+                        b = np.array([[p, q], [r, w]])
+                        structural = (p == w) and (q == s * r)
+                        try:
+                            subgroups.centralizer_solve(sigma_kind, b)
+                            solved = True
+                        except NotInCentralizerError:
+                            solved = False
+                        grid.add(solved == structural)
+                        if solved:
+                            commute.add(float(np.max(np.abs(b @ h - h @ b))) < 1e-9)
+        out.append(verify.CheckResult(
+            f"centralizer-grid/{sigma_kind.letter}", grid.full and commute.full,
+            f"{grid} grid matrices, "
+            f"{commute} successes commute"))
+    return out
+
+
+def scalar_exp_oracle(rng, n_specs):
+    out = []
+    for family, specs in sampling.random_specs(rng, n_specs).items():
+        tally = verify._Tally()
+        for spec in specs:
+            r = exp_cross_check(verify._clamp_params(spec))
+            tally.add(r < 1e-5, r)
+        out.append(verify.CheckResult(
+            f"exp-oracle/{family}", tally.full,
+            f"{tally} descriptions, worst {verify._fmt(tally.worst)}"))
+    return out
+
+
+def scalar_family_transporters(rng, n):
+    out = []
+    cases = ((Kind.DOUBLE, ClassTag.PR_PLUS), (Kind.DOUBLE, ClassTag.PR_MINUS),
+             (Kind.DUAL, ClassTag.PR))
+    for kind, tag in cases:
+        tally = verify._Tally()
+        for i in range(n):
+            if i % 10 == 0:
+                ratio = projline.canonical_ratio(0.0, sampling._nonzero_real(rng))
+            elif i % 10 == 1:
+                ratio = projline.canonical_ratio(sampling._nonzero_real(rng), 0.0)
+            else:
+                ratio = projline.canonical_ratio(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            target = projline.CanonicalClass(tag, ratio=ratio)
+            m = moebius.MoebiusMap(projline.transporter_nonadmissible(target))
+            image = moebius.apply(m, projline.bijection_f(tag, 1.0, 0.0))
+            tally.add(projline.same_class(image, target))
+        out.append(verify.CheckResult(
+            f"family-transporter/{tag.value}", tally.full,
+            f"{tally} transporters land on target"))
+    return out
+
+
+def scalar_fixed_point_reapply(rng, n):
+    out = []
+    for kind in verify.RING_KINDS:
+        tally = verify._Tally()
+        maps = 0
+        while maps < n:
+            m = moebius.MoebiusMap(sampling.random_sl(kind, rng))
+            if moebius.mob_equal(m, moebius.identity_map(kind)):
+                continue
+            maps += 1
+            fps = moebius.fixed_points(m)
+            for cls in fps.points:
+                tally.add(projline.same_class(moebius.apply(m, moebius.class_point(kind, cls)), cls))
+            for family in fps.families:
+                for rep in family.representatives:
+                    tally.add(projline.same_class(moebius.apply(m, rep), projline.canonicalize(rep)))
+        out.append(verify.CheckResult(
+            f"fixed-point-reapply/{kind.name.lower()}", tally.full,
+            f"{tally} fixed classes re-apply to themselves"))
+    return out
+
+
+# each check by name: its scalar loop, its size argument, a size for the
+# tests that is not a multiple of a stack's, and the battery's size
+SCALAR_SUBGROUP_CHECKS = {
+    "check_exp_split": (scalar_exp_split, "n", 37, 100),
+    "check_exp_cross": (scalar_exp_oracle, "n_specs", 7, 10),
+    "check_family_transporters": (scalar_family_transporters, "n", 137, 1_000),
+    "check_fixed_point_reapply": (scalar_fixed_point_reapply, "n", 37, 200),
+}
+
+
+class TestSubgroupActionChecksMatchScalarLoops:
+    """Each check that stacks its subgroups, transporters or re-applied maps
+    against its scalar loop: the same report lines, at two seeds, and the
+    generator left in the same state."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(SCALAR_SUBGROUP_CHECKS))
+    def test_same_report(self, name, seed):
+        scalar, arg, size, _ = SCALAR_SUBGROUP_CHECKS[name]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert getattr(verify, name)(rng, **{arg: size}) == scalar(ref, size)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(SCALAR_SUBGROUP_CHECKS))
+    def test_battery_size_on_verify_draws(self, name, seed):
+        # 700 doubles first: exp-split's block of 900 then crosses a refill
+        scalar, _, _, size = SCALAR_SUBGROUP_CHECKS[name]
+        rng, ref = sampling.rng_from_seed(seed), sampling.rng_from_seed(seed)
+        rng.random(700), ref.random(700)
+        assert getattr(verify, name)(rng) == scalar(ref, size)
+        assert next_draws(rng) == next_draws(ref)
+
+    def test_centralizer_grid(self):
+        assert verify.check_centralizer_grid() == scalar_centralizer_grid()

@@ -66,6 +66,7 @@ HUGE_DUAL = "dual-sl(sigma=K,lambda=1e308,t0=1)"
 HUGE_RESCALE = "double-sl(sigma+=K,sigma-=K,a=1e308)"
 PAST_FLOAT = "1" + "0" * 400  # a decimal literal past the float range
 BIG, TINY = "1" + "0" * 200, "0." + "0" * 199 + "1"  # 1e200 and 1e-200
+NEAR_MAX = "17" + "0" * 307  # 1.7e308, within the float range
 
 
 class TestSubgroupCommands:
@@ -201,6 +202,9 @@ class TestExitCodes:
           for kind in ("complex", "dual", "double")),
         # the fixed points overflow after the class is known
         ["classify-map", "--algebra", "complex", f"[[{BIG},1],[1,1]]"],
+        # abs(a - d) of the complex entries a = 1.7e308i, d = 1.7e308 raises
+        # OverflowError, a traceback and exit 1 before it was a DomainError
+        ["classify-map", "--algebra", "complex", "--", f"[[{NEAR_MAX}i,1],[0,{NEAR_MAX}]]"],
         # finite matrices whose images of a start near 1e300 have no finite
         # affine coordinate, which the stacked rows left as nan
         ["orbit", "--spec", "dual-gl(sigma=K,lambda=1.5,lambda1=-10)",

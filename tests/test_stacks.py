@@ -50,7 +50,9 @@ MODERATE = [v for v in SPECIAL if abs(v) != 1e300] + [40.0, -40.0]
 # the argument letters of a case: "k" is the case's kind and "S" a spec of
 # its family; of the others, a lower-case letter is stacked, one value per
 # row, and an upper-case one is one value for every row
-WIDTH = {"n": 2, "p": 4, "m": 8, "t": 1, "r": 4}  # number, point, matrix, float, real 2x2
+# number, point, matrix, float, real 2x2, and a spec of the case's regimes by
+# its real parameters in literal order (a stack of them is a list of specs)
+WIDTH = {"n": 2, "p": 4, "m": 8, "t": 1, "r": 4, "s": 3}
 # each family with each of its regime combinations, by SigmaKind letter;
 # a trivial regime makes some entries zero for every t
 REGIMES = ([f"real-gl({s})" for s in "KNAI"] + [f"dual-gl({s})" for s in "KNAI"]
@@ -89,6 +91,16 @@ def draw_spec(regimes, rng):
             "dual-sl": lambda: DualSL(s[0], strength(), param(), param())}[family]()
 
 
+def spec_of(regimes, x):
+    """The spec of the family and regimes named, e.g. "double-gl(K,I)",
+    with its real parameters, in literal order, from the floats x."""
+    family, letters = regimes.rstrip(")").split("(")
+    sigmas, reals = (SigmaKind.from_letter(v) for v in letters.split(",")), iter(x)
+    cls, grammar = subgroups.GRAMMAR[family]
+    return cls(**{attr: next(sigmas) if attr.startswith("sigma") else next(reals)
+                  for _, attr, _ in grammar})
+
+
 def paired(rng, kind, p, q):
     """The rows of the second point of a pair: each row q's, p's, or p's
     rescaled by a unit (where that is a point), one in three each."""
@@ -102,6 +114,9 @@ def paired(rng, kind, p, q):
 
 def build(kind, letter, floats):
     """The argument from floats: one row's list, or a stack's (n, width) array."""
+    if letter == "s":
+        return spec_of(kind, floats) if isinstance(floats, list) else \
+            [spec_of(kind, row) for row in floats.tolist()]
     cols = floats if isinstance(floats, list) else floats.T
     if letter.lower() == "t":
         return cols[0]
@@ -148,6 +163,8 @@ NON_UNITS = {  # one number of each non-unit class of the kind
 ROOT_VALUES = [0.0, -0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.01, 0.3, 1.0, -1.0, 2.25, -4.0]
 # at t = 0.4 * 2**k a matrix of max entry magnitude 1 takes k halvings
 HALVING_TS = [0.4 * 2.0 ** k for k in range(8)]
+# at a largest entry of 2, the centralizer test's tolerance
+CENTRALIZER_TOL = algebra.TAU_ALG * 3.0
 UNIT, ZERO, INFINITE = ([1.0, -0.5, 0.25, 0.0, -0.75, 0.5, -1.0, 0.125], [0.0] * 8,
                         [0.0, 1.0, math.inf, 0.0, 0.5, 0.0, 1.0, 0.0])
 
@@ -178,6 +195,15 @@ FIXED = {
     "exp matrices": lambda kind: [[UNIT], [ZERO], [INFINITE]],
     "real halvings": lambda kind: ([[UNIT[::2], [t]] for t in HALVING_TS]
                                    + [[ZERO[:4], [1.0]], [INFINITE[::2], [1.0]]]),
+    # [[2, s c], [c, 2]] for c = 1.5 and the regime's s, with d or b moved off
+    # the structure just inside and just past the tolerance
+    "near centralizer": lambda kind: [
+        [[2.0, (kind.sigma or 0) * 1.5 + db, 1.5, 2.0 - dd]]
+        for move in (0.0, 0.999 * CENTRALIZER_TOL, 1.001 * CENTRALIZER_TOL)
+        for db, dd in ((move, 0.0), (0.0, move), (-move, move))],
+    # first entries on both sides of the transporter's TAU_ZERO branch
+    "ratios": lambda kind: [[[lam], [mu]] for lam in (0.0, -0.0, 1e-12, -1e-12, 1.1e-12, 0.6)
+                            for mu in (1.0, -0.8)],
 }
 
 
@@ -331,6 +357,14 @@ CASES.update({
     "rotation_real": Case("ktT", subgroups.rotation_real, kinds=tuple(SigmaKind)),
     "eval_subgroup": Case("St", subgroups.eval_subgroup, kinds=REGIMES, scalar=evaluated,
                           quiet=True),
+    "in_centralizer": Case("kr", subgroups.in_centralizer, kinds=tuple(SigmaKind),
+                           fixed="near centralizer"),
+    "exp_cross_check(specs)": Case("s", subgroups.exp_cross_check, kinds=REGIMES,
+                                   special=MODERATE),
+    "transporter_nonadmissible": Case(
+        "ktt", lambda tag, lam, mu: projline.transporter_nonadmissible(
+            projline.CanonicalClass(tag, ratio=(lam, mu))),
+        kinds=(ClassTag.PR_PLUS, ClassTag.PR_MINUS, ClassTag.PR), fixed="ratios"),
 })
 
 
